@@ -1,0 +1,8 @@
+"""Put the package under test on the path for ``pytest benchmarks/e2e``."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
