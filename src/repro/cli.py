@@ -11,7 +11,6 @@ Subcommands:
 * ``submit``      — submit one cell to a running service
 * ``status``      — queue/job state and live metrics of a running service
 * ``cancel``      — cancel a submitted job
-* ``fleet``       — distributed sweep fleet: coordinator and workers (``docs/FLEET.md``)
 * ``list``        — list workloads and experiments
 """
 
@@ -59,14 +58,6 @@ def _add_runner_args(sub_parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent result cache for this invocation",
-    )
-    group.add_argument(
-        "--fleet", metavar="ADDR", default=None,
-        help="distribute the sweep over a fleet coordinator at host:port (docs/FLEET.md)",
-    )
-    group.add_argument(
-        "--auth-key-file", metavar="PATH", default=None,
-        help="fleet shared-secret file (default: the REPRO_FLEET_KEY environment variable)",
     )
 
 
@@ -180,11 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub_p.add_argument("--socket", default=DEFAULT_SOCKET)
     sub_p.add_argument("--client", default="cli", help="client name for fair scheduling")
     sub_p.add_argument(
-        "--priority", choices=("high", "normal", "low"), default="normal",
-        help="admission class: strict priority across classes, "
-             "round-robin across clients within one (default: normal)",
-    )
-    sub_p.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="fail with a structured deadline_exceeded error after SECONDS",
     )
@@ -204,103 +190,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="PATH", default=None,
         help="write the live service.* metrics snapshot as JSONL to PATH",
     )
-    st_p.add_argument(
-        "--fleet", metavar="ADDR", default=None,
-        help="inspect a fleet coordinator at host:port instead of the local service",
-    )
-    st_p.add_argument(
-        "--auth-key-file", metavar="PATH", default=None,
-        help="fleet shared-secret file (default: the REPRO_FLEET_KEY environment variable)",
-    )
 
     can_p = sub.add_parser("cancel", help="cancel a submitted job")
     can_p.add_argument("job_id")
     can_p.add_argument("--socket", default=DEFAULT_SOCKET)
 
-    fleet_p = sub.add_parser(
-        "fleet", help="distributed sweep fleet: coordinator and workers (docs/FLEET.md)"
-    )
-    fleet_sub = fleet_p.add_subparsers(dest="fleet_command", required=True)
-    coord_p = fleet_sub.add_parser(
-        "coordinator", help="run the fleet coordinator (authenticated TCP control plane)"
-    )
-    coord_p.add_argument("--host", default="127.0.0.1", help="bind address")
-    coord_p.add_argument(
-        "--port", type=int, default=7341,
-        help="bind port; 0 picks a free port (default: 7341)",
-    )
-    coord_p.add_argument(
-        "--auth-key-file", metavar="PATH", default=None,
-        help="fleet shared-secret file (default: the REPRO_FLEET_KEY environment variable)",
-    )
-    coord_p.add_argument(
-        "--lease-timeout", type=float, default=15.0, metavar="SECONDS",
-        help="declare a worker dead after SECONDS of silence and reassign "
-             "its remaining cells (default: 15)",
-    )
-    coord_p.add_argument(
-        "--steal-after", type=float, default=10.0, metavar="SECONDS",
-        help="duplicate-assign a straggler's remaining cells to an idle "
-             "worker after SECONDS; 0 disables stealing (default: 10)",
-    )
-    coord_p.add_argument(
-        "--max-cell-retries", type=int, default=3,
-        help="reassignments one cell tolerates before its sweep fails (default: 3)",
-    )
-    coord_p.add_argument(
-        "--port-file", metavar="PATH", default=None,
-        help="write the bound port to PATH once listening (use with --port 0)",
-    )
-    worker_p = fleet_sub.add_parser(
-        "serve-worker", help="run one fleet worker against a coordinator"
-    )
-    worker_p.add_argument(
-        "--addr", default="127.0.0.1:7341", metavar="HOST:PORT",
-        help="coordinator address (default: 127.0.0.1:7341)",
-    )
-    worker_p.add_argument(
-        "--auth-key-file", metavar="PATH", default=None,
-        help="fleet shared-secret file (default: the REPRO_FLEET_KEY environment variable)",
-    )
-    worker_p.add_argument(
-        "--name", default=None,
-        help="worker display name (default: hostname-pid)",
-    )
-    worker_p.add_argument(
-        "--heartbeat", type=float, default=2.0, metavar="SECONDS",
-        help="lease-renewal heartbeat cadence (default: 2)",
-    )
-
     sub.add_parser("list", help="list workloads and experiments")
     return parser
-
-
-def _fleet_key(args) -> bytes | None:
-    """Resolve the fleet secret when ``--fleet`` was given; exits on a
-    missing or unusable key (distribution must fail loudly, not locally)."""
-    if getattr(args, "fleet", None) is None:
-        return None
-    from repro.fleet.wire import FleetAuthError, load_auth_key
-
-    try:
-        return load_auth_key(args.auth_key_file)
-    except FleetAuthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _sweeper(args):
     from repro.runner import SweepRunner, default_cache
 
     use_cache = False if args.no_cache else None
-    fleet_addr = getattr(args, "fleet", None)
-    return SweepRunner(
-        jobs=args.jobs,
-        cache=default_cache(args.cache_dir, use_cache),
-        mode="fleet" if fleet_addr else "auto",
-        fleet_addr=fleet_addr,
-        fleet_key=_fleet_key(args),
-    )
+    return SweepRunner(jobs=args.jobs, cache=default_cache(args.cache_dir, use_cache))
 
 
 def _runner_kwargs(args) -> dict:
@@ -308,8 +211,6 @@ def _runner_kwargs(args) -> dict:
         "jobs": args.jobs,
         "cache_dir": args.cache_dir,
         "use_cache": False if args.no_cache else None,
-        "fleet_addr": getattr(args, "fleet", None),
-        "fleet_key": _fleet_key(args),
     }
 
 
@@ -508,8 +409,6 @@ def _cmd_serve(args) -> int:
         max_queue=args.queue_limit,
         cache=cache,
         mode=args.mode,
-        fleet_addr=args.fleet,
-        fleet_key=_fleet_key(args),
     )
 
 
@@ -527,7 +426,6 @@ def _cmd_submit(args) -> int:
                 scale=args.scale,
                 client=args.client,
                 wait=not args.no_wait,
-                priority=args.priority,
                 deadline_s=args.deadline,
             )
     except ServiceUnavailable as exc:
@@ -555,44 +453,9 @@ def _cmd_submit(args) -> int:
     return 0
 
 
-def _cmd_fleet_status(args) -> int:
-    """Render a fleet coordinator's live snapshot (``status --fleet``)."""
-    from repro.fleet.client import FleetClient, FleetError
-    from repro.fleet.wire import FleetAuthError, load_auth_key
-
-    try:
-        key = load_auth_key(args.auth_key_file)
-        with FleetClient(args.fleet, key, name="status-cli") as client:
-            snapshot = client.status()
-    except (FleetAuthError, FleetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    workers = snapshot.get("workers", [])
-    print(f"fleet coordinator  {args.fleet}")
-    print(f"workers            {len(workers)}")
-    print(f"queue depth        {snapshot.get('queue_depth', 0)} "
-          f"({snapshot.get('inflight_units', 0)} units in flight)")
-    for worker in workers:
-        print(f"  {worker['id']:6s} {worker['name']:24s} "
-              f"inflight={worker['inflight']:<4d} completed={worker['completed']:<6d} "
-              f"idle={worker['idle_s']:.1f}s")
-    metrics = snapshot.get("metrics", {})
-    for name in sorted(metrics):
-        if name.startswith("fleet.") and "." not in name[len("fleet."):]:
-            print(f"  {name:24s} {metrics[name].get('value')}")
-    if args.metrics:
-        from repro.obs import write_metrics_jsonl
-
-        count = write_metrics_jsonl(metrics, args.metrics)
-        print(f"wrote {count} metrics to {args.metrics}")
-    return 0
-
-
 def _cmd_status(args) -> int:
     from repro.service.client import ServiceClient, ServiceUnavailable
 
-    if args.fleet:
-        return _cmd_fleet_status(args)
     try:
         with ServiceClient(args.socket) as client:
             if args.metrics:
@@ -639,34 +502,6 @@ def _cmd_cancel(args) -> int:
     return 0
 
 
-def _cmd_fleet(args) -> int:
-    from repro.fleet.wire import FleetAuthError, load_auth_key
-
-    try:
-        key = load_auth_key(args.auth_key_file)
-    except FleetAuthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.fleet_command == "coordinator":
-        from repro.fleet.coordinator import run_coordinator
-
-        return run_coordinator(
-            key,
-            args.host,
-            args.port,
-            lease_timeout_s=args.lease_timeout,
-            steal_after_s=args.steal_after if args.steal_after > 0 else None,
-            max_cell_retries=args.max_cell_retries,
-            port_file=args.port_file,
-        )
-    assert args.fleet_command == "serve-worker", f"unhandled {args.fleet_command}"
-    from repro.fleet.client import parse_addr
-    from repro.fleet.worker import run_worker
-
-    host, port = parse_addr(args.addr)
-    return run_worker(key, host, port, name=args.name, heartbeat_s=args.heartbeat)
-
-
 def _cmd_list() -> int:
     from repro.workloads import all_collectives
 
@@ -703,8 +538,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_status(args)
     if args.command == "cancel":
         return _cmd_cancel(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
     if args.command == "list":
         return _cmd_list()
     raise AssertionError(f"unhandled command {args.command}")

@@ -9,7 +9,7 @@ from the paper translate numerically into bytes/cycle.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -313,47 +313,6 @@ def default_config(n_gpus: int = 4, **security_overrides) -> SystemConfig:
     return cfg
 
 
-def config_to_dict(config: SystemConfig) -> dict:
-    """JSON-safe rendering of the full configuration tree.
-
-    Inverse of :func:`config_from_dict`; the pair is what ships a
-    :class:`SystemConfig` across the fleet's TCP wire, so a sweep
-    submitted with an arbitrary config (fault rates, adversary mixes,
-    fabric overrides) rebuilds *exactly* on the worker side — the
-    round trip is exact because every field is an int/float/bool/str.
-    """
-    return asdict(config)
-
-
-def _build(cls, data: dict):
-    """Rebuild one config dataclass, rejecting unknown fields loudly."""
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"{cls.__name__} has no fields {sorted(unknown)}")
-    return cls(**data)
-
-
-def config_from_dict(data: dict) -> SystemConfig:
-    """Rebuild a :class:`SystemConfig` from :func:`config_to_dict` output."""
-    material = dict(data)
-    security = dict(material.pop("security", {}))
-    metadata = security.pop("metadata", None)
-    if metadata is not None:
-        security["metadata"] = _build(MetadataConfig, metadata)
-    parts = {
-        "gpu": (GpuConfig, material.pop("gpu", None)),
-        "link": (LinkConfig, material.pop("link", None)),
-        "migration": (MigrationConfig, material.pop("migration", None)),
-        "fault": (FaultConfig, material.pop("fault", None)),
-        "adversary": (AdversaryConfig, material.pop("adversary", None)),
-    }
-    kwargs = {name: _build(cls, section) for name, (cls, section) in parts.items() if section is not None}
-    if security:
-        kwargs["security"] = _build(SecurityConfig, security)
-    return _build(SystemConfig, {**material, **kwargs})
-
-
 # Named configurations matching the paper's evaluated systems.
 def scheme_config(scheme: str, n_gpus: int = 4, otp_multiplier: int = 4) -> SystemConfig:
     """Build the configuration for one of the paper's evaluated schemes.
@@ -377,8 +336,6 @@ __all__ = [
     "AdversaryConfig",
     "MigrationConfig",
     "SystemConfig",
-    "config_from_dict",
-    "config_to_dict",
     "default_config",
     "scheme_config",
 ]

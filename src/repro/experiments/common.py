@@ -59,8 +59,6 @@ class ExperimentRunner:
     :func:`repro.runner.default_cache`) survives across processes, so a
     rerun of any figure only simulates cells it has never seen; pass
     ``use_cache=False`` — or set ``REPRO_NO_CACHE`` — to disable it.
-    ``fleet_addr`` distributes the sweep over a fleet coordinator
-    (``repro-sim experiment --fleet``; see ``docs/FLEET.md``).
     """
 
     def __init__(
@@ -72,20 +70,12 @@ class ExperimentRunner:
         jobs: int | None = None,
         cache_dir: str | None = None,
         use_cache: bool | None = None,
-        fleet_addr: str | None = None,
-        fleet_key: bytes | None = None,
     ) -> None:
         self.n_gpus = n_gpus
         self.seed = seed
         self.scale = scale
         self.workloads = workloads if workloads is not None else all_workloads()
-        self.sweeper = SweepRunner(
-            jobs=jobs,
-            cache=default_cache(cache_dir, use_cache),
-            mode="fleet" if fleet_addr else "auto",
-            fleet_addr=fleet_addr,
-            fleet_key=fleet_key,
-        )
+        self.sweeper = SweepRunner(jobs=jobs, cache=default_cache(cache_dir, use_cache))
         self._cache: dict[tuple, SimulationReport] = {}
 
     # ------------------------------------------------------------------

@@ -49,25 +49,16 @@ def generate_all(
     jobs: int | None = None,
     cache_dir: str | None = None,
     use_cache: bool | None = None,
-    fleet_addr: str | None = None,
-    fleet_key: bytes | None = None,
 ) -> dict[str, str]:
     """Run everything; returns {experiment name: formatted table}.
 
     ``workloads`` restricts the sweep (default: all 17 of Table IV).
-    ``jobs``/``cache_dir``/``use_cache``/``fleet_addr``/``fleet_key``
-    configure the sweep execution layer (see :class:`ExperimentRunner`)
-    for every runner built here.
+    ``jobs``/``cache_dir``/``use_cache`` configure the sweep execution
+    layer (see :class:`ExperimentRunner`) for every runner built here.
     """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    exec_kwargs = {
-        "jobs": jobs,
-        "cache_dir": cache_dir,
-        "use_cache": use_cache,
-        "fleet_addr": fleet_addr,
-        "fleet_key": fleet_key,
-    }
+    exec_kwargs = {"jobs": jobs, "cache_dir": cache_dir, "use_cache": use_cache}
     runner4 = ExperimentRunner(
         n_gpus=4, seed=seed, scale=scale, workloads=workloads, **exec_kwargs
     )

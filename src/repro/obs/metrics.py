@@ -45,7 +45,6 @@ KNOWN_NAMESPACES = frozenset(
         "cache",    # sweep-runner cache activity
         "trace",    # trace-store reuse (runner-side; never in a report)
         "service",  # simulation-service scheduler (server-side; never in a report)
-        "fleet",    # fleet coordinator/worker activity (control-plane; never in a report)
         "profile",  # reserved for wall-clock phase profiling
     }
 )

@@ -1,11 +1,10 @@
 """Crash- and concurrency-safe file writes shared by the persistent stores.
 
-The result cache, the trace store, and the fleet's report spool are all
-written by many uncoordinated writers at once: pool workers, separate CLI
-invocations on a shared filesystem, fleet workers on other hosts mounting
-the same results volume.  Every one of them follows the same discipline —
-write a uniquely-named temp file *in the destination directory*, then
-``os.replace`` it over the final name:
+The result cache and the trace store are both written by many
+uncoordinated writers at once: pool workers and separate CLI invocations
+sharing one results directory.  Every one of them follows the same
+discipline — write a uniquely-named temp file *in the destination
+directory*, then ``os.replace`` it over the final name:
 
 * readers never observe a half-written file (rename is atomic on POSIX
   and on NTFS; the temp file lives in the same directory, so the rename

@@ -8,8 +8,8 @@ or version hashes to a different file.
 
 Writes are atomic (unique tmp file in the cache directory + ``os.replace``
 — see :mod:`repro.runner.atomic`) so any number of concurrent writers —
-pool workers, parallel sweeps on a shared filesystem, fleet workers on
-other hosts — can store the same key at once: every writer produces a
+pool workers, parallel sweeps sharing one cache root — can store the
+same key at once: every writer produces a
 complete file, the last rename wins, and the winner's content is identical
 to every loser's because a key's report is a pure function of the key.  A
 killed run can never leave a half-written entry that a later run would

@@ -49,12 +49,11 @@ cell provenance, trace-reuse counts, and a parent-side wall-clock split
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from time import perf_counter, sleep
+from time import perf_counter
 from typing import Any, Sequence
 
 from repro.obs import Telemetry
@@ -162,24 +161,16 @@ class SweepStats:
     parallel_runs: int = 0
     serial_runs: int = 0
     retries: int = 0
-    fallbacks: int = 0  # cells the pool/fleet failed and serial execution rescued
-    fleet_runs: int = 0  # cells served by a fleet coordinator
-    mode: str = ""  # effective mode of the last run: "serial", "parallel", or "fleet"
+    fallbacks: int = 0  # cells the pool failed and serial execution rescued
+    mode: str = ""  # effective mode of the last run: "serial" or "parallel"
     trace_reused: int = 0  # cells served by an already-loaded trace (memo)
     trace_store_hits: int = 0  # cells whose trace loaded from the disk store
     trace_gen_s: float = 0.0
     simulate_s: float = 0.0
     ipc_s: float = 0.0
-    #: structured per-cell failure manifest: one entry per cell that needed
-    #: more than one attempt, in the shape
-    #: ``{"cell", "attempts", "rescued", "backoff_s", "errors": [...]}``
-    #: where each error is ``{"attempt", "type", "message"}``.
-    failures: list = field(default_factory=list)
 
-    def as_dict(self) -> dict[str, int | float | str | list]:
-        out = dict(self.__dict__)
-        out["failures"] = [dict(entry) for entry in self.failures]
-        return out
+    def as_dict(self) -> dict[str, int | float | str]:
+        return dict(self.__dict__)
 
 
 @dataclass
@@ -191,37 +182,18 @@ class SweepRunner:
     ``timeout``      seconds before the parent gives up on a pool chunk and
                      re-runs its cells serially (None = wait forever)
     ``retries``      extra serial attempts per cell after its first failure
-    ``retry_backoff``       base sleep (seconds) before the first retry of a
-                            cell; doubles per attempt up to
-                            ``retry_backoff_max``.  A small deterministic
-                            jitter derived from the cell description is
-                            added so simultaneous sweeps retrying against a
-                            shared resource (disk cache, trace store) don't
-                            stampede in lockstep.  0 disables sleeping.
-    ``mode``         ``"auto"`` (default) / ``"serial"`` / ``"parallel"`` /
-                     ``"fleet"``; auto picks serial for small grids and
-                     single-CPU hosts and never picks fleet — distributing
-                     is an explicit operator decision
+    ``mode``         ``"auto"`` (default) / ``"serial"`` / ``"parallel"``;
+                     auto picks serial for small grids and single-CPU hosts
     ``trace_store``  :class:`TraceStore` for cross-scheme trace sharing;
                      None builds :func:`default_trace_store` on first use
-    ``fleet_addr``   ``host:port`` of a fleet coordinator; required when
-                     ``mode="fleet"``
-    ``fleet_key``    the fleet's shared secret; None resolves
-                     ``REPRO_FLEET_KEY`` on first use
-    ``fleet_priority``  admission class for fleet submissions
     """
 
     jobs: int | None = None
     cache: ResultCache | None = None
     timeout: float | None = None
     retries: int = 1
-    retry_backoff: float = 0.05
-    retry_backoff_max: float = 2.0
     mode: str = "auto"
     trace_store: TraceStore | None = None
-    fleet_addr: str | None = None
-    fleet_key: bytes | None = None
-    fleet_priority: str = "normal"
     stats: SweepStats = field(default_factory=SweepStats)
     #: runner-scoped telemetry: ``trace.reused`` / ``trace.store_hits``
     #: counters accumulate here across ``run_jobs`` calls.  Deliberately
@@ -232,10 +204,8 @@ class SweepRunner:
 
     def run_jobs(self, sweep_jobs: Sequence[SweepJob]) -> list[SimulationReport]:
         """Execute every cell and return reports in input order."""
-        if self.mode not in ("auto", "serial", "parallel", "fleet"):
+        if self.mode not in ("auto", "serial", "parallel"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if self.mode == "fleet" and not self.fleet_addr:
-            raise ValueError('mode="fleet" requires fleet_addr (host:port)')
         if self.trace_store is None:
             self.trace_store = default_trace_store()
         n_workers = resolve_jobs(self.jobs)
@@ -262,8 +232,6 @@ class SweepRunner:
         self.stats.mode = self._resolve_mode(n_workers, len(pending))
         if self.stats.mode == "parallel":
             self._run_parallel(pending, unique, n_workers)
-        elif self.stats.mode == "fleet":
-            self._run_fleet(pending, unique)
 
         for job in pending:
             if unique[job] is None:
@@ -384,42 +352,6 @@ class SweepRunner:
                     except (OSError, ValueError, AssertionError):
                         pass
 
-    def _run_fleet(
-        self,
-        pending: list[SweepJob],
-        results: dict[SweepJob, SimulationReport | None],
-    ) -> None:
-        """Submit dispatchable cells to the fleet coordinator.
-
-        An unreachable coordinator or a fleet-side sweep failure leaves
-        the cells as None — the caller's serial loop rescues them locally
-        (counted in ``stats.fallbacks``).  Authentication failures raise:
-        a misconfigured key must be loud, not silently slow.
-        """
-        # Imported lazily: repro.fleet imports this module.
-        from repro.fleet.client import FleetClient, FleetError
-        from repro.fleet.wire import load_auth_key
-
-        dispatchable = [job for job in pending if is_registry_spec(job.spec)]
-        if not dispatchable:
-            return
-        key = self.fleet_key if self.fleet_key is not None else load_auth_key()
-        try:
-            started = perf_counter()
-            with FleetClient(self.fleet_addr, key) as client:
-                reports = client.sweep(
-                    dispatchable, priority=self.fleet_priority, timeout_s=self.timeout
-                )
-            self.stats.ipc_s += perf_counter() - started
-        except FleetError as exc:
-            if exc.code == "auth_failed":
-                raise
-            self.stats.fallbacks += len(dispatchable)
-            return
-        for job, report in zip(dispatchable, reports):
-            results[job] = report
-        self.stats.fleet_runs += len(dispatchable)
-
     def _run_cell(self, job: SweepJob) -> SimulationReport:
         """Run one cell in-process, sharing its trace through the store."""
         trace = None
@@ -438,66 +370,20 @@ class SweepRunner:
                     self.stats.trace_store_hits += 1
         return self._run_serial(job, trace)
 
-    def _retry_delay(self, job: SweepJob, attempt: int) -> float:
-        """Exponential backoff with deterministic, cell-derived jitter.
-
-        ``base * 2**attempt`` capped at ``retry_backoff_max``, plus up to
-        25% jitter seeded from sha256 of ``"{cell}:{attempt}"`` — stable
-        across runs (no wall-clock entropy) but decorrelated across cells.
-        """
-        if self.retry_backoff <= 0:
-            return 0.0
-        delay = min(self.retry_backoff * (2**attempt), self.retry_backoff_max)
-        digest = hashlib.sha256(f"{job.describe()}:{attempt}".encode()).digest()
-        jitter = int.from_bytes(digest[:4], "big") / 0xFFFFFFFF
-        return delay * (1.0 + 0.25 * jitter)
-
     def _run_serial(self, job: SweepJob, trace=None) -> SimulationReport:
         attempts = max(1, self.retries + 1)
         last_error: Exception | None = None
-        errors: list[dict[str, int | str]] = []
-        backoff_total = 0.0
         for attempt in range(attempts):
             try:
                 started = perf_counter()
                 report = execute_job(job, trace=trace)
                 self.stats.simulate_s += perf_counter() - started
                 self.stats.serial_runs += 1
-                if errors:
-                    self.stats.failures.append(
-                        {
-                            "cell": job.describe(),
-                            "attempts": attempt + 1,
-                            "rescued": True,
-                            "backoff_s": round(backoff_total, 6),
-                            "errors": errors,
-                        }
-                    )
                 return report
             except Exception as exc:  # deterministic sims rarely recover, but
                 last_error = exc  # a retry costs little next to a lost sweep
-                errors.append(
-                    {
-                        "attempt": attempt + 1,
-                        "type": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                )
                 if attempt + 1 < attempts:
                     self.stats.retries += 1
-                    delay = self._retry_delay(job, attempt)
-                    if delay > 0:
-                        backoff_total += delay
-                        sleep(delay)
-        self.stats.failures.append(
-            {
-                "cell": job.describe(),
-                "attempts": attempts,
-                "rescued": False,
-                "backoff_s": round(backoff_total, 6),
-                "errors": errors,
-            }
-        )
         raise SweepError(
             f"sweep cell {job.describe()} failed after {attempts} attempt(s)"
         ) from last_error

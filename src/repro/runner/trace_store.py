@@ -126,8 +126,8 @@ class TraceStore:
     def put(self, key: str, trace: CompiledTrace) -> None:
         """Insert into the memo and (best-effort, atomically) onto disk.
 
-        Concurrent puts of the same key — pool workers racing on a shared
-        store root, fleet workers on a shared filesystem — are benign:
+        Concurrent puts of the same key — pool workers or parallel CLI
+        runs racing on a shared store root — are benign:
         each writes a complete temp file and the last atomic rename wins
         with byte-identical content (traces are a pure function of the
         key; see :mod:`repro.runner.atomic`).

@@ -18,7 +18,6 @@ scheduling policy, backpressure, determinism — is documented in
 """
 
 from repro.service.client import ServiceClient, ServiceUnavailable
-from repro.service.queues import DEFAULT_PRIORITY, PRIORITIES, PriorityRoundRobin
 from repro.service.protocol import (
     ERROR_CODES,
     PROTOCOL_VERSION,
@@ -29,11 +28,8 @@ from repro.service.scheduler import ServiceError, SimulationService, Ticket, job
 from repro.service.server import DEFAULT_SOCKET, SimulationServer, run_server
 
 __all__ = [
-    "DEFAULT_PRIORITY",
     "DEFAULT_SOCKET",
     "ERROR_CODES",
-    "PRIORITIES",
-    "PriorityRoundRobin",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ServiceClient",

@@ -86,7 +86,6 @@ class ServiceClient:
         n_lanes: int = 8,
         client: str = "anonymous",
         wait: bool = True,
-        priority: str = "normal",
         deadline_s: float | None = None,
     ) -> dict[str, Any]:
         """Submit one cell; with ``wait`` the response carries the report."""
@@ -95,7 +94,6 @@ class ServiceClient:
                 "op": "submit",
                 "client": client,
                 "wait": wait,
-                "priority": priority,
                 "deadline_s": deadline_s,
                 "job": {
                     "workload": workload,

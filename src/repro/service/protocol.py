@@ -26,7 +26,6 @@ import json
 from typing import Any
 
 from repro.runner.serialize import report_to_dict
-from repro.service.queues import DEFAULT_PRIORITY, PRIORITIES
 from repro.system import SimulationReport
 
 #: Bump on incompatible wire changes; both sides echo it in ``hello``.
@@ -141,16 +140,10 @@ def validate_submit(message: dict[str, Any]) -> dict[str, Any]:
     wait = message.get("wait", True)
     if not isinstance(wait, bool):
         raise ProtocolError("field 'wait' must be a boolean")
-    priority = message.get("priority", DEFAULT_PRIORITY)
-    if priority not in PRIORITIES:
-        raise ProtocolError(
-            f"unknown priority {priority!r}; choose from {', '.join(PRIORITIES)}"
-        )
     return {
         "op": "submit",
         "client": client,
         "wait": wait,
-        "priority": priority,
         "deadline_s": float(deadline_s) if deadline_s is not None else None,
         "job": {
             "workload": workload,

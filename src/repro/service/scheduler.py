@@ -17,12 +17,10 @@ gets from :class:`~repro.runner.sweep.SweepRunner`.  The scheduling policy
   executions may be queued; past that, submissions are rejected with a
   structured ``queue_full`` error carrying ``retry_after_s`` (an EWMA of
   recent batch wall time), never dropped silently;
-* **priority classes with per-client fairness** — admission runs through
-  the shared :class:`~repro.service.queues.PriorityRoundRobin`: strict
-  priority across the ``high`` / ``normal`` / ``low`` classes, round-robin
-  across clients within a class, FIFO within a client — so an interactive
-  client outranks the weekly bulk sweep by declaring ``high``, and one
-  bulk submitter still cannot starve another client of its own class;
+* **per-client fairness** — admission runs through
+  :class:`~repro.service.queues.ClientRoundRobin`: round-robin across
+  clients, FIFO within a client — so one bulk submitter cannot starve
+  another client;
 * **trace-key batching** — when an execution is dispatched, every queued
   execution sharing its :func:`~repro.runner.trace_store.job_trace_key`
   rides along in the same batch (exactly the grouping
@@ -63,7 +61,7 @@ from repro.configs import scheme_config
 from repro.obs import Telemetry
 from repro.runner import ResultCache, SweepJob, SweepRunner, job_key
 from repro.runner.trace_store import job_trace_key
-from repro.service.queues import DEFAULT_PRIORITY, PRIORITIES, PriorityRoundRobin
+from repro.service.queues import ClientRoundRobin
 from repro.system import SimulationReport
 from repro.workloads import get_workload
 
@@ -123,25 +121,18 @@ class Ticket:
             "cell": self.job.describe(),
             "state": self.state,
             "source": self.source,
-            "priority": (
-                self.execution.priority if self.execution is not None else DEFAULT_PRIORITY
-            ),
         }
 
 
 class _Execution:
     """One unit of simulation work and the tickets subscribed to it."""
 
-    __slots__ = ("job", "key", "trace_key", "client", "priority", "tickets", "state")
+    __slots__ = ("job", "key", "trace_key", "tickets", "state")
 
-    def __init__(
-        self, job: SweepJob, key: object, client: str, priority: str = DEFAULT_PRIORITY
-    ) -> None:
+    def __init__(self, job: SweepJob, key: object) -> None:
         self.job = job
         self.key = key  # job_key string, or the SweepJob itself when uncacheable
         self.trace_key = job_trace_key(job)
-        self.client = client  # fairness queue this execution waits in
-        self.priority = priority  # admission class it waits at
         self.tickets: list[Ticket] = []
         self.state = "queued"
 
@@ -166,15 +157,9 @@ class SimulationService:
         cache: ResultCache | None = None,
         max_queue: int = 64,
         mode: str = "auto",
-        fleet_addr: str | None = None,
-        fleet_key: bytes | None = None,
         run_batch: Callable[[list[SweepJob]], list[SimulationReport]] | None = None,
     ) -> None:
-        if fleet_addr is not None:
-            mode = "fleet"
-        self.runner = SweepRunner(
-            jobs=jobs, cache=cache, mode=mode, fleet_addr=fleet_addr, fleet_key=fleet_key
-        )
+        self.runner = SweepRunner(jobs=jobs, cache=cache, mode=mode)
         self.cache = cache
         self.max_queue = max_queue
         self.telemetry = Telemetry()
@@ -185,9 +170,8 @@ class SimulationService:
         self._drained = asyncio.Event()
         self._draining = False
         self._running = False
-        # admission state: strict priority classes, round-robin clients
-        # within each, FIFO per client (shared policy with the fleet).
-        self._queue = PriorityRoundRobin()
+        # admission state: round-robin clients, FIFO per client
+        self._queue = ClientRoundRobin()
         self._inflight: dict[object, _Execution] = {}  # key -> queued/running execution
         self._batch_in_flight = False
         # ticket registry (bounded history)
@@ -251,20 +235,13 @@ class SimulationService:
         job: SweepJob,
         *,
         client: str = "anonymous",
-        priority: str = DEFAULT_PRIORITY,
         deadline_s: float | None = None,
     ) -> Ticket:
         """Admit one cell; returns its :class:`Ticket` (await ``.future``).
 
         Raises :class:`ServiceError` with code ``draining`` or
-        ``queue_full`` (both retryable rejections) or ``bad_request``
-        for an unknown priority class.
+        ``queue_full`` (both retryable rejections).
         """
-        if priority not in PRIORITIES:
-            raise ServiceError(
-                "bad_request",
-                f"unknown priority {priority!r}; choose from {', '.join(PRIORITIES)}",
-            )
         self.telemetry.counter("service.submitted").add(1)
         loop = asyncio.get_running_loop()
         ticket = Ticket(
@@ -313,11 +290,11 @@ class SimulationService:
                 retry_after_s=round(max(0.1, self._batch_ewma_s), 3),
             )
         self.telemetry.counter("service.admitted").add(1)
-        execution = _Execution(job, key, client, priority)
+        execution = _Execution(job, key)
         ticket.execution = execution
         execution.tickets.append(ticket)
         self._inflight[key] = execution
-        self._queue.push(execution, client=client, priority=priority)
+        self._queue.push(execution, client=client)
         self.telemetry.gauge("service.queue.depth").set(len(self._queue))
         self._register(ticket)
         self._arm_deadline(ticket, deadline_s, execution)
@@ -329,7 +306,6 @@ class SimulationService:
         return self.submit(
             job_from_spec(request["job"]),
             client=request.get("client", "anonymous"),
-            priority=request.get("priority", DEFAULT_PRIORITY),
             deadline_s=request.get("deadline_s"),
         )
 
@@ -455,9 +431,9 @@ class SimulationService:
     # Dispatch
     # ------------------------------------------------------------------
     def _take_batch(self) -> list[_Execution]:
-        """Next priority/round-robin execution plus every queued trace-key
-        sibling (siblings ride along regardless of their class — the trace
-        is loaded anyway, and a free ride cannot delay the head)."""
+        """Next round-robin execution plus every queued trace-key sibling
+        (siblings ride along regardless of their client — the trace is
+        loaded anyway, and a free ride cannot delay the head)."""
         head = self._queue.pop()
         if head is None:
             return []

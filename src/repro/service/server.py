@@ -187,23 +187,9 @@ def run_server(
     max_queue: int = 64,
     cache=None,
     mode: str = "auto",
-    fleet_addr: str | None = None,
-    fleet_key: bytes | None = None,
 ) -> int:
-    """Blocking entry point: serve until SIGTERM/SIGINT, drain, exit 0.
-
-    With ``fleet_addr`` the service delegates batch execution to a fleet
-    coordinator (falling back to local serial execution when the fleet is
-    unreachable) — the local socket API is unchanged.
-    """
-    service = SimulationService(
-        jobs=jobs,
-        cache=cache,
-        max_queue=max_queue,
-        mode=mode,
-        fleet_addr=fleet_addr,
-        fleet_key=fleet_key,
-    )
+    """Blocking entry point: serve until SIGTERM/SIGINT, drain, exit 0."""
+    service = SimulationService(jobs=jobs, cache=cache, max_queue=max_queue, mode=mode)
     try:
         return asyncio.run(_serve(socket_path or DEFAULT_SOCKET, service))
     except KeyboardInterrupt:

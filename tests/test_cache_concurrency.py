@@ -1,8 +1,8 @@
 """Cross-process stress tests for the persistent stores.
 
 The contract (``src/repro/runner/atomic.py``): any number of
-uncoordinated writers — pool workers, parallel CLI runs, fleet workers
-sharing a results volume — may store the *same* key at once, and
+uncoordinated writers — pool workers and parallel CLI runs sharing one
+results directory — may store the *same* key at once, and
 
 * readers never observe a torn or half-written entry,
 * duplicate puts are benign (last complete rename wins, content is a

@@ -46,3 +46,14 @@ def test_unknown_workload_fails():
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "fir", "--fleet", "x:1"], ["fleet", "coordinator"]],
+    ids=["run-fleet-flag", "fleet-subcommand"],
+)
+def test_removed_fleet_inputs_rejected(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2

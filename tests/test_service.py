@@ -26,7 +26,6 @@ import pytest
 from repro.configs import scheme_config
 from repro.runner import ResultCache, SweepJob, SweepRunner, report_to_dict
 from repro.service import (
-    PriorityRoundRobin,
     ServiceClient,
     ServiceError,
     SimulationServer,
@@ -34,6 +33,7 @@ from repro.service import (
     canonical_report_json,
 )
 from repro.service import protocol
+from repro.service.queues import ClientRoundRobin
 from repro.workloads import get_workload
 
 GPUS = 2
@@ -422,32 +422,25 @@ class TestServerEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# Priority classes (docs/SERVICE.md: strict across, round-robin within)
+# Fair queuing (docs/SERVICE.md: round-robin across clients, FIFO within)
 # ----------------------------------------------------------------------
-class TestPriorityRoundRobin:
-    def _drain(self, queue: PriorityRoundRobin) -> list:
+class TestClientRoundRobin:
+    def _drain(self, queue: ClientRoundRobin) -> list:
         items = []
         while (item := queue.pop()) is not None:
             items.append(item)
         return items
 
-    def test_strict_priority_across_classes(self):
-        queue = PriorityRoundRobin()
-        queue.push("backfill", client="cron", priority="low")
-        queue.push("sweep", client="cron", priority="normal")
-        queue.push("debug", client="human", priority="high")
-        assert self._drain(queue) == ["debug", "sweep", "backfill"]
-
-    def test_round_robin_within_class_fifo_per_client(self):
-        queue = PriorityRoundRobin()
+    def test_round_robin_fifo_per_client(self):
+        queue = ClientRoundRobin()
         for n in (1, 2, 3):
             queue.push(f"a{n}", client="alice")
         queue.push("b1", client="bob")
         queue.push("b2", client="bob")
         assert self._drain(queue) == ["a1", "b1", "a2", "b2", "a3"]
 
-    def test_bulk_client_cannot_starve_peer_of_same_class(self):
-        queue = PriorityRoundRobin()
+    def test_bulk_client_cannot_starve_peer(self):
+        queue = ClientRoundRobin()
         for n in range(100):
             queue.push(f"bulk{n}", client="bulk")
         queue.push("urgent-ish", client="small")
@@ -455,19 +448,8 @@ class TestPriorityRoundRobin:
         assert queue.pop() == "bulk0"
         assert queue.pop() == "urgent-ish"
 
-    def test_lower_class_waits_out_entire_higher_class(self):
-        queue = PriorityRoundRobin()
-        queue.push("low1", client="a", priority="low")
-        for n in (1, 2):
-            queue.push(f"high{n}", client="b", priority="high")
-        assert self._drain(queue) == ["high1", "high2", "low1"]
-        # ...and a late high arrival jumps ahead of queued normals.
-        queue.push("normal1", client="a")
-        queue.push("high3", client="b", priority="high")
-        assert self._drain(queue) == ["high3", "normal1"]
-
     def test_remove_and_take_keep_rotation_consistent(self):
-        queue = PriorityRoundRobin()
+        queue = ClientRoundRobin()
         queue.push("x1", client="alice")
         queue.push("y1", client="bob")
         queue.push("x2", client="alice")
@@ -480,68 +462,8 @@ class TestPriorityRoundRobin:
         assert self._drain(queue) == ["x2", "x3"]
         assert len(queue) == 0
 
-    def test_unknown_priority_rejected(self):
-        queue = PriorityRoundRobin()
-        with pytest.raises(ValueError, match="unknown priority"):
-            queue.push("x", client="alice", priority="urgent")
-
     def test_iter_sees_every_queued_item(self):
-        queue = PriorityRoundRobin()
-        queue.push("a", client="alice", priority="low")
-        queue.push("b", client="bob", priority="high")
+        queue = ClientRoundRobin()
+        queue.push("a", client="alice")
+        queue.push("b", client="bob")
         assert sorted(queue) == ["a", "b"]
-
-
-class TestSchedulerPriorities:
-    def test_high_priority_dispatched_before_earlier_normal(self):
-        batches: list[list[int]] = []
-        runner = SweepRunner(jobs=1)
-
-        def recording(jobs):
-            batches.append([job.seed for job in jobs])
-            return runner.run_jobs(jobs)
-
-        async def scenario():
-            service = SimulationService(run_batch=recording)
-            # Queue before the dispatcher starts: admission order is
-            # normal, low, high -- dispatch order must be high, normal, low.
-            normal = service.submit(_job(seed=1), client="bulk")
-            low = service.submit(_job(seed=2), client="backfill", priority="low")
-            high = service.submit(_job(seed=3), client="debug", priority="high")
-            async with service:
-                await asyncio.gather(normal.future, low.future, high.future)
-
-        asyncio.run(scenario())
-        assert batches == [[3], [1], [2]]
-
-    def test_bad_priority_is_structured_rejection(self):
-        async def scenario():
-            async with SimulationService() as service:
-                with pytest.raises(ServiceError) as excinfo:
-                    service.submit(_job(), priority="urgent")
-                assert excinfo.value.code == "bad_request"
-
-        asyncio.run(scenario())
-
-    def test_status_reports_priority(self):
-        async def scenario():
-            service = SimulationService()  # never started: stays queued
-            ticket = service.submit(_job(), client="ops", priority="high")
-            job = service.status(ticket.job_id)["job"]
-            assert job["priority"] == "high"
-
-        asyncio.run(scenario())
-
-    def test_protocol_validates_and_defaults_priority(self):
-        request = protocol.validate_request(
-            {"op": "submit", "job": {"workload": "fir"}, "priority": "low"}
-        )
-        assert request["priority"] == "low"
-        defaulted = protocol.validate_request(
-            {"op": "submit", "job": {"workload": "fir"}}
-        )
-        assert defaulted["priority"] == "normal"
-        with pytest.raises(protocol.ProtocolError, match="priority"):
-            protocol.validate_request(
-                {"op": "submit", "job": {"workload": "fir"}, "priority": "urgent"}
-            )
