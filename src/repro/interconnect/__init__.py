@@ -11,7 +11,7 @@ from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.link import Channel, Link
 from repro.interconnect.topology import Topology, NodeId, CPU_NODE
 from repro.interconnect.arbiter import RoundRobinArbiter
-from repro.interconnect.faults import FaultInjector, FaultVerdict, LinkFailureError
+from repro.interconnect.faults import FaultVerdict, LinkFailureError
 
 __all__ = [
     "Packet",
@@ -22,7 +22,6 @@ __all__ = [
     "NodeId",
     "CPU_NODE",
     "RoundRobinArbiter",
-    "FaultInjector",
     "FaultVerdict",
     "LinkFailureError",
 ]

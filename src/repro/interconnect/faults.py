@@ -1,18 +1,10 @@
-"""Link-level fault injection for the timing simulator.
+"""Link-level fault verdicts and the link-failure diagnostic.
 
-The functional layer (:mod:`repro.secure.faults`) proves the cryptographic
-machinery *detects* tampering and replay; this module makes the *timing*
-stack suffer the same hostile channel so the performance cost of recovery
-becomes measurable.  A :class:`FaultInjector` rolls one seeded verdict per
-secured data-block transmission: deliver intact, drop, bit-corrupt,
+Random faults make the timing stack suffer a hostile channel so the
+performance cost of recovery becomes measurable.  Per secured data-block
+transmission, :class:`~repro.secure.adversary.LinkPerturbation` rolls one
+seeded :class:`FaultVerdict`: deliver intact, drop, bit-corrupt,
 duplicate, or delay-spike (see :class:`~repro.configs.FaultConfig`).
-
-Determinism is load-bearing: the sweep runner promises bit-identical
-reports across serial / parallel / cached execution, so every verdict
-stream is drawn from a per-directed-pair ``random.Random`` seeded from
-``(config seed, src, dst)``.  Verdicts for the pair (1, 2) depend only on
-how many transmissions (1 → 2) came before — never on how sends to other
-pairs interleave with them.
 
 When a secure sender exhausts its retransmission budget the channel raises
 :class:`LinkFailureError`: a structured diagnostic that terminates the
@@ -22,10 +14,7 @@ that will never arrive.
 
 from __future__ import annotations
 
-import random
 from enum import Enum
-
-from repro.configs import FaultConfig
 
 
 class FaultVerdict(Enum):
@@ -36,43 +25,6 @@ class FaultVerdict(Enum):
     CORRUPT = "corrupt"
     DUPLICATE = "duplicate"
     DELAY = "delay"
-
-
-class FaultInjector:
-    """Seeded per-pair fault verdicts for every data-block transmission."""
-
-    __slots__ = ("cfg", "_rngs")
-
-    def __init__(self, cfg: FaultConfig) -> None:
-        self.cfg = cfg
-        self._rngs: dict[tuple[int, int], random.Random] = {}
-
-    def _rng(self, src: int, dst: int) -> random.Random:
-        key = (src, dst)
-        rng = self._rngs.get(key)
-        if rng is None:
-            # String seeding hashes through SHA-512: stable across processes
-            # and Python versions, unlike builtin hash() of tuples.
-            rng = random.Random(f"fault:{self.cfg.seed}:{src}->{dst}")
-            self._rngs[key] = rng
-        return rng
-
-    def decide(self, src: int, dst: int) -> FaultVerdict:
-        """Roll the fate of one (src → dst) transmission."""
-        roll = self._rng(src, dst).random()
-        cfg = self.cfg
-        if roll < cfg.drop_rate:
-            return FaultVerdict.DROP
-        roll -= cfg.drop_rate
-        if roll < cfg.corrupt_rate:
-            return FaultVerdict.CORRUPT
-        roll -= cfg.corrupt_rate
-        if roll < cfg.duplicate_rate:
-            return FaultVerdict.DUPLICATE
-        roll -= cfg.duplicate_rate
-        if roll < cfg.delay_rate:
-            return FaultVerdict.DELAY
-        return FaultVerdict.OK
 
 
 class LinkFailureError(RuntimeError):
@@ -126,4 +78,4 @@ class LinkFailureError(RuntimeError):
         }
 
 
-__all__ = ["FaultVerdict", "FaultInjector", "LinkFailureError"]
+__all__ = ["FaultVerdict", "LinkFailureError"]

@@ -74,33 +74,15 @@ def job_key(job: SweepJob) -> str | None:
     if not is_registry_spec(job.spec):
         return None
     config_material = asdict(job.config)
-    # The fault section only enters the key when it can affect the result
-    # (any non-zero rate): an all-zero FaultConfig simulates identically to
-    # a config that predates fault injection, and must hash identically so
-    # existing cache entries keep matching.
-    fault = config_material.pop("fault", None)
-    if fault is not None and any(
-        fault.get(rate, 0.0)
-        for rate in ("drop_rate", "corrupt_rate", "duplicate_rate", "delay_rate")
-    ):
-        config_material["fault"] = fault
-    # Same contract for the adversary section: dormant (all-zero-rate)
-    # AdversaryConfigs leave the hash — and therefore every existing cache
-    # entry — untouched.
-    adversary = config_material.pop("adversary", None)
-    if adversary is not None and any(
-        adversary.get(rate, 0.0)
-        for rate in (
-            "flip_cipher_rate",
-            "flip_mac_rate",
-            "replay_rate",
-            "reorder_rate",
-            "truncate_rate",
-            "splice_rate",
-            "forge_rate",
-        )
-    ):
-        config_material["adversary"] = adversary
+    # A dormant section cannot affect the result, so it stays out of the
+    # key and hashes like a config that predates it.  The fault section
+    # also carries the recovery knobs (ack_timeout, max_retries, backoff_*),
+    # which are live whenever either hostile layer is enabled.
+    attacked = job.config.adversary.enabled
+    if not attacked:
+        del config_material["adversary"]
+    if not (job.config.fault.enabled or attacked):
+        del config_material["fault"]
     material = {
         "schema": KEY_SCHEMA,
         "salt": cache_salt(),

@@ -7,7 +7,7 @@ device messages over the interconnect with all security costs applied.
 """
 
 from repro.secure.otp_buffer import PadOutcome, PadGrant, PadStream
-from repro.secure.adversary import AdversaryInjector, AttackKind, AttackReport
+from repro.secure.adversary import AttackKind, AttackReport, LinkPerturbation
 from repro.secure.engine import AesGcmEngineModel
 from repro.secure.invariants import InvariantMonitor, InvariantViolationError
 from repro.secure.metadata import MetadataAccountant
@@ -19,9 +19,9 @@ __all__ = [
     "PadOutcome",
     "PadGrant",
     "PadStream",
-    "AdversaryInjector",
     "AttackKind",
     "AttackReport",
+    "LinkPerturbation",
     "AesGcmEngineModel",
     "InvariantMonitor",
     "InvariantViolationError",

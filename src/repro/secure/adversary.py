@@ -1,31 +1,32 @@
-"""Active in-fabric adversary: seeded attack injection on wire traffic.
+"""The hostile link: seeded fault and attack injection on wire traffic.
 
-Random link faults (:mod:`repro.interconnect.faults`) shake the channel;
-this module *attacks* it.  An :class:`AdversaryInjector` sits on the
-delivery path of both transports and, per secured data-block wire copy,
-rolls one of seven attacks (see :class:`~repro.configs.AdversaryConfig`):
-ciphertext bit-flip, MAC bit-flip, whole-block replay, counter-window
-reorder, truncation, cross-link splice, and forge-from-scratch.
+Random link faults (:class:`~repro.configs.FaultConfig`) shake the channel;
+an in-fabric adversary (:class:`~repro.configs.AdversaryConfig`) *attacks*
+it.  One :class:`LinkPerturbation` sits on the delivery path of both
+transports and, per data-block wire copy, decides both: the fault verdict
+(deliver intact, drop, bit-corrupt, duplicate, or delay-spike) and one of
+seven attacks — ciphertext bit-flip, MAC bit-flip, whole-block replay,
+counter-window reorder, truncation, cross-link splice, and
+forge-from-scratch.
 
 The attacker is *link-local*: it owns one (or more) directed wires and can
 capture, mutate, re-inject, redirect, and fabricate traffic on them, but
 it holds no keys and no pads — every mutated or fabricated block fails the
 receiver's MsgMAC.  That asymmetry is the whole experiment: the secure
-schemes turn all seven attacks into detections (and recover via the PR-2
-ARQ machinery), while the unsecure fabric consumes attacker-controlled
-bytes silently.  :class:`AttackReport` keeps the per-attack ledger the
+schemes turn all seven attacks into detections (and recover via the ARQ
+machinery), while the unsecure fabric consumes attacker-controlled bytes
+silently.  :class:`AttackReport` keeps the per-attack ledger the
 zero-undetected contract is asserted against.
 
-Determinism matches the fault injector: one ``random.Random`` per directed
-pair, seeded from ``(config seed, src, dst)``, rolled once per wire copy in
-transmission order — verdicts never depend on cross-pair interleaving, so
-reports stay bit-identical across serial / parallel / cached execution.
+Determinism is load-bearing: the sweep runner promises bit-identical
+reports across serial / parallel / cached execution, so each directed pair
+owns two ``random.Random`` streams, seeded from ``(config seed, src,
+dst)`` — one for faults, one for attacks — rolled once per wire copy in
+transmission order.  Verdicts never depend on cross-pair interleaving.
 
-Quarantine interacts with the injector through :meth:`on_quarantine`:
-once a directed link is rerouted, the attacker sitting on the physical
-wire loses access to that pair's traffic and ``decide`` stops attacking it
-(without consuming rolls, which keeps the surviving pairs' streams
-aligned).
+A quarantined pair (see :meth:`~repro.interconnect.topology.Topology.
+quarantine`) has been rerouted off the attacker's wire: its attack stream
+is no longer rolled, which keeps the surviving pairs' streams aligned.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.configs import AdversaryConfig
+from repro.configs import SystemConfig
+from repro.interconnect.faults import FaultVerdict
+from repro.interconnect.topology import Topology
 
 
 class AttackKind(Enum):
@@ -61,16 +64,6 @@ TAMPER_KINDS = frozenset(
 #: receiver's seen-set, so they cannot poison later legitimate traffic.
 ALIEN_KINDS = frozenset({AttackKind.SPLICE, AttackKind.FORGE})
 
-_KIND_ORDER = (
-    AttackKind.FLIP_CIPHER,
-    AttackKind.FLIP_MAC,
-    AttackKind.REPLAY,
-    AttackKind.REORDER,
-    AttackKind.TRUNCATE,
-    AttackKind.SPLICE,
-    AttackKind.FORGE,
-)
-
 _KIND_RATES = {
     AttackKind.FLIP_CIPHER: "flip_cipher_rate",
     AttackKind.FLIP_MAC: "flip_mac_rate",
@@ -81,51 +74,88 @@ _KIND_RATES = {
     AttackKind.FORGE: "forge_rate",
 }
 
+_FAULT_RATES = {
+    FaultVerdict.DROP: "drop_rate",
+    FaultVerdict.CORRUPT: "corrupt_rate",
+    FaultVerdict.DUPLICATE: "duplicate_rate",
+    FaultVerdict.DELAY: "delay_rate",
+}
 
-class AdversaryInjector:
-    """Seeded per-pair attack verdicts for every data-block wire copy."""
 
-    __slots__ = ("cfg", "_rngs", "_nodes", "_quarantined")
+def _pick(roll: float, table: tuple, default):
+    """The outcome whose slice of [0, 1) the roll lands in (in table order)."""
+    for outcome, rate in table:
+        if roll < rate:
+            return outcome
+        roll -= rate
+    return default
 
-    def __init__(self, cfg: AdversaryConfig, nodes: list[int]) -> None:
-        self.cfg = cfg
-        self._rngs: dict[tuple[int, int], random.Random] = {}
-        self._nodes = list(nodes)
-        self._quarantined: set[tuple[int, int]] = set()
 
-    def _rng(self, src: int, dst: int) -> random.Random:
+class LinkPerturbation:
+    """Seeded per-pair fault and attack verdicts for every data-block wire copy.
+
+    The transports build one only when the config's fault or adversary
+    section is enabled; a dormant section is never rolled.
+    """
+
+    __slots__ = ("_faults", "_attacks", "_fault_seed", "_adv_seed", "_topology", "_nodes", "_rngs")
+
+    def __init__(self, cfg: SystemConfig, topology: Topology) -> None:
+        fault, adv = cfg.fault, cfg.adversary
+        self._faults = (
+            tuple((v, getattr(fault, rate)) for v, rate in _FAULT_RATES.items())
+            if fault.enabled
+            else None
+        )
+        self._attacks = (
+            tuple((kind, getattr(adv, rate)) for kind, rate in _KIND_RATES.items())
+            if adv.enabled
+            else None
+        )
+        self._fault_seed = fault.seed
+        self._adv_seed = adv.seed
+        self._topology = topology
+        self._nodes = topology.nodes()
+        self._rngs: dict[tuple[int, int], tuple[random.Random, random.Random]] = {}
+
+    def _streams(self, src: int, dst: int) -> tuple[random.Random, random.Random]:
         key = (src, dst)
-        rng = self._rngs.get(key)
-        if rng is None:
+        rngs = self._rngs.get(key)
+        if rngs is None:
             # String seeding hashes through SHA-512: stable across processes
-            # and Python versions (same scheme as the fault injector).
-            rng = random.Random(f"adv:{self.cfg.seed}:{src}->{dst}")
-            self._rngs[key] = rng
-        return rng
+            # and Python versions, unlike builtin hash() of tuples.
+            rngs = (
+                random.Random(f"fault:{self._fault_seed}:{src}->{dst}"),
+                random.Random(f"adv:{self._adv_seed}:{src}->{dst}"),
+            )
+            self._rngs[key] = rngs
+        return rngs
 
-    def decide(self, src: int, dst: int) -> AttackKind | None:
-        """Roll the attacker's action on one (src -> dst) wire copy.
+    def decide(self, src: int, dst: int) -> tuple[FaultVerdict, AttackKind | None]:
+        """Roll the fate of one (src -> dst) wire copy: (fault, attack).
 
-        Quarantined pairs are never attacked *and never rolled*: the
-        traffic left the compromised wire, so the attacker cannot even
-        observe it.  Skipping the roll (rather than discarding it) keeps
-        the pair's verdict stream a pure function of its pre-quarantine
-        transmission count.
+        The fault stream rolls first, then the attack stream — unless the
+        pair is quarantined: its traffic left the compromised wire, so the
+        attacker cannot even observe it, and skipping the roll (rather than
+        discarding it) keeps the stream a pure function of the pair's
+        pre-quarantine transmission count.  A DROP or CORRUPT verdict
+        destroys the copy before the attacker can touch it: the attack
+        stream still advances, but no attack is returned.
         """
-        if (src, dst) in self._quarantined:
-            return None
-        roll = self._rng(src, dst).random()
-        cfg = self.cfg
-        for kind in _KIND_ORDER:
-            rate = getattr(cfg, _KIND_RATES[kind])
-            if roll < rate:
-                if kind is AttackKind.SPLICE and self.splice_target(src, dst) is None:
-                    # Nowhere to redirect (two-node fabric): the capture
-                    # degrades to in-place tampering.
-                    return AttackKind.FLIP_CIPHER
-                return kind
-            roll -= rate
-        return None
+        fault_rng, adv_rng = self._streams(src, dst)
+        verdict = FaultVerdict.OK
+        if self._faults is not None:
+            verdict = _pick(fault_rng.random(), self._faults, FaultVerdict.OK)
+        if self._attacks is None or self._topology.is_quarantined(src, dst):
+            return verdict, None
+        attack = _pick(adv_rng.random(), self._attacks, None)
+        if verdict is FaultVerdict.DROP or verdict is FaultVerdict.CORRUPT:
+            return verdict, None
+        if attack is AttackKind.SPLICE and self.splice_target(src, dst) is None:
+            # Nowhere to redirect (two-node fabric): the capture degrades
+            # to in-place tampering.
+            return verdict, AttackKind.FLIP_CIPHER
+        return verdict, attack
 
     def splice_target(self, src: int, dst: int) -> int | None:
         """Deterministic third node a spliced (src -> dst) block lands on."""
@@ -133,14 +163,6 @@ class AdversaryInjector:
             if node != src and node != dst:
                 return node
         return None
-
-    def on_quarantine(self, src: int, dst: int) -> None:
-        """The (src -> dst) pair was rerouted off the attacker's wire."""
-        self._quarantined.add((src, dst))
-
-    @property
-    def quarantined_pairs(self) -> set[tuple[int, int]]:
-        return set(self._quarantined)
 
 
 @dataclass
@@ -251,8 +273,8 @@ class AttackReport:
 
 __all__ = [
     "AttackKind",
-    "AdversaryInjector",
     "AttackReport",
+    "LinkPerturbation",
     "TAMPER_KINDS",
     "ALIEN_KINDS",
 ]

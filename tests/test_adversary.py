@@ -13,15 +13,16 @@ from __future__ import annotations
 import pytest
 
 from repro import MultiGpuSystem
-from repro.configs import AdversaryConfig, scheme_config
+from repro.configs import AdversaryConfig, FaultConfig, SystemConfig, scheme_config
+from repro.interconnect.faults import FaultVerdict
 from repro.interconnect.topology import CPU_NODE, Topology
 from repro.runner import SweepJob, execute_job
 from repro.runner.jobs import job_key
 from repro.runner.serialize import report_from_dict, report_to_dict
 from repro.secure.adversary import (
-    AdversaryInjector,
     AttackKind,
     AttackReport,
+    LinkPerturbation,
 )
 from repro.secure.invariants import InvariantMonitor, InvariantViolationError
 from repro.workloads import get_workload
@@ -75,53 +76,67 @@ class TestAdversaryConfig:
         assert config.security == scheme_config("private").security
 
 
-class TestAdversaryInjector:
-    def _injector(self, **overrides) -> AdversaryInjector:
-        cfg = AdversaryConfig(**{**ALL_RATES, **overrides})
-        return AdversaryInjector(cfg, [CPU_NODE, 1, 2, 3, 4])
+class TestAttackStream:
+    """The attack half of :class:`LinkPerturbation` verdicts."""
+
+    def _perturb(self, topology=None, fault=None, **overrides) -> LinkPerturbation:
+        cfg = SystemConfig(
+            fault=fault or FaultConfig(), adversary=AdversaryConfig(**{**ALL_RATES, **overrides})
+        )
+        return LinkPerturbation(cfg, topology or Topology(4))
+
+    @staticmethod
+    def _attacks(perturb, src, dst, n):
+        return [perturb.decide(src, dst)[1] for _ in range(n)]
 
     def test_decisions_are_seed_deterministic(self):
-        a, b = self._injector(), self._injector()
-        rolls_a = [a.decide(1, 2) for _ in range(500)]
-        rolls_b = [b.decide(1, 2) for _ in range(500)]
+        a, b = self._perturb(), self._perturb()
+        rolls_a = self._attacks(a, 1, 2, 500)
+        rolls_b = self._attacks(b, 1, 2, 500)
         assert rolls_a == rolls_b
         assert any(r is not None for r in rolls_a)
 
     def test_pairs_roll_independently(self):
-        inj = self._injector()
-        rolls_12 = [inj.decide(1, 2) for _ in range(200)]
-        other = self._injector()
-        rolls_21 = [other.decide(2, 1) for _ in range(200)]
+        rolls_12 = self._attacks(self._perturb(), 1, 2, 200)
+        rolls_21 = self._attacks(self._perturb(), 2, 1, 200)
         assert rolls_12 != rolls_21  # directed pairs have distinct streams
 
     def test_seed_changes_the_stream(self):
-        base_inj = self._injector()
-        base = [base_inj.decide(1, 2) for _ in range(200)]
-        other_inj = self._injector(seed=99)
-        other = [other_inj.decide(1, 2) for _ in range(200)]
+        base = self._attacks(self._perturb(), 1, 2, 200)
+        other = self._attacks(self._perturb(seed=99), 1, 2, 200)
         assert base != other
 
     def test_all_attack_kinds_reachable(self):
-        inj = self._injector()
-        seen = set()
-        for _ in range(5000):
-            kind = inj.decide(1, 2)
-            if kind is not None:
-                seen.add(kind)
+        seen = set(self._attacks(self._perturb(), 1, 2, 5000)) - {None}
         assert seen == set(AttackKind)
 
     def test_quarantined_pair_stops_rolling(self):
-        inj = self._injector()
-        inj.on_quarantine(1, 2)
-        assert all(inj.decide(1, 2) is None for _ in range(300))
-        assert (1, 2) in inj.quarantined_pairs
+        topo = Topology(4)
+        perturb = self._perturb(topo)
+        assert topo.quarantine(1, 2)
+        assert all(a is None for a in self._attacks(perturb, 1, 2, 300))
         # the reverse direction is unaffected
-        assert any(inj.decide(2, 1) is not None for _ in range(300))
+        assert any(a is not None for a in self._attacks(perturb, 2, 1, 300))
 
     def test_splice_target_avoids_the_pair(self):
-        inj = self._injector()
-        target = inj.splice_target(1, 2)
+        target = self._perturb().splice_target(1, 2)
         assert target not in (1, 2)
+
+    def test_destroyed_copy_advances_the_stream_but_is_not_attacked(self):
+        # A DROP or CORRUPT copy still consumes its attack roll, so the
+        # attack stream stays aligned with an undamaged twin's.
+        damaged = self._perturb(fault=FaultConfig(drop_rate=0.3, corrupt_rate=0.3, seed=4))
+        twin = self._perturb()
+        spared = 0
+        for _ in range(500):
+            verdict, attack = damaged.decide(1, 2)
+            expected = twin.decide(1, 2)[1]
+            if verdict in (FaultVerdict.DROP, FaultVerdict.CORRUPT):
+                assert attack is None
+                spared += expected is not None
+            else:
+                assert attack == expected
+        assert spared > 0
 
 
 class TestAttackReport:

@@ -116,3 +116,18 @@ class TestBatchedProtocol:
         for i in range(5):
             b.receive_block(a.send_block(2, bytes([i]), in_batch=True))
         assert b.stored_macs(1) == 5
+
+
+class TestBidirectionalBatches:
+    def test_send_and_recv_mac_stores_are_separate(self):
+        """Regression: A<->B batched traffic must not collide in storage."""
+        a = SecureEndpoint(1, bytes(16), bytes(range(16)))
+        b = SecureEndpoint(2, bytes(16), bytes(range(16)))
+        # interleave batched blocks in both directions with equal counters
+        wires_ab = [a.send_block(2, bytes([i]) * 8, in_batch=True) for i in range(4)]
+        wires_ba = [b.send_block(1, bytes([i + 50]) * 8, in_batch=True) for i in range(4)]
+        for wab, wba in zip(wires_ab, wires_ba):
+            b.receive_block(wab)
+            a.receive_block(wba)
+        assert b.verify_batch(a.close_batch(2))
+        assert a.verify_batch(b.close_batch(1))
