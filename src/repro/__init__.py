@@ -46,7 +46,7 @@ from repro.workloads import (
     workloads_in_class,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "AdversaryConfig",
