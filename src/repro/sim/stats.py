@@ -187,13 +187,13 @@ class RatioStat:
 class FaultStats:
     """Ledger of injected link faults and the recovery work they caused.
 
-    Injection counters record what the :class:`~repro.interconnect.faults.
-    FaultInjector` did to the wire; recovery counters record what the
-    secure channel spent to survive it (the quantities
-    ``experiments.fig_fault_sweep`` surfaces per scheme).  The two
-    ``*_deliveries``/``lost_messages`` counters only ever move on the
-    *unsecure* fabric, which has no detection: they are the silent-data-
-    corruption cost the paper's protocol exists to eliminate.
+    Injection counters record what the link faults of
+    :class:`~repro.secure.adversary.LinkPerturbation` did to the wire;
+    recovery counters record what the secure channel spent to survive it
+    (the quantities ``experiments.fig_fault_sweep`` surfaces per scheme).
+    The two ``*_deliveries``/``lost_messages`` counters only ever move on
+    the *unsecure* fabric, which has no detection: they are the silent-
+    data-corruption cost the paper's protocol exists to eliminate.
     """
 
     # --- injected by the link ------------------------------------------
