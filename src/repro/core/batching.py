@@ -124,14 +124,6 @@ class BatchingController:
             return None
         return batch.batch_id, batch.count
 
-    def standalone_mac_bytes(self) -> int:
-        """Wire size of a timeout-close batched-MAC packet."""
-        return self.metadata.msg_mac_bytes + self.metadata.sender_id_bytes + 1
-
-    # Conventional (non-batched) sizing, for comparison paths.
-    def conventional_meta_bytes(self) -> int:
-        return self.metadata.per_message_meta_bytes
-
 
 class MsgMacStorage:
     """Receiver-side per-pair MsgMAC accumulation (Fig. 20).

@@ -124,10 +124,6 @@ class AddressSpace:
     def initial_owners(self) -> dict[int, int]:
         return dict(self._page_owner)
 
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(a.n_pages * PAGE_BYTES for a in self._arrays.values())
-
 
 __all__ = [
     "AddressSpace",

@@ -27,9 +27,6 @@ class PageTable:
         except KeyError:
             raise KeyError(f"page {page} is not mapped") from None
 
-    def is_local(self, page: int, node: int) -> bool:
-        return self.owner(page) == node
-
     def record_access(self, page: int, accessor: int) -> int:
         """Count a remote access by ``accessor``; returns the new count."""
         per_page = self._access_counts.setdefault(page, {})

@@ -12,7 +12,7 @@ fanned out over worker processes, merged back in deterministic order.
 
 from repro.runner.atomic import atomic_write_bytes, atomic_write_text, sweep_stale_tmp
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, default_cache
-from repro.runner.jobs import SweepJob, cache_salt, execute_job, is_registry_spec, job_key
+from repro.runner.jobs import SweepJob, cache_salt, execute_job, job_key
 from repro.runner.serialize import report_from_dict, report_to_dict
 from repro.runner.sweep import SweepError, SweepRunner, SweepStats, available_cpus, resolve_jobs
 from repro.runner.trace_store import (
@@ -22,6 +22,7 @@ from repro.runner.trace_store import (
     job_trace_key,
     trace_key,
 )
+from repro.workloads.registry import is_registry_spec
 
 __all__ = [
     "atomic_write_bytes",

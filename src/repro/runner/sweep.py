@@ -60,9 +60,10 @@ from repro.obs import Telemetry
 from repro.system import SimulationReport
 
 from repro.runner.cache import ResultCache
-from repro.runner.jobs import SweepJob, execute_job, is_registry_spec, job_key
+from repro.runner.jobs import SweepJob, execute_job, job_key
 from repro.runner.serialize import report_from_dict
 from repro.runner.trace_store import TraceStore, default_trace_store, job_trace_key
+from repro.workloads.registry import is_registry_spec
 
 
 class SweepError(RuntimeError):

@@ -174,9 +174,5 @@ class SecureEndpoint:
         """Receiver-side MsgMAC-storage occupancy for ``sender``."""
         return len(self._recv_mac_storage.get(sender, {}))
 
-    def open_batch_size(self, receiver: int) -> int:
-        """Sender-side blocks awaiting their batch close toward ``receiver``."""
-        return len(self._send_batch_macs.get(receiver, {}))
-
 
 __all__ = ["SecureEndpoint", "WireMessage", "WireBatchMac", "ProtocolError"]

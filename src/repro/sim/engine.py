@@ -89,14 +89,6 @@ class EventQueue:
         """Total events ever scheduled on this queue."""
         return self._seq
 
-    def live_events(self) -> int:
-        """Number of non-cancelled entries (O(n); for tests/diagnostics)."""
-        return sum(
-            1
-            for entry in self._heap
-            if not (type(entry[2]) is Event and entry[2].cancelled)
-        )
-
     def push(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule a cancellable callback; returns its :class:`Event` handle."""
         seq = self._seq

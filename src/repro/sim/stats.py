@@ -242,9 +242,6 @@ class StatsRegistry:
     def histogram(self, name: str, edges: list[int | float]) -> Histogram:
         return self._get_or_create(name, lambda: Histogram(name, edges))
 
-    def interval_series(self, name: str, interval: int) -> IntervalSeries:
-        return self._get_or_create(name, lambda: IntervalSeries(name, interval))
-
     def ratio(self, name: str) -> RatioStat:
         return self._get_or_create(name, lambda: RatioStat(name))
 

@@ -23,13 +23,9 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.interconnect.packet import Packet, PacketKind
+from repro.interconnect.packet import Packet
+from repro.secure.channel import _HOUSEKEEPING
 from repro.system import MultiGpuSystem
-
-#: Transport-generated housekeeping: sent but never fed to the arrival
-#: hook, so tracking them in the pending-send table would leak an entry
-#: per ACK.  (Mirrors the transport's own timeline exclusions.)
-_HOUSEKEEPING = frozenset({PacketKind.SEC_ACK, PacketKind.SEC_NACK, PacketKind.BATCH_MAC})
 
 
 @dataclass(frozen=True)

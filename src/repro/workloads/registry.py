@@ -105,10 +105,20 @@ def get_workload(name: str) -> WorkloadSpec:
     return spec
 
 
+def is_registry_spec(spec: WorkloadSpec) -> bool:
+    """True when ``spec`` is exactly the registry entry of its name.
+
+    Only registry specs have a stable content identity (a custom spec may
+    close over arbitrary knobs), so only they get persistent cache keys.
+    """
+    return _BY_NAME.get(spec.name) is spec
+
+
 __all__ = [
     "WorkloadSpec",
     "all_workloads",
     "all_collectives",
     "workloads_in_class",
     "get_workload",
+    "is_registry_spec",
 ]
