@@ -2,9 +2,9 @@
 
 One JSON file per simulated cell under the cache root (default
 ``results/.cache/``), named by the cell's content hash.  Because the key
-already encodes the full configuration and the code-version salt, lookups
-are a pure existence check and invalidation is automatic: a changed config
-or version hashes to a different file.
+already encodes the full configuration and the source salt, lookups are a
+pure existence check and invalidation is automatic: a changed config or
+simulation source hashes to a different file.
 
 Writes are atomic (unique tmp file in the cache directory + ``os.replace``
 — see :mod:`repro.runner.atomic`) so any number of concurrent writers —

@@ -7,9 +7,10 @@ re-requests the unsecure baseline) deduplicate structurally.
 
 The persistent cache key is a SHA-256 over a canonical JSON rendering of
 everything that determines the result: workload name, seed, scale, lane
-count, the *entire* configuration tree, and a code-version salt.  Changing
-any swept field — or bumping the package version — changes the hash, so
-stale entries simply stop being found rather than needing eviction logic.
+count, the *entire* configuration tree, and a salt hashed from the
+simulation source.  Changing any swept field — or any simulation module —
+changes the hash, so stale entries simply stop being found rather than
+needing eviction logic.
 Only registry workloads get persistent keys: a custom
 :class:`~repro.workloads.registry.WorkloadSpec` (e.g. a synthetic spec
 closed over arbitrary knobs) has no stable content identity, so it runs
@@ -18,20 +19,35 @@ with the in-memory memo only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
+from pathlib import Path
+
+import numpy
 
 import repro
 from repro.configs import SystemConfig
 from repro.obs import Telemetry
 from repro.system import MultiGpuSystem, SimulationReport
-from repro.workloads import get_workload
-from repro.workloads.registry import WorkloadSpec
+from repro.workloads.registry import WorkloadSpec, is_registry_spec
 
 #: Bump when the key layout (not the simulated behavior) changes.
 KEY_SCHEMA = 1
+
+#: Package paths that cannot change a report or a trace: the front ends and
+#: the report consumers.  Every other module's source salts the keys.
+_UNSALTED = (
+    "cli.py",
+    "__main__.py",
+    "validation.py",
+    "tracing.py",
+    "experiments/",
+    "service/",
+    "verify/",
+)
 
 
 @dataclass(frozen=True)
@@ -51,22 +67,31 @@ class SweepJob:
         return f"{self.spec.name}/{scheme}/{self.config.n_gpus}gpus/seed{self.seed}/scale{self.scale}"
 
 
-def is_registry_spec(spec: WorkloadSpec) -> bool:
-    """True when ``spec`` is exactly the Table IV registry entry of its name."""
-    try:
-        return get_workload(spec.name) is spec
-    except KeyError:
-        return False
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over the simulation source and numpy's version, once per process.
+
+    Every ``.py`` file of the package outside :data:`_UNSALTED` counts, by
+    path and content, so any change to simulated behavior changes every
+    key.  numpy counts because traces come from its ``default_rng``.
+    """
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256(f"numpy {numpy.__version__}\0".encode())
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        if not name.startswith(_UNSALTED):
+            digest.update(f"{name}\0".encode() + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def cache_salt() -> str:
-    """Code-version salt folded into every cache key.
+    """Salt folded into every result-cache and trace-store key.
 
     ``REPRO_CACHE_SALT`` lets a developer segregate (or force-invalidate)
-    cache entries without touching the package version.
+    cache entries without touching the source.
     """
     extra = os.environ.get("REPRO_CACHE_SALT", "")
-    return f"{repro.__version__}+{extra}" if extra else repro.__version__
+    return f"{_source_digest()}+{extra}" if extra else _source_digest()
 
 
 def job_key(job: SweepJob) -> str | None:
@@ -138,4 +163,4 @@ def execute_job(job: SweepJob, *, trace=None, trace_store=None) -> SimulationRep
     return MultiGpuSystem(job.config, telemetry=telemetry).run(trace)
 
 
-__all__ = ["SweepJob", "execute_job", "job_key", "cache_salt", "is_registry_spec", "KEY_SCHEMA"]
+__all__ = ["SweepJob", "execute_job", "job_key", "cache_salt", "KEY_SCHEMA"]

@@ -17,9 +17,10 @@ The store is two layers with one key:
 
 The key is a SHA-256 over exactly what determines the trace:
 ``(workload, n_gpus, seed, scale, n_lanes)`` plus the compiled-layout
-schema and the package-version salt.  Note what is *not* in the key: the
-``SystemConfig``.  Traces are config-independent by construction — that is
-the whole point of sharing them across schemes.
+schema and the source salt of :func:`~repro.runner.jobs.cache_salt`.
+Note what is *not* in the key: the ``SystemConfig``.  Traces are
+config-independent by construction — that is the whole point of sharing
+them across schemes.
 
 Only registry workloads get keys (a custom
 :class:`~repro.workloads.registry.WorkloadSpec` closed over arbitrary knobs
@@ -33,8 +34,8 @@ import json
 import os
 from pathlib import Path
 
-import repro
 from repro.runner.atomic import atomic_write_bytes, sweep_stale_tmp
+from repro.runner.jobs import cache_salt
 from repro.workloads.compiled import (
     TRACE_SCHEMA,
     CompiledTrace,
@@ -42,19 +43,10 @@ from repro.workloads.compiled import (
     dump_bytes,
     load_bytes,
 )
-from repro.workloads.registry import WorkloadSpec
+from repro.workloads.registry import WorkloadSpec, is_registry_spec
 
 #: Default on-disk store root, relative to the working directory.
 DEFAULT_TRACE_DIR = Path("results") / ".tracestore"
-
-
-def _is_registry_spec(spec: WorkloadSpec) -> bool:
-    from repro.workloads import get_workload
-
-    try:
-        return get_workload(spec.name) is spec
-    except KeyError:
-        return False
 
 
 def trace_key(
@@ -63,7 +55,7 @@ def trace_key(
     """Content hash of everything that determines a registry trace."""
     material = {
         "schema": TRACE_SCHEMA,
-        "salt": repro.__version__,
+        "salt": cache_salt(),
         "workload": workload,
         "n_gpus": n_gpus,
         "seed": seed,
@@ -76,7 +68,7 @@ def trace_key(
 
 def job_trace_key(job) -> str | None:
     """Trace key for a sweep job, or None when its spec is not cacheable."""
-    if not _is_registry_spec(job.spec):
+    if not is_registry_spec(job.spec):
         return None
     return trace_key(job.spec.name, job.config.n_gpus, job.seed, job.scale, job.n_lanes)
 
@@ -164,7 +156,7 @@ class TraceStore:
         The ``trace.generate`` profiling phase is attributed **only** on
         real generation — a reuse must not inflate the phase profile.
         """
-        key = job_trace_key_parts(spec, n_gpus, seed, scale, n_lanes)
+        key = trace_key(spec.name, n_gpus, seed, scale, n_lanes) if is_registry_spec(spec) else None
         if key is not None:
             before_disk = self.disk_hits
             trace = self.get(key)
@@ -188,14 +180,6 @@ class TraceStore:
             f"TraceStore({self.root}, memo_hits={self.memo_hits}, "
             f"disk_hits={self.disk_hits}, misses={self.misses}, stores={self.stores})"
         )
-
-
-def job_trace_key_parts(
-    spec: WorkloadSpec, n_gpus: int, seed: int, scale: float, n_lanes: int
-) -> str | None:
-    if not _is_registry_spec(spec):
-        return None
-    return trace_key(spec.name, n_gpus, seed, scale, n_lanes)
 
 
 def default_trace_store(

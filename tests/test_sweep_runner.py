@@ -10,9 +10,15 @@ equality is the equality that matters.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.configs import scheme_config
 from repro.experiments.common import ExperimentRunner, multi_seed_slowdowns
 from repro.runner import (
@@ -164,6 +170,58 @@ class TestCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envdir"))
         cache = default_cache()
         assert cache is not None and cache.root == tmp_path / "envdir"
+
+    def test_env_salt_changes_the_key(self, monkeypatch):
+        job = _grid()[0]
+        monkeypatch.delenv("REPRO_CACHE_SALT", raising=False)
+        key = job_key(job)
+        monkeypatch.setenv("REPRO_CACHE_SALT", "segregated")
+        assert job_key(job) != key
+
+
+_KEYS = (
+    "import repro\n"
+    "from repro.configs import scheme_config\n"
+    "from repro.runner import SweepJob, job_key, trace_key\n"
+    "from repro.workloads import get_workload\n"
+    "job = SweepJob(get_workload('fir'), scheme_config('private'), seed=1, scale=0.1)\n"
+    "print(repro.__file__, job_key(job), trace_key('fir', 4, 1, 0.1, 8))\n"
+)
+
+
+class TestSourceSalt:
+    """Both keys hash the simulation source, so an edited simulator stops
+    finding the reports and traces of the old one.  The salt is computed
+    once per process, so each probe runs in a fresh interpreter against a
+    copy of the package."""
+
+    @staticmethod
+    def _keys(root: Path) -> tuple[str, str]:
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_SALT"}
+        env["PYTHONPATH"] = str(root)
+        out = subprocess.run(
+            [sys.executable, "-c", _KEYS],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        module, job, trace = out.stdout.split()
+        assert Path(module).is_relative_to(root)
+        return job, trace
+
+    def test_simulation_source_changes_both_keys_front_ends_change_neither(self, tmp_path):
+        package = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        base = self._keys(tmp_path)
+
+        with open(package / "cli.py", "a") as f:
+            f.write("\n# a front-end edit\n")
+        assert self._keys(tmp_path) == base
+
+        with open(package / "secure" / "channel.py", "a") as f:
+            f.write("\n# a simulator edit\n")
+        job, trace = self._keys(tmp_path)
+        assert job != base[0] and trace != base[1]
 
 
 class TestSweepMechanics:
