@@ -204,6 +204,26 @@ class TestZeroUndetectedContract:
         b = report_to_dict(_run("private", **ALL_RATES))
         assert a == b
 
+    @pytest.mark.parametrize("scheme", ["unsecure", "private", "batching"])
+    @pytest.mark.parametrize("kind", list(AttackKind), ids=lambda kind: kind.value)
+    def test_each_attack_alone_lands_in_its_bucket(self, kind, scheme):
+        """One kind at a time pins where each resolves on both transports:
+        a secure scheme detects it and the unsecure fabric accepts it,
+        except a reorder, which is late but intact (harmless) on both."""
+        config = scheme_config(scheme).with_adversary(seed=3, **{f"{kind.value}_rate": 0.05})
+        trace = get_workload("fir").generate(n_gpus=4, seed=1, scale=0.05)
+        ledger = MultiGpuSystem(config).run(trace).attack_report
+        injected = ledger.injected.get(kind.value, 0)
+        assert injected > 0 and ledger.total_injected == injected
+        if kind is AttackKind.REORDER:
+            bucket = ledger.harmless
+        elif scheme == "unsecure":
+            bucket = ledger.accepted
+        else:
+            bucket = ledger.detected
+        assert bucket == {kind.value: injected}
+        assert ledger.unresolved == 0
+
 
 class TestDormantByteIdentity:
     def test_rate_zero_adversary_is_invisible(self):
