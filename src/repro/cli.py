@@ -7,10 +7,6 @@ Subcommands:
 * ``experiment``  — regenerate a paper table/figure by name
 * ``metrics``     — dump/diff/tail/check metrics exports (``docs/OBSERVABILITY.md``)
 * ``verify``      — differential conformance harness (``docs/VERIFICATION.md``)
-* ``serve``       — long-lived simulation service (``docs/SERVICE.md``)
-* ``submit``      — submit one cell to a running service
-* ``status``      — queue/job state and live metrics of a running service
-* ``cancel``      — cancel a submitted job
 * ``list``        — list workloads and experiments
 """
 
@@ -23,9 +19,6 @@ from repro.configs import scheme_config
 from repro.workloads import all_workloads, get_workload
 
 SCHEMES = ("unsecure", "private", "shared", "cached", "dynamic", "batching", "ideal")
-
-#: Where ``serve`` binds and the client subcommands connect by default.
-DEFAULT_SOCKET = "results/repro-sim.sock"
 
 EXPERIMENTS = {
     "table1": ("repro.experiments.table1_storage", {}),
@@ -144,56 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-run a saved repro artifact instead of the matrix",
     )
     _add_runner_args(ver_p)
-
-    serve_p = sub.add_parser(
-        "serve", help="run the long-lived simulation service (docs/SERVICE.md)"
-    )
-    serve_p.add_argument(
-        "--socket", default=DEFAULT_SOCKET,
-        help=f"unix socket to bind (default: {DEFAULT_SOCKET})",
-    )
-    serve_p.add_argument(
-        "--queue-limit", type=int, default=64,
-        help="max queued executions before submissions are rejected (default: 64)",
-    )
-    serve_p.add_argument(
-        "--mode", choices=("auto", "serial", "parallel"), default="auto",
-        help="sweep execution mode for each batch (default: auto)",
-    )
-    _add_runner_args(serve_p)
-
-    sub_p = sub.add_parser("submit", help="submit one cell to a running service")
-    sub_p.add_argument("workload", help="workload name or Table IV abbreviation")
-    sub_p.add_argument("--scheme", choices=SCHEMES, default="batching")
-    sub_p.add_argument("--gpus", type=int, default=4)
-    sub_p.add_argument("--seed", type=int, default=1)
-    sub_p.add_argument("--scale", type=float, default=1.0)
-    sub_p.add_argument("--socket", default=DEFAULT_SOCKET)
-    sub_p.add_argument("--client", default="cli", help="client name for fair scheduling")
-    sub_p.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="fail with a structured deadline_exceeded error after SECONDS",
-    )
-    sub_p.add_argument(
-        "--no-wait", action="store_true",
-        help="return the job id immediately instead of waiting for the report",
-    )
-    sub_p.add_argument(
-        "--json", action="store_true",
-        help="print the full report as canonical JSON instead of a summary",
-    )
-
-    st_p = sub.add_parser("status", help="inspect a running service or one job")
-    st_p.add_argument("job_id", nargs="?", default=None, help="job id to look up")
-    st_p.add_argument("--socket", default=DEFAULT_SOCKET)
-    st_p.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help="write the live service.* metrics snapshot as JSONL to PATH",
-    )
-
-    can_p = sub.add_parser("cancel", help="cancel a submitted job")
-    can_p.add_argument("job_id")
-    can_p.add_argument("--socket", default=DEFAULT_SOCKET)
 
     sub.add_parser("list", help="list workloads and experiments")
     return parser
@@ -388,120 +331,6 @@ def _cmd_metrics(args) -> int:
     raise AssertionError(f"unhandled metrics command {args.metrics_command}")
 
 
-def _print_service_error(response: dict) -> int:
-    """Render a structured service error; returns the exit code."""
-    error = response.get("error", {})
-    line = f"error [{error.get('code', 'unknown')}]: {error.get('message', response)}"
-    if "retry_after_s" in error:
-        line += f" (retry after {error['retry_after_s']}s)"
-    print(line, file=sys.stderr)
-    return 1
-
-
-def _cmd_serve(args) -> int:
-    from repro.runner import default_cache
-    from repro.service.server import run_server
-
-    cache = default_cache(args.cache_dir, False if args.no_cache else None)
-    return run_server(
-        args.socket,
-        jobs=args.jobs,
-        max_queue=args.queue_limit,
-        cache=cache,
-        mode=args.mode,
-    )
-
-
-def _cmd_submit(args) -> int:
-    from repro.service.client import ServiceClient, ServiceUnavailable
-    from repro.service.protocol import canonical_report_json
-
-    try:
-        with ServiceClient(args.socket) as client:
-            response = client.submit(
-                args.workload,
-                scheme=args.scheme,
-                gpus=args.gpus,
-                seed=args.seed,
-                scale=args.scale,
-                client=args.client,
-                wait=not args.no_wait,
-                deadline_s=args.deadline,
-            )
-    except ServiceUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not response.get("ok"):
-        return _print_service_error(response)
-    if args.no_wait:
-        print(f"{response['job_id']} {response['state']} (source={response['source']})")
-        return 0
-    if args.json:
-        print(canonical_report_json(response["report"]))
-        return 0
-    from repro.runner import report_from_dict
-
-    report = report_from_dict(response["report"])
-    print(f"job                {response['job_id']} (source={response['source']})")
-    print(f"workload           {report.workload}")
-    print(f"scheme             {report.scheme}")
-    print(f"execution cycles   {report.execution_cycles}")
-    print(f"traffic bytes      {report.traffic_bytes} ({report.meta_traffic_bytes} metadata)")
-    if report.scheme != "unsecure":
-        print(f"OTP send hit/partial/miss  {report.otp_send.hit:.1%} / "
-              f"{report.otp_send.partial:.1%} / {report.otp_send.miss:.1%}")
-    return 0
-
-
-def _cmd_status(args) -> int:
-    from repro.service.client import ServiceClient, ServiceUnavailable
-
-    try:
-        with ServiceClient(args.socket) as client:
-            if args.metrics:
-                response = client.metrics()
-                if not response.get("ok"):
-                    return _print_service_error(response)
-                from repro.obs import write_metrics_jsonl
-
-                count = write_metrics_jsonl(response["metrics"], args.metrics)
-                print(f"wrote {count} metrics to {args.metrics}")
-                return 0
-            response = client.status(args.job_id)
-    except ServiceUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not response.get("ok"):
-        return _print_service_error(response)
-    if args.job_id is not None:
-        job = response["job"]
-        print(f"{job['job_id']} {job['state']} (client={job['client']}, "
-              f"source={job['source']}) {job['cell']}")
-        return 0
-    print(f"queue depth        {response['queue_depth']} / {response['max_queue']}"
-          f"{'  (draining)' if response['draining'] else ''}")
-    for state in sorted(response["states"]):
-        print(f"  {state:10s} {response['states'][state]}")
-    for job in response["jobs"]:
-        print(f"  {job['job_id']} {job['state']:8s} {job['client']:12s} {job['cell']}")
-    return 0
-
-
-def _cmd_cancel(args) -> int:
-    from repro.service.client import ServiceClient, ServiceUnavailable
-
-    try:
-        with ServiceClient(args.socket) as client:
-            response = client.cancel(args.job_id)
-    except ServiceUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not response.get("ok"):
-        return _print_service_error(response)
-    print(f"{response['job_id']} {response['state']}")
-    return 0
-
-
 def _cmd_list() -> int:
     from repro.workloads import all_collectives
 
@@ -530,14 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_verify(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "cancel":
-        return _cmd_cancel(args)
     if args.command == "list":
         return _cmd_list()
     raise AssertionError(f"unhandled command {args.command}")

@@ -44,7 +44,6 @@ KNOWN_NAMESPACES = frozenset(
         "engine",   # event-engine push/pop/cancel profile
         "cache",    # sweep-runner cache activity
         "trace",    # trace-store reuse (runner-side; never in a report)
-        "service",  # simulation-service scheduler (server-side; never in a report)
         "profile",  # reserved for wall-clock phase profiling
     }
 )

@@ -45,7 +45,6 @@ _UNSALTED = (
     "validation.py",
     "tracing.py",
     "experiments/",
-    "service/",
     "verify/",
 )
 

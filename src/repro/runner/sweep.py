@@ -43,8 +43,8 @@ single mmap-free ``.npz`` read.  See docs/PERFORMANCE.md.)
 
 :class:`SweepStats` records how the last run was executed — chosen mode,
 cell provenance, trace-reuse counts, and a parent-side wall-clock split
-(``trace_gen_s`` / ``simulate_s`` / ``ipc_s``) — which is what
-``benchmarks/bench_sweep_runtime.py`` snapshots into ``BENCH_sweep.json``.
+(``trace_gen_s`` / ``simulate_s`` / ``ipc_s``).  The sweep wall times of
+record come from ``benchmarks/e2e`` (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class SweepError(RuntimeError):
 
 #: ``mode="auto"`` only goes parallel when at least this many cells are
 #: pending — below it, pool spawn + per-chunk IPC exceeds the simulation
-#: time saved (measured on the BENCH grid; see docs/PERFORMANCE.md).
+#: time saved (measured on a 9-cell sweep; see docs/PERFORMANCE.md).
 AUTO_PARALLEL_MIN_CELLS = 4
 
 
@@ -80,10 +80,9 @@ def available_cpus() -> int:
     """CPUs this process may actually run on.
 
     ``os.cpu_count()`` reports the host's cores, which overstates what a
-    containerized / cgroup-limited process (CI runners, the simulation
-    service in a pod) is allowed to use.  The scheduler affinity mask is
-    the truth where the platform exposes it; fall back to ``cpu_count``
-    elsewhere (macOS, some BSDs).
+    containerized / cgroup-limited process (a CI runner, a pod) is allowed
+    to use.  The scheduler affinity mask is the truth where the platform
+    exposes it; fall back to ``cpu_count`` elsewhere (macOS, some BSDs).
     """
     try:
         return len(os.sched_getaffinity(0)) or 1

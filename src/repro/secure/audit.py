@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.secure.protocol import ProtocolError, SecureEndpoint, WireMessage
-
 DEFAULT_SESSION_KEY = bytes(range(16))
 DEFAULT_HASH_KEY = bytes(range(16, 32))
 
@@ -65,6 +63,10 @@ def functional_replay(
     hash_key: bytes = DEFAULT_HASH_KEY,
 ) -> AuditReport:
     """Re-execute ``log`` with real cryptography."""
+    # Imported here so that recording an audit log (the channel imports
+    # AuditEntry) does not load the pure-Python AES tables.
+    from repro.secure.protocol import ProtocolError, SecureEndpoint, WireMessage
+
     report = AuditReport()
     endpoints: dict[int, SecureEndpoint] = {}
 

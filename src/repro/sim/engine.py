@@ -23,8 +23,7 @@ scheduling the components actually do:
 
 Both flavors share one ``seq`` counter, so FIFO-per-cycle ordering holds
 across them.  The no-handle path skips an object allocation plus three
-attribute stores per event — at hundreds of thousands of events per cell,
-that is the difference measured by ``benchmarks/bench_sweep_runtime.py``.
+attribute stores per event, at hundreds of thousands of events per cell.
 """
 
 from __future__ import annotations

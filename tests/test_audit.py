@@ -1,8 +1,14 @@
 """Functional-replay audit: the timing simulation's protocol trace must be
 cryptographically realizable on the real AES-GCM substrate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.configs import default_config
 from repro.secure.audit import AuditEntry, functional_replay
 from repro.system import run_workload
@@ -83,3 +89,19 @@ class TestReplayMechanics:
         log = [AuditEntry(1, 2, 0, True, False, 0)]
         report = functional_replay(log)
         assert report.batches_verified == 1
+
+
+def test_importing_the_simulator_loads_no_crypto():
+    """Only functional_replay needs the AES tables; a process that merely
+    simulates (and may record an audit log) must not load them."""
+    probe = (
+        "import sys, repro.system; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('repro.crypto') or m == 'repro.secure.protocol'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -22,17 +22,21 @@ import multiprocessing
 import os
 
 from repro.configs import scheme_config
-from repro.runner import ResultCache, SweepJob, SweepRunner
+from repro.runner import ResultCache, SweepJob, SweepRunner, report_to_dict
 from repro.runner.atomic import TMP_PREFIX, atomic_write_text, sweep_stale_tmp
 from repro.runner.jobs import job_key
 from repro.runner.trace_store import TraceStore, trace_key
-from repro.service.protocol import canonical_report_json
 from repro.workloads import get_workload
 
 GPUS = 2
 SCALE = 0.05
 WRITERS = 8
 ROUNDS = 5
+
+
+def _report_json(report) -> str:
+    """A report's bytes: sorted keys, compact separators."""
+    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":"))
 
 
 def _job(seed: int = 1) -> SweepJob:
@@ -93,7 +97,7 @@ class TestResultCacheConcurrency:
         # The contended key reads back byte-identical to the report.
         loaded = ResultCache(root).load(job_key(_job(seed=1)))
         assert loaded is not None
-        assert canonical_report_json(loaded) == canonical_report_json(report)
+        assert _report_json(loaded) == _report_json(report)
 
     def test_duplicate_puts_of_same_key_are_benign(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -103,7 +107,7 @@ class TestResultCacheConcurrency:
             cache.store(key, report)
         assert cache.stores == 3
         assert len(list(cache.root.glob("*.json"))) == 1
-        assert canonical_report_json(cache.load(key)) == canonical_report_json(report)
+        assert _report_json(cache.load(key)) == _report_json(report)
 
     def test_torn_write_is_a_miss_not_a_crash(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -113,7 +117,7 @@ class TestResultCacheConcurrency:
         cache.path_for(key).write_text('{"report": {"truncat')  # simulate a torn legacy write
         assert cache.load(key) is None  # a miss, then overwritten
         cache.store(key, report)
-        assert canonical_report_json(cache.load(key)) == canonical_report_json(report)
+        assert _report_json(cache.load(key)) == _report_json(report)
 
 
 class TestTraceStoreConcurrency:

@@ -50,8 +50,22 @@ def test_unknown_command_rejected():
 
 @pytest.mark.parametrize(
     "argv",
-    [["run", "fir", "--fleet", "x:1"], ["fleet", "coordinator"]],
-    ids=["run-fleet-flag", "fleet-subcommand"],
+    [
+        ["run", "fir", "--fleet", "x:1"],
+        ["fleet", "coordinator"],
+        ["serve"],
+        ["submit", "fir"],
+        ["status"],
+        ["cancel", "j000001"],
+    ],
+    ids=[
+        "run-fleet-flag",
+        "fleet-subcommand",
+        "serve-subcommand",
+        "submit-subcommand",
+        "status-subcommand",
+        "cancel-subcommand",
+    ],
 )
 def test_removed_fleet_inputs_rejected(argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -146,8 +146,12 @@ class TestSharedTraceDeterminism:
         assert par.stats.mode == "parallel"
 
         cache = ResultCache(tmp_path / "cache")
-        SweepRunner(jobs=1, cache=cache, trace_store=TraceStore(tmp_path / "ts")).run_jobs(grid)
-        warm = SweepRunner(jobs=1, cache=cache, trace_store=TraceStore(tmp_path / "ts"))
+        priming = SweepRunner(jobs=1, cache=cache, trace_store=TraceStore(tmp_path / "ts"))
+        priming.run_jobs(grid)
+        # a fresh store over the same root loads both traces from disk
+        assert priming.stats.trace_store_hits == 2
+        assert int(priming.telemetry.counter("trace.store_hits").value) == 2
+        warm =SweepRunner(jobs=1, cache=cache, trace_store=TraceStore(tmp_path / "ts"))
         cached = warm.run_jobs(grid)
         assert warm.stats.cache_hits == len(grid)
         assert [report_to_dict(r) for r in cached] == expected

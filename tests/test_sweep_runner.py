@@ -369,8 +369,8 @@ class TestRetryBackoff:
 
 class TestCpuAffinity:
     """``resolve_jobs`` must respect the scheduler affinity mask, not the
-    host's raw core count — a cgroup-limited runner (CI container, the
-    simulation service in a pod) oversubscribes its pool otherwise."""
+    host's raw core count — a cgroup-limited runner (a CI container or
+    a pod) oversubscribes its pool otherwise."""
 
     def test_available_cpus_reads_affinity_mask(self, monkeypatch):
         import repro.runner.sweep as sweep_mod
