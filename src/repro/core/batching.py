@@ -21,14 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.configs import MetadataConfig
-
 
 @dataclass(frozen=True)
 class BlockGrant:
-    """Metadata decision for one data block entering a batch."""
+    """Batch boundaries for one data block entering a batch."""
 
-    meta_bytes: int  # security metadata attached to this block
     opens_batch: bool
     closes_batch: bool
     batch_id: int
@@ -49,16 +46,15 @@ class BatchingController:
 
     The owner (the secure channel layer) calls :meth:`add_block` for every
     outgoing data block and :meth:`timeout_close` when a batch's timer
-    fires; the controller only decides metadata sizes and batch boundaries,
-    never touches the clock itself.
+    fires; the controller only decides batch boundaries, never touches the
+    clock itself.
     """
 
-    def __init__(self, metadata: MetadataConfig, batch_size: int = 16, timeout: int = 160) -> None:
+    def __init__(self, batch_size: int = 16, timeout: int = 160) -> None:
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if timeout < 1:
             raise ValueError("batch timeout must be >= 1")
-        self.metadata = metadata
         self.batch_size = batch_size
         self.timeout = timeout
         self._open: dict[int, _PairBatch] = {}  # peer -> open batch
@@ -72,7 +68,6 @@ class BatchingController:
 
     def add_block(self, peer: int, now: int) -> BlockGrant:
         """Account one outgoing data block to ``peer``."""
-        md = self.metadata
         batch = self._open.get(peer)
         opens = batch is None
         if opens:
@@ -81,16 +76,11 @@ class BatchingController:
             self._open[peer] = batch
             self.batches_opened += 1
         batch.count += 1
-        meta = md.batched_block_meta_bytes
-        if opens:
-            meta += md.batch_len_bytes
         closes = batch.count >= self.batch_size
         if closes:
-            meta += md.msg_mac_bytes  # the batched MsgMAC rides along
             del self._open[peer]
             self.batches_closed_full += 1
         return BlockGrant(
-            meta_bytes=meta,
             opens_batch=opens,
             closes_batch=closes,
             batch_id=batch.batch_id,

@@ -4,7 +4,7 @@ Assertions about the protocol ("counters are monotonic", "no pad is used
 twice", "nothing tampered is ever accepted") normally live in tests, where
 they check one curated scenario.  :class:`InvariantMonitor` turns them into
 a *continuously evaluated contract*: a sanitizer attached to a
-:class:`~repro.secure.channel.SecureTransport` that observes every counter
+:class:`~repro.secure.hostile.HostileSecureTransport` that observes every counter
 issue, pad consumption, MAC verdict, and delivery during a run, and raises
 :class:`InvariantViolationError` at report time if any invariant broke —
 the same shape as a thread/address sanitizer, but for the security

@@ -30,6 +30,13 @@ class MetadataAccountant:
     def __init__(self, metadata: MetadataConfig, count_metadata: bool = True) -> None:
         self.metadata = metadata
         self.count_metadata = count_metadata
+        #: Lazy batched verification trades detection latency for
+        #: bandwidth — acceptable on a clean channel, but a hostile link
+        #: needs corruption caught *before* the block leaves the verified
+        #: window.  Its transport sets this flag, and every batched block
+        #: then keeps its own MsgMAC on the wire (batch ACKs and counter
+        #: compression still apply).
+        self.eager_block_mac = False
 
     def _sized(self, nbytes: int) -> int:
         return nbytes if self.count_metadata else 0
@@ -40,25 +47,16 @@ class MetadataAccountant:
         return self._sized(self.metadata.per_message_meta_bytes)
 
     def batched_block_meta(self, opens_batch: bool, closes_batch: bool) -> int:
-        """Per-block metadata when batching: CTR + ID (+len, +batch MAC)."""
+        """Per-block metadata when batching: CTR + ID (+len, +batch MAC,
+        +the block's own MsgMAC when verified eagerly)."""
         meta = self.metadata.batched_block_meta_bytes
         if opens_batch:
             meta += self.metadata.batch_len_bytes
         if closes_batch:
             meta += self.metadata.msg_mac_bytes
+        if self.eager_block_mac:
+            meta += self.metadata.msg_mac_bytes
         return self._sized(meta)
-
-    def eager_block_mac_bytes(self) -> int:
-        """Per-block MsgMAC retained under fault-hardened batching.
-
-        Lazy batched verification trades detection latency for bandwidth —
-        acceptable on a clean channel, but an actively faulty link needs
-        corruption caught *before* the block leaves the verified window.
-        When fault injection is enabled the batched protocol therefore
-        keeps the per-block MsgMAC on the wire (batch ACKs and counter
-        compression still apply), and this is its cost.
-        """
-        return self._sized(self.metadata.msg_mac_bytes)
 
     def ack_packet_size(self) -> int:
         """Wire size of a replay-protection ACK (always >= 1 so the link

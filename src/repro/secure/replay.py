@@ -77,22 +77,16 @@ class ReplayGuard:
         total = sum(len(q) for q in self._outstanding.values())
         self.max_outstanding = max(self.max_outstanding, total)
 
-    def on_ack(
-        self,
-        peer: int,
-        counter: int | None = None,
-        retire: int = 1,
-        batch_id: int | None = None,
-    ) -> bool:
+    def on_ack(self, peer: int, counter: int | None = None, batch_id: int | None = None) -> bool:
         """Retire entries for ``peer`` on ACK receipt.
 
-        Three retirement channels, in precedence order:
+        Two retirement channels:
 
         * ``batch_id`` given — a batched ACK: retire exactly the entries
           tagged with that batch id (see :meth:`on_send`), wherever they
           sit in the queue.  An unknown or already-settled batch id is a
           forged/replayed ACK and leaves the queue untouched.
-        * ``counter`` given — a conventional ACK: the FIFO freshness
+        * otherwise a conventional ACK for ``counter``: the FIFO freshness
           check, measured over *untagged* entries only.  Batch-pending
           entries ahead of the counter are on the slower ACK channel and
           do not count as reordering.  A counter at untagged depth
@@ -102,22 +96,15 @@ class ReplayGuard:
           resynchronizes by dropping those entries (batch-tagged ones
           stay queued for their own ACKs).  A counter that was never
           sent (forged or replayed) leaves the queue untouched.
-        * neither — a blind FIFO retirement of ``retire`` oldest entries
-          (legacy single-channel behaviour, kept for window-free
-          protocols that never mix ACK channels).
         """
         queue = self._pair(peer)
         if batch_id is not None:
             return self._ack_batch(peer, queue, batch_id)
-        if len(queue) < retire:
-            self.violations += 1
-            return False
-        if counter is not None and queue[0] != counter:
-            return self._ack_positional(peer, queue, counter)
-        for _ in range(retire):
+        if queue and queue[0] == counter:
             queue.popleft()
-        self.acked += retire
-        return True
+            self.acked += 1
+            return True
+        return self._ack_positional(peer, queue, counter)
 
     def _ack_batch(self, peer: int, queue: deque, batch_id: int) -> bool:
         """Retire exactly the entries retained for one batch."""
@@ -141,7 +128,7 @@ class ReplayGuard:
         self.acked += removed
         return True
 
-    def _ack_positional(self, peer: int, queue: deque, counter: int) -> bool:
+    def _ack_positional(self, peer: int, queue: deque, counter: int | None) -> bool:
         """Conventional-ACK freshness check over the untagged subsequence."""
         try:
             pos = queue.index(counter)

@@ -228,10 +228,10 @@ class MultiGpuSystem:
         if self.transport.attack_report is not None:
             report.attack_report = self.transport.attack_report
         self._harvest_metrics(report)
-        if isinstance(self.transport, SecureTransport):
+        if self.transport.monitor is not None:
             # Sanitizer pass: a violated security invariant fails the run
             # loudly rather than shipping a report built on broken crypto
-            # bookkeeping (no-op unless an adversary was configured).
+            # bookkeeping (only an adversary run attaches a monitor).
             self.transport.run_invariant_checks()
         return report
 
@@ -316,7 +316,7 @@ class MultiGpuSystem:
             m.counter("adv.harmless").add(ar.total_harmless)
             m.counter("adv.accepted_undetected").add(ar.accepted_undetected)
             m.counter("adv.quarantined_links").add(len(ar.quarantined))
-            monitor = getattr(self.transport, "monitor", None)
+            monitor = self.transport.monitor
             if monitor is not None:
                 m.counter("adv.invariant_violations").add(len(monitor.violations))
         report.metrics = self.telemetry.snapshot()

@@ -41,6 +41,20 @@ class TestAuditedSimulation:
         assert report.batched_messages > 0
         assert report.batches_verified > 0
 
+    @pytest.mark.parametrize("link", ["faults", "adversary"])
+    def test_audit_refused_on_a_hostile_link(self, link):
+        # The log records first copies only, so a retransmission's counter
+        # would replay as drift.
+        config = default_config(4, scheme="private", audit=True)
+        if link == "faults":
+            config = config.with_fault(drop_rate=0.02, corrupt_rate=0.02, seed=3)
+        else:
+            config = config.with_adversary(replay_rate=0.02)
+        from repro.system import MultiGpuSystem
+
+        with pytest.raises(ValueError, match="audit"):
+            MultiGpuSystem(config)
+
     def test_audit_disabled_by_default(self):
         config = default_config(4, scheme="private")
         trace = get_workload("fir").generate(4, seed=1, scale=0.05)

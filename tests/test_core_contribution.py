@@ -7,6 +7,14 @@ from repro.configs import MetadataConfig
 from repro.core.batching import BatchingController, MsgMacStorage
 from repro.core.dynamic_allocator import DynamicOtpAllocator, largest_remainder
 from repro.core.ewma import Ewma
+from repro.secure.metadata import MetadataAccountant
+
+
+def _block_meta(grant) -> int:
+    """The metadata bytes the secure channel attaches to a batched block."""
+    return MetadataAccountant(MetadataConfig()).batched_block_meta(
+        grant.opens_batch, grant.closes_batch
+    )
 
 
 class TestEwma:
@@ -204,20 +212,20 @@ class TestDynamicAllocator:
 
 class TestBatchingController:
     def _controller(self, batch_size=4, timeout=100):
-        return BatchingController(MetadataConfig(), batch_size, timeout)
+        return BatchingController(batch_size, timeout)
 
     def test_first_block_opens_with_length_byte(self):
         c = self._controller()
         g = c.add_block(peer=2, now=0)
         assert g.opens_batch and not g.closes_batch
         md = MetadataConfig()
-        assert g.meta_bytes == md.batched_block_meta_bytes + md.batch_len_bytes
+        assert _block_meta(g) == md.batched_block_meta_bytes + md.batch_len_bytes
 
     def test_middle_blocks_carry_ctr_and_id_only(self):
         c = self._controller()
         c.add_block(2, 0)
         g = c.add_block(2, 1)
-        assert g.meta_bytes == MetadataConfig().batched_block_meta_bytes
+        assert _block_meta(g) == MetadataConfig().batched_block_meta_bytes
 
     def test_batch_closes_at_size_with_mac(self):
         c = self._controller(batch_size=3)
@@ -226,7 +234,7 @@ class TestBatchingController:
         g = c.add_block(2, 2)
         assert g.closes_batch and g.batch_size == 3
         md = MetadataConfig()
-        assert g.meta_bytes == md.batched_block_meta_bytes + md.msg_mac_bytes
+        assert _block_meta(g) == md.batched_block_meta_bytes + md.msg_mac_bytes
         assert c.batches_closed_full == 1
         # next block opens a new batch
         assert c.add_block(2, 3).opens_batch
@@ -290,7 +298,7 @@ class TestBatchingController:
     def test_batched_meta_is_smaller_than_conventional(self):
         c = self._controller(batch_size=16)
         md = MetadataConfig()
-        total_batched = sum(c.add_block(2, t).meta_bytes for t in range(16))
+        total_batched = sum(_block_meta(c.add_block(2, t)) for t in range(16))
         total_conventional = 16 * md.per_message_meta_bytes
         assert total_batched < total_conventional
 

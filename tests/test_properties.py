@@ -18,6 +18,7 @@ from repro.crypto.gcm import AESGCM
 from repro.gpu.cache import SetAssociativeCache
 from repro.interconnect.link import Channel
 from repro.interconnect.packet import Packet, PacketKind
+from repro.secure.metadata import MetadataAccountant
 from repro.secure.otp_buffer import PadOutcome, PadStream
 from repro.secure.replay import ReplayGuard
 
@@ -135,8 +136,10 @@ def test_ewma_stays_within_sample_hull(rate, samples):
 )
 def test_batched_meta_never_exceeds_conventional(batch_size, n_blocks):
     md = MetadataConfig()
-    controller = BatchingController(md, batch_size=batch_size, timeout=100)
-    total = sum(controller.add_block(peer=2, now=i).meta_bytes for i in range(n_blocks))
+    accountant = MetadataAccountant(md)
+    controller = BatchingController(batch_size=batch_size, timeout=100)
+    grants = [controller.add_block(peer=2, now=i) for i in range(n_blocks)]
+    total = sum(accountant.batched_block_meta(g.opens_batch, g.closes_batch) for g in grants)
     conventional = n_blocks * md.per_message_meta_bytes
     # batching can only save wire bytes (equality possible for size-1 batches
     # minus the length byte overhead)
@@ -145,7 +148,7 @@ def test_batched_meta_never_exceeds_conventional(batch_size, n_blocks):
 
 @given(batch_size=st.integers(2, 32), n_blocks=st.integers(1, 100))
 def test_batch_close_counting(batch_size, n_blocks):
-    controller = BatchingController(MetadataConfig(), batch_size=batch_size, timeout=100)
+    controller = BatchingController(batch_size=batch_size, timeout=100)
     closes = sum(
         1 for i in range(n_blocks) if controller.add_block(2, i).closes_batch
     )
@@ -210,7 +213,7 @@ def test_replay_guard_conservation(n, retire_chunks):
     for chunk in retire_chunks:
         if retired + chunk > n:
             break
-        assert guard.on_ack(2, retire=chunk)
+        assert all(guard.on_ack(2, counter=c) for c in range(retired, retired + chunk))
         retired += chunk
     assert guard.outstanding(2) == n - retired
     assert guard.max_outstanding == n

@@ -89,18 +89,12 @@ class TestReplayGuard:
         assert not g.on_ack(2)
         assert g.violations == 1
 
-    def test_batch_retire(self):
-        g = ReplayGuard(1)
-        for c in range(16):
-            g.on_send(3, c)
-        assert g.on_ack(3, retire=16)
-        assert g.outstanding(3) == 0
-
     def test_max_outstanding_high_water(self):
         g = ReplayGuard(1)
         for c in range(5):
             g.on_send(2, c)
-        g.on_ack(2, retire=5)
+        for c in range(5):
+            g.on_ack(2, counter=c)
         assert g.max_outstanding == 5
         assert g.outstanding() == 0
 
@@ -233,11 +227,9 @@ class TestReplayGuardWindow:
 class TestReplayGuardMixedChannels:
     """Batch-tagged and conventional entries share a queue but not a FIFO.
 
-    The windowed-ACK edge cases: a blind FIFO ``on_ack(counter=None)``
-    must not retire batch-tagged entries that a later batch ACK needs, and
-    conventional-ACK freshness depth is measured over untagged entries
-    only — batch entries parked at the head are on the slower channel, not
-    "overtaken".
+    The windowed-ACK edge cases: conventional-ACK freshness depth is
+    measured over untagged entries only — batch entries parked at the head
+    are on the slower channel, not "overtaken".
     """
 
     def test_batch_entries_at_head_do_not_count_toward_depth(self):
@@ -295,16 +287,6 @@ class TestReplayGuardMixedChannels:
         assert g.dropped == 1  # 10 resynced away; the tagged 0 survives
         assert g.on_ack(2, batch_id=3)
         assert g.outstanding(2) == 0
-
-    def test_blind_fifo_ack_with_mixed_queue_retires_head(self):
-        # Legacy channel: counter-less FIFO retirement is position-blind by
-        # contract; guard ledgers must still balance afterwards.
-        g = ReplayGuard(1)
-        g.on_send(2, 0)
-        g.on_send(2, 1)
-        assert g.on_ack(2)  # blind FIFO: retires 0
-        assert g.on_ack(2, counter=1)
-        assert g.outstanding(2) == 0 and g.acked == 2
 
     def test_double_acked_batch_is_a_violation_and_a_noop(self):
         g = ReplayGuard(1)

@@ -38,6 +38,36 @@ class TestBuildTransport:
         with pytest.raises(ValueError):
             SecureTransport(Simulator(), Topology(4), cfg)
 
+    @pytest.mark.parametrize(
+        "scheme, link, expected",
+        [
+            ("unsecure", "clean", "UnsecureTransport"),
+            ("unsecure", "faults", "HostileUnsecureTransport"),
+            ("unsecure", "adversary", "HostileUnsecureTransport"),
+            ("private", "clean", "SecureTransport"),
+            ("private", "faults", "HostileSecureTransport"),
+            ("private", "adversary", "HostileSecureTransport"),
+        ],
+    )
+    def test_the_link_decides_the_class(self, scheme, link, expected):
+        from repro.secure.hostile import HostileSecureTransport, HostileUnsecureTransport
+
+        classes = {
+            cls.__name__: cls
+            for cls in (
+                UnsecureTransport,
+                SecureTransport,
+                HostileUnsecureTransport,
+                HostileSecureTransport,
+            )
+        }
+        cfg = default_config(scheme=scheme)
+        if link == "faults":
+            cfg = cfg.with_fault(drop_rate=0.01)
+        elif link == "adversary":
+            cfg = cfg.with_adversary(replay_rate=0.01)
+        assert type(build_transport(Simulator(), Topology(4), cfg)) is classes[expected]
+
 
 class TestUnsecureTransport:
     def test_delivery_and_no_metadata(self):
