@@ -13,8 +13,6 @@ Quickstart::
 
     trace = get_workload("matrixmultiplication").generate(n_gpus=4, seed=1)
     baseline = MultiGpuSystem(scheme_config("unsecure")).run(trace)
-
-    trace = get_workload("matrixmultiplication").generate(n_gpus=4, seed=1)
     secured = MultiGpuSystem(scheme_config("batching")).run(trace)
 
     print(f"overhead: {secured.slowdown_vs(baseline) - 1:.1%}")
@@ -38,9 +36,9 @@ from repro.secure.adversary import AttackKind, AttackReport
 from repro.secure.invariants import InvariantMonitor, InvariantViolationError
 from repro.system import MultiGpuSystem, OtpDistribution, SimulationReport, run_workload
 from repro.workloads import (
+    CompiledTrace,
     TraceBuilder,
     WorkloadSpec,
-    WorkloadTrace,
     all_workloads,
     get_workload,
     workloads_in_class,
@@ -70,9 +68,9 @@ __all__ = [
     "OtpDistribution",
     "SimulationReport",
     "run_workload",
+    "CompiledTrace",
     "TraceBuilder",
     "WorkloadSpec",
-    "WorkloadTrace",
     "all_workloads",
     "get_workload",
     "workloads_in_class",

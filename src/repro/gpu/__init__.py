@@ -13,7 +13,7 @@ from repro.gpu.tlb import Tlb, TlbHierarchy
 from repro.gpu.hbm import HbmModel
 from repro.gpu.compute_unit import ComputeUnitLane, LaneState
 from repro.gpu.gpu import GpuDevice
-from repro.gpu.cpu import HostCpu, Iommu
+from repro.gpu.cpu import HostCpu
 
 __all__ = [
     "CacheStats",
@@ -25,5 +25,4 @@ __all__ = [
     "LaneState",
     "GpuDevice",
     "HostCpu",
-    "Iommu",
 ]

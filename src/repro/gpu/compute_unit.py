@@ -10,16 +10,13 @@ global window bound how far it can run ahead.
 The replay state is flat: three parallel integer tuples (``gaps``,
 ``addrs``, ``writes`` — the :class:`~repro.workloads.compiled.CompiledLane`
 layout) and an index.  The device pump reads the arrays directly; no
-per-access object ever exists on the replay path.  A legacy
-``list[Access]`` trace is accepted and compiled on the way in, so unit
-tests and ad-hoc callers can still hand the lane authoring-form traces.
+per-access object ever exists on the replay path.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from repro.workloads.base import Access, AccessKind, LaneTrace
 from repro.workloads.compiled import CompiledLane
 
 
@@ -49,17 +46,11 @@ class ComputeUnitLane:
     def __init__(
         self,
         lane_id: int,
-        trace: LaneTrace | CompiledLane,
+        trace: CompiledLane,
         max_outstanding: int = 4,
     ) -> None:
         if max_outstanding < 1:
             raise ValueError("lane needs at least one outstanding slot")
-        if not isinstance(trace, CompiledLane):
-            trace = CompiledLane(
-                tuple(a.gap for a in trace),
-                tuple(a.address for a in trace),
-                tuple(1 if a.is_write else 0 for a in trace),
-            )
         self.lane_id = lane_id
         self.gaps = trace.gaps
         self.addrs = trace.addrs
@@ -91,18 +82,6 @@ class ComputeUnitLane:
         if now < self.ready_at:
             return LaneState.WAITING
         return LaneState.READY
-
-    def peek(self) -> Access:
-        """The next access in authoring form (diagnostics/tests only —
-        the hot path reads the arrays directly)."""
-        if self.index >= self.n:
-            raise IndexError(f"lane {self.lane_id} is exhausted")
-        i = self.index
-        return Access(
-            gap=self.gaps[i],
-            address=self.addrs[i],
-            kind=AccessKind.WRITE if self.writes[i] else AccessKind.READ,
-        )
 
     # ------------------------------------------------------------------
     # Progress

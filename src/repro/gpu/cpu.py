@@ -1,4 +1,4 @@
-"""Host CPU node: memory server and IOMMU.
+"""Host CPU node: the memory server for host-resident pages.
 
 In the evaluated workloads the CPU stages input data (unified memory
 first-touch on the host) and serves GPU requests: block reads/writes and
@@ -7,7 +7,7 @@ protected by the CPU TEE's memory protection (PENGLAI-style, §IV-A), whose
 cost is orthogonal to the interconnect protection this study measures — so
 DRAM here is a latency/bandwidth server with no crypto charge of its own.
 
-The IOMMU provides address translation for GPU-side TLB misses; its walk
+Address translation for GPU-side TLB misses is an IOMMU walk whose
 latency is charged on the GPU (see ``GpuConfig.iommu_walk_cycles``).
 """
 
@@ -18,21 +18,7 @@ from math import ceil
 from repro.interconnect.packet import Packet, PacketKind
 from repro.memory.address_space import BLOCK_BYTES, BLOCKS_PER_PAGE, PAGE_BYTES, page_of
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatsRegistry
 from repro.transport import MessageTransport
-
-
-class Iommu:
-    """CPU-side translation agent for GPU TLB misses."""
-
-    def __init__(self, walk_latency: int = 200) -> None:
-        self.walk_latency = walk_latency
-        self.walks = 0
-
-    def walk(self) -> int:
-        """Perform one page walk; returns its latency in cycles."""
-        self.walks += 1
-        return self.walk_latency
 
 
 class HostCpu:
@@ -49,12 +35,9 @@ class HostCpu:
         self.node_id = node_id
         self.sim = sim
         self.transport = transport
-        self.iommu = Iommu()
         self.dram_latency = dram_latency
         self.dram_bytes_per_cycle = dram_bytes_per_cycle
         self._busy_until = 0
-        self.stats = StatsRegistry(f"cpu{node_id}")
-        self._served = self.stats.counter("served_requests")
         transport.register(node_id, self._on_message)
 
     def _dram_access(self, size_bytes: int) -> int:
@@ -69,7 +52,6 @@ class HostCpu:
     def _on_message(self, packet: Packet, now: int) -> None:
         kind = packet.kind
         if kind is PacketKind.READ_REQ:
-            self._served.add()
             done = self._dram_access(BLOCK_BYTES)
             response = Packet(
                 kind=PacketKind.DATA_RESP,
@@ -81,7 +63,6 @@ class HostCpu:
             )
             self.sim.post_at(done, lambda p=response: self.transport.send(p, self.sim.now))
         elif kind is PacketKind.WRITE_REQ:
-            self._served.add()
             done = self._dram_access(BLOCK_BYTES)
             ack = Packet(
                 kind=PacketKind.WRITE_ACK,
@@ -93,7 +74,6 @@ class HostCpu:
             )
             self.sim.post_at(done, lambda p=ack: self.transport.send(p, self.sim.now))
         elif kind is PacketKind.MIGRATION_REQ:
-            self._served.add()
             done = self._dram_access(PAGE_BYTES)
             base = page_of(packet.address) * PAGE_BYTES
 
@@ -117,9 +97,5 @@ class HostCpu:
     def invalidate_page(self, page: int) -> None:
         """Migration shootdown — the CPU model keeps no GPU-visible caches."""
 
-    @property
-    def served_requests(self) -> int:
-        return int(self._served.value)
 
-
-__all__ = ["HostCpu", "Iommu"]
+__all__ = ["HostCpu"]

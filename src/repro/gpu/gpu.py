@@ -44,10 +44,9 @@ from repro.memory.directory import BlockDirectory
 from repro.memory.migration import AccessCounterMigrationPolicy, MigrationDecision
 from repro.memory.page_table import PageTable
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter
 from repro.transport import MessageTransport
-from repro.workloads.base import GpuTrace
-from repro.workloads.compiled import CompiledGpuTrace, CompiledLane
+from repro.workloads.compiled import CompiledGpuTrace
 
 _txn_ids = itertools.count(1)
 
@@ -89,25 +88,16 @@ class GpuDevice:
         self.finish_cycle: int | None = None
         self.instructions = 0
 
-        self.stats = StatsRegistry(f"gpu{node_id}")
-        self._remote_reads = self.stats.counter("remote_reads")
-        self._remote_writes = self.stats.counter("remote_writes")
-        self._local_accesses = self.stats.counter("local_accesses")
-        self._cache_hits = self.stats.counter("cache_hits")
-        self._migrations_started = self.stats.counter("migrations_started")
-        self._served_requests = self.stats.counter("served_requests")
+        self._remote_reads = Counter("remote_reads")
+        self._remote_writes = Counter("remote_writes")
 
         transport.register(node_id, self._on_message)
 
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def load_trace(self, trace: GpuTrace | CompiledGpuTrace) -> None:
-        """Install the workload's lane streams for this GPU.
-
-        Accepts both trace forms; the authoring form is compiled lane by
-        lane inside :class:`ComputeUnitLane`.
-        """
+    def load_trace(self, trace: CompiledGpuTrace) -> None:
+        """Install the workload's lane streams for this GPU."""
         if self.lanes:
             raise RuntimeError(f"gpu{self.node_id} already has a trace loaded")
         self.instructions = trace.instructions
@@ -204,11 +194,9 @@ class GpuDevice:
         """Cache lookup and routing.  ``slot_held`` = lane slot already taken."""
         if not write:
             if self.l1s[lane.lane_id].lookup(addr):
-                self._cache_hits.add()
                 self._finish_access(lane, slot_held)
                 return
             if self.l2.lookup(addr):
-                self._cache_hits.add()
                 self.l1s[lane.lane_id].fill(addr)
                 self._finish_access(lane, slot_held)
                 return
@@ -236,7 +224,6 @@ class GpuDevice:
     def _local_access(
         self, lane: ComputeUnitLane, addr: int, write: int, slot_held: bool
     ) -> None:
-        self._local_accesses.add()
         done = self.hbm.access(self.sim.now, BLOCK_BYTES)
         if write:
             # Local writes retire without stalling the lane.
@@ -316,7 +303,6 @@ class GpuDevice:
     # Page migration (requester side)
     # ------------------------------------------------------------------
     def _start_migration(self, page: int, owner: int) -> None:
-        self._migrations_started.add()
         self._migrating[page] = {"received": 0, "owner": owner}
         txn = next(_txn_ids)
         self._pending[txn] = ("migration_req", page)
@@ -377,7 +363,6 @@ class GpuDevice:
             raise ValueError(f"gpu{self.node_id}: unexpected packet kind {kind}")
 
     def _serve_read(self, packet: Packet) -> None:
-        self._served_requests.add()
         done = self.hbm.access(self.sim.now, BLOCK_BYTES)
         response = Packet(
             kind=PacketKind.DATA_RESP,
@@ -390,7 +375,6 @@ class GpuDevice:
         self.sim.post_at(done, lambda p=response: self.transport.send(p, self.sim.now))
 
     def _serve_write(self, packet: Packet) -> None:
-        self._served_requests.add()
         done = self.hbm.access(self.sim.now, BLOCK_BYTES)
         ack = Packet(
             kind=PacketKind.WRITE_ACK,
@@ -404,7 +388,6 @@ class GpuDevice:
 
     def _serve_migration(self, packet: Packet) -> None:
         """Stream the whole page to the requester as 64 block packets."""
-        self._served_requests.add()
         page_base = page_of(packet.address) * PAGE_BYTES
         done = self.hbm.access(self.sim.now, PAGE_BYTES)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import ceil
 
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter
 
 
 class HbmModel:
@@ -32,9 +32,8 @@ class HbmModel:
         self.access_latency = access_latency
         self.bytes_per_cycle = bytes_per_cycle
         self._busy_until = 0
-        self.stats = StatsRegistry(name)
-        self._reads = self.stats.counter("reads")
-        self._bytes = self.stats.counter("bytes")
+        self._reads = Counter("reads")
+        self._bytes = Counter("bytes")
 
     def access(self, now: int, size_bytes: int) -> int:
         """Serve ``size_bytes`` starting at ``now``; returns completion cycle."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import ceil
 
 from repro.interconnect.packet import Packet
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter
 
 
 class Channel:
@@ -28,13 +28,11 @@ class Channel:
         self.bytes_per_cycle = bytes_per_cycle
         self.latency = latency
         self.busy_until = 0
-        self.stats = StatsRegistry(name)
-        self._bytes = self.stats.counter("bytes")
-        self._base_bytes = self.stats.counter("base_bytes")
-        self._meta_bytes = self.stats.counter("meta_bytes")
-        self._packets = self.stats.counter("packets")
-        self._queue_cycles = self.stats.counter("queue_cycles")
-        self._busy_cycles = self.stats.counter("busy_cycles")
+        self._bytes = Counter("bytes")
+        self._base_bytes = Counter("base_bytes")
+        self._meta_bytes = Counter("meta_bytes")
+        self._packets = Counter("packets")
+        self._queue_cycles = Counter("queue_cycles")
 
     def serialization_cycles(self, size_bytes: int) -> int:
         return max(1, ceil(size_bytes / self.bytes_per_cycle))
@@ -42,16 +40,14 @@ class Channel:
     def send(self, packet: Packet, now: int) -> int:
         """Accept ``packet`` at cycle ``now``; return its arrival cycle."""
         start = max(now, self.busy_until)
-        ser = self.serialization_cycles(packet.size_bytes)
-        self.busy_until = start + ser
-        # Inlined Counter.add: six bumps per packet per stage make this the
+        self.busy_until = start + self.serialization_cycles(packet.size_bytes)
+        # Inlined Counter.add: five bumps per packet per stage make this the
         # densest counter site in the simulator.
         self._bytes.value += packet.size_bytes
         self._base_bytes.value += packet.base_bytes
         self._meta_bytes.value += packet.meta_bytes
         self._packets.value += 1
         self._queue_cycles.value += start - now
-        self._busy_cycles.value += ser
         return self.busy_until + self.latency
 
     @property

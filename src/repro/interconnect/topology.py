@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.interconnect.link import Channel
 from repro.interconnect.packet import Packet
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter
 
 NodeId = int
 CPU_NODE: NodeId = 0
@@ -91,11 +91,10 @@ class Topology:
                 self._ring_ccw[g] = Channel(
                     f"ring:gpu{g}.ccw", nvlink_bytes_per_cycle, nvlink_latency
                 )
-        self.stats = StatsRegistry("fabric")
-        self._bytes = self.stats.counter("bytes")
-        self._base_bytes = self.stats.counter("base_bytes")
-        self._meta_bytes = self.stats.counter("meta_bytes")
-        self._packets = self.stats.counter("packets")
+        self._bytes = Counter("bytes")
+        self._base_bytes = Counter("base_bytes")
+        self._meta_bytes = Counter("meta_bytes")
+        self._packets = Counter("packets")
         # The fabric is static after construction, so (src, dst) → stages is
         # memoized — path() runs once per pair instead of once per packet.
         # quarantine() is the one sanctioned mutation: it *replaces* a

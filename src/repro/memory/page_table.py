@@ -8,7 +8,7 @@ commits.  Per-(page, accessor) access counters feed the migration policy.
 
 from __future__ import annotations
 
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter
 
 
 class PageTable:
@@ -18,8 +18,7 @@ class PageTable:
         self._owner = dict(initial_owners)
         # page -> accessor -> count; nested so a migration clears in O(1)
         self._access_counts: dict[int, dict[int, int]] = {}
-        self.stats = StatsRegistry("page_table")
-        self._migrations = self.stats.counter("migrations")
+        self._migrations = Counter("migrations")
 
     def owner(self, page: int) -> int:
         try:

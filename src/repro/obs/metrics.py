@@ -1,14 +1,13 @@
 """Process-wide metrics facade over the :mod:`repro.sim.stats` primitives.
 
 The paper's claims are measurement claims — OTP hit ratios, metadata bytes
-per link, burst-accumulation distributions — and before this module every
-component kept its counters in a private :class:`~repro.sim.stats.
-StatsRegistry` island.  :class:`MetricsRegistry` is the shared namespace
-those primitives register into: every metric has a dotted name whose first
-segment is a known namespace (``otp.send``, ``meta.bytes``,
-``fault.retransmit``, …), so exports can be validated against drift and
-figure scripts read one flat table instead of reaching into component
-internals.
+per link, burst-accumulation distributions.  Components hold their
+counters as plain primitives, and :class:`MetricsRegistry` is the one
+shared namespace those primitives register into: every metric has a dotted
+name whose first segment is a known namespace (``otp.send``,
+``meta.bytes``, ``fault.retransmit``, …), so exports can be validated
+against drift and figure scripts read one flat table instead of reaching
+into component internals.
 
 The registry stores the *same* primitive objects the components update —
 :class:`~repro.sim.stats.Counter`, :class:`~repro.sim.stats.Gauge`,

@@ -1,9 +1,8 @@
 """Run-scoped telemetry: one metrics registry plus profiling hooks.
 
 A :class:`Telemetry` object travels with one simulation run —
-:class:`~repro.system.MultiGpuSystem` creates one (or accepts one from the
-caller, as :func:`repro.runner.jobs.execute_job` does) and threads it
-through the transport so every layer records into the same namespace.  At
+:class:`~repro.system.MultiGpuSystem` creates one and threads it through
+the transport so every layer records into the same namespace.  At
 report time the system snapshots the registry onto
 ``SimulationReport.metrics``, which is what the result cache and the
 process-pool boundary round-trip.
@@ -14,7 +13,8 @@ Two kinds of measurement live here and they are deliberately separated:
   ratio stats, interval series).  These are a pure function of the job
   description, so serial, parallel, and cache-hit replays of the same cell
   export byte-identical metrics files.
-* **profile** — wall-clock phase timings from :meth:`Telemetry.phase`.
+* **profile** — wall-clock phase timings from :meth:`Telemetry.phase`
+  (the report generator times each experiment section with it).
   Wall-clock is inherently non-deterministic, so it never enters the
   metrics snapshot or the cache; read it via :meth:`profile_snapshot`
   in the process that did the work.

@@ -30,7 +30,6 @@ import numpy
 
 import repro
 from repro.configs import SystemConfig
-from repro.obs import Telemetry
 from repro.system import MultiGpuSystem, SimulationReport
 from repro.workloads.registry import WorkloadSpec, is_registry_spec
 
@@ -132,34 +131,20 @@ def execute_job(job: SweepJob, *, trace=None, trace_store=None) -> SimulationRep
     resulting :class:`~repro.system.SimulationReport` is bit-identical no
     matter which path supplied the trace (tested in
     ``tests/test_compiled_trace.py``).
-
-    One run-scoped :class:`~repro.obs.Telemetry` spans the whole cell.  The
-    ``trace.generate`` phase is recorded **only** when this call actually
-    generated the trace — a store hit or a pre-shared trace must not
-    inflate the phase profile.  Only the deterministic metrics snapshot
-    lands on the report; the profile stays in-process (see
-    ``docs/OBSERVABILITY.md``).
     """
-    telemetry = Telemetry()
     if trace is None:
         if trace_store is not None:
             trace, _source = trace_store.get_or_generate(
-                job.spec,
-                job.config.n_gpus,
-                job.seed,
-                job.scale,
-                job.n_lanes,
-                telemetry=telemetry,
+                job.spec, job.config.n_gpus, job.seed, job.scale, job.n_lanes
             )
         else:
-            with telemetry.phase("trace.generate"):
-                trace = job.spec.generate(
-                    n_gpus=job.config.n_gpus,
-                    seed=job.seed,
-                    scale=job.scale,
-                    n_lanes=job.n_lanes,
-                )
-    return MultiGpuSystem(job.config, telemetry=telemetry).run(trace)
+            trace = job.spec.generate(
+                n_gpus=job.config.n_gpus,
+                seed=job.seed,
+                scale=job.scale,
+                n_lanes=job.n_lanes,
+            )
+    return MultiGpuSystem(job.config).run(trace)
 
 
 __all__ = ["SweepJob", "execute_job", "job_key", "cache_salt", "KEY_SCHEMA"]

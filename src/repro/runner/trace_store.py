@@ -36,13 +36,7 @@ from pathlib import Path
 
 from repro.runner.atomic import atomic_write_bytes, sweep_stale_tmp
 from repro.runner.jobs import cache_salt
-from repro.workloads.compiled import (
-    TRACE_SCHEMA,
-    CompiledTrace,
-    compile_trace,
-    dump_bytes,
-    load_bytes,
-)
+from repro.workloads.compiled import TRACE_SCHEMA, CompiledTrace, dump_bytes, load_bytes
 from repro.workloads.registry import WorkloadSpec, is_registry_spec
 
 #: Default on-disk store root, relative to the working directory.
@@ -148,29 +142,16 @@ class TraceStore:
         seed: int,
         scale: float,
         n_lanes: int,
-        telemetry=None,
     ) -> tuple[CompiledTrace, str]:
-        """Return the shared compiled trace and where it came from
-        (``"memo"`` / ``"disk"`` / ``"generated"``).
-
-        The ``trace.generate`` profiling phase is attributed **only** on
-        real generation — a reuse must not inflate the phase profile.
-        """
+        """Return the shared trace and where it came from
+        (``"memo"`` / ``"disk"`` / ``"generated"``)."""
         key = trace_key(spec.name, n_gpus, seed, scale, n_lanes) if is_registry_spec(spec) else None
         if key is not None:
             before_disk = self.disk_hits
             trace = self.get(key)
             if trace is not None:
                 return trace, ("disk" if self.disk_hits > before_disk else "memo")
-        if telemetry is not None:
-            with telemetry.phase("trace.generate"):
-                trace = compile_trace(
-                    spec.generate(n_gpus=n_gpus, seed=seed, scale=scale, n_lanes=n_lanes)
-                )
-        else:
-            trace = compile_trace(
-                spec.generate(n_gpus=n_gpus, seed=seed, scale=scale, n_lanes=n_lanes)
-            )
+        trace = spec.generate(n_gpus=n_gpus, seed=seed, scale=scale, n_lanes=n_lanes)
         if key is not None:
             self.put(key, trace)
         return trace, "generated"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.configs import SecurityConfig
 from repro.secure.engine import AesGcmEngineModel
 from repro.secure.otp_buffer import PadGrant
-from repro.sim.stats import RatioStat, StatsRegistry
+from repro.sim.stats import RatioStat
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,8 @@ class OtpScheme(ABC):
         self.peers = list(peers)
         self.security = security
         self.engine = engine
-        self.stats = StatsRegistry(f"{self.name}@node{node}")
-        self._send_outcomes: RatioStat = self.stats.ratio("send_otp")
-        self._recv_outcomes: RatioStat = self.stats.ratio("recv_otp")
+        self._send_outcomes = RatioStat("send_otp")
+        self._recv_outcomes = RatioStat("recv_otp")
 
     # ------------------------------------------------------------------
     # Interface

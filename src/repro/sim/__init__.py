@@ -6,7 +6,7 @@ statistics primitives used to collect the paper's measurements.
 """
 
 from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.stats import Counter, Histogram, IntervalSeries, RatioStat, StatsRegistry
+from repro.sim.stats import Counter, Histogram, IntervalSeries, RatioStat
 
 __all__ = [
     "Event",
@@ -16,5 +16,4 @@ __all__ = [
     "Histogram",
     "IntervalSeries",
     "RatioStat",
-    "StatsRegistry",
 ]

@@ -10,8 +10,9 @@ primitive here:
   :class:`IntervalSeries`
 * hit/partial/miss style decompositions (Figs 10/22) — :class:`RatioStat`
 
-A :class:`StatsRegistry` groups the stats a component owns so reports can
-walk them generically.
+Components hold these primitives directly; the run's
+:class:`~repro.obs.metrics.MetricsRegistry` is the one namespace that
+collects them for reports.
 """
 
 from __future__ import annotations
@@ -229,39 +230,6 @@ class FaultStats:
         return self.lost_messages + self.corrupted_deliveries
 
 
-class StatsRegistry:
-    """A flat namespace of stats owned by one component."""
-
-    def __init__(self, owner: str) -> None:
-        self.owner = owner
-        self._stats: dict[str, object] = {}
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, lambda: Counter(name))
-
-    def histogram(self, name: str, edges: list[int | float]) -> Histogram:
-        return self._get_or_create(name, lambda: Histogram(name, edges))
-
-    def ratio(self, name: str) -> RatioStat:
-        return self._get_or_create(name, lambda: RatioStat(name))
-
-    def _get_or_create(self, name, factory):
-        stat = self._stats.get(name)
-        if stat is None:
-            stat = factory()
-            self._stats[name] = stat
-        return stat
-
-    def get(self, name: str):
-        return self._stats[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._stats
-
-    def all(self) -> dict[str, object]:
-        return dict(self._stats)
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -269,5 +237,4 @@ __all__ = [
     "IntervalSeries",
     "RatioStat",
     "FaultStats",
-    "StatsRegistry",
 ]

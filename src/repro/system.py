@@ -30,8 +30,7 @@ from repro.secure.adversary import AttackReport
 from repro.secure.channel import SecureTransport, build_transport
 from repro.sim.engine import Simulator
 from repro.sim.stats import FaultStats
-from repro.workloads.base import WorkloadTrace
-from repro.workloads.compiled import CompiledTrace, ensure_compiled
+from repro.workloads.compiled import CompiledTrace
 
 
 @dataclass
@@ -95,12 +94,10 @@ class SimulationReport:
 class MultiGpuSystem:
     """Builds and runs one simulated machine for one workload."""
 
-    def __init__(self, config: SystemConfig, telemetry: Telemetry | None = None) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        #: run-scoped observability context; callers that pre-time phases
-        #: (e.g. trace generation in ``execute_job``) pass their own so one
-        #: object carries the whole cell's metrics and profile
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        #: run-scoped metrics; their snapshot becomes ``report.metrics``
+        self.telemetry = Telemetry()
         self.sim = Simulator()
         self.topology = Topology(
             n_gpus=config.n_gpus,
@@ -161,22 +158,18 @@ class MultiGpuSystem:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, trace: WorkloadTrace | CompiledTrace) -> SimulationReport:
+    def run(self, trace: CompiledTrace) -> SimulationReport:
         if self._ran:
             raise RuntimeError("a MultiGpuSystem instance runs exactly one workload")
         self._ran = True
-        with self.telemetry.phase("system.build"):
-            # Authoring-form traces are compiled here once; sweeps hand in an
-            # already-compiled (and possibly store-shared) trace directly.
-            trace = ensure_compiled(trace)
-            trace.validate()
-            self._build_devices(trace)
-            for gpu in self.gpus.values():
-                gpu.start()
-        with self.telemetry.phase("system.simulate"):
-            self.sim.run()
-        with self.telemetry.phase("system.report"):
-            return self._report(trace)
+        # Generated traces were validated when built; hand-made and
+        # disk-loaded ones are checked only here.
+        trace.validate()
+        self._build_devices(trace)
+        for gpu in self.gpus.values():
+            gpu.start()
+        self.sim.run()
+        return self._report(trace)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -322,13 +315,9 @@ class MultiGpuSystem:
         report.metrics = self.telemetry.snapshot()
 
 
-def run_workload(
-    config: SystemConfig,
-    trace: WorkloadTrace | CompiledTrace,
-    telemetry: Telemetry | None = None,
-) -> SimulationReport:
+def run_workload(config: SystemConfig, trace: CompiledTrace) -> SimulationReport:
     """One-shot convenience wrapper."""
-    return MultiGpuSystem(config, telemetry=telemetry).run(trace)
+    return MultiGpuSystem(config).run(trace)
 
 
 __all__ = ["MultiGpuSystem", "SimulationReport", "OtpDistribution", "run_workload"]

@@ -38,11 +38,15 @@ UNSHRINKABLE = ("differential.geomean_chain", "metamorphic.seed_stability")
 
 
 def _run_cell(cell: CellRef, trace_store=None):
+    """Simulate ``cell``; returns its report and the trace it replayed."""
     job = cell.job()
-    trace = None
     if trace_store is not None:
         trace, _source = trace_store.get_or_generate(
             job.spec, job.config.n_gpus, job.seed, job.scale, job.n_lanes
+        )
+    else:
+        trace = job.spec.generate(
+            n_gpus=job.config.n_gpus, seed=job.seed, scale=job.scale, n_lanes=job.n_lanes
         )
     return execute_job(job, trace=trace), trace
 
@@ -59,10 +63,8 @@ def evaluate_cells(
         out: list[Violation] = []
         for cell in cells:
             report, trace = _run_cell(cell, trace_store)
-            found = analytic.check_report(cell, report)
-            if trace is not None:
-                found += analytic.check_collective_trace(cell, trace)
-            out += found
+            out += analytic.check_report(cell, report)
+            out += analytic.check_collective_trace(cell, trace)
         return [v for v in out if v.oracle == oracle]
 
     if oracle.startswith("differential."):
@@ -85,12 +87,6 @@ def evaluate_cells(
             if cell.variant != "plain":
                 continue  # dormant companions re-run inside check_dormant
             report, trace = _run_cell(cell, trace_store)
-            if trace is None:  # metamorphic reruns need the concrete trace
-                job = cell.job()
-                trace = job.spec.generate(
-                    n_gpus=cell.n_gpus, seed=cell.seed, scale=cell.scale,
-                    n_lanes=job.n_lanes,
-                )
             if oracle.startswith("metamorphic.relabel"):
                 out += metamorphic.check_relabel(cell, trace, report)
             elif oracle == "metamorphic.batch_size_one":

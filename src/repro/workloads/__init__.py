@@ -10,15 +10,9 @@ evaluated mechanisms respond to (see DESIGN.md §5).  Beyond Table IV, the
 exchange); see ``docs/WORKLOADS.md`` for the full catalog.
 """
 
-from repro.workloads.base import Access, AccessKind, GpuTrace, LaneTrace, WorkloadTrace
 from repro.workloads.builder import TraceBuilder
-from repro.workloads.compiled import (
-    CompiledTrace,
-    compile_trace,
-    ensure_compiled,
-    to_workload_trace,
-)
 from repro.workloads.collectives import CollectiveBuilder, training_step
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.registry import (
     WorkloadSpec,
     all_collectives,
@@ -29,15 +23,7 @@ from repro.workloads.registry import (
 from repro.workloads.rpki import classify_rpki, rpki_of
 
 __all__ = [
-    "Access",
-    "AccessKind",
-    "GpuTrace",
-    "LaneTrace",
-    "WorkloadTrace",
     "CompiledTrace",
-    "compile_trace",
-    "ensure_compiled",
-    "to_workload_trace",
     "TraceBuilder",
     "CollectiveBuilder",
     "training_step",

@@ -9,10 +9,13 @@ benchmark's generator composes its phases; addresses come from real
 allocations in the unified address space so page ownership and cache
 behaviour emerge from the same structure.
 
-Every (gpu, lane) pair accumulates an ordered access list; ``gap`` cycles
-of compute separate consecutive accesses of a lane.  Instruction counts —
-needed for RPKI — are estimated as one wavefront instruction per gap cycle
-plus one per memory access.
+Every (gpu, lane) pair accumulates three parallel integer lists —
+``gaps``, ``addrs``, ``writes`` — and ``build()`` freezes them into the
+:class:`~repro.workloads.compiled.CompiledTrace` the simulator replays, so
+no per-access object is ever made.  ``gap`` cycles of compute separate
+consecutive accesses of a lane.  Instruction counts — needed for RPKI —
+are estimated as one wavefront instruction per gap cycle plus one per
+memory access.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memory.address_space import AddressSpace, ArrayHandle, BLOCK_BYTES, Placement, page_of
-from repro.workloads.base import Access, AccessKind, GpuTrace, WorkloadTrace
+from repro.workloads.compiled import CompiledGpuTrace, CompiledLane, CompiledTrace
 
 
 class TraceBuilder:
@@ -36,8 +39,8 @@ class TraceBuilder:
         self.n_lanes = n_lanes
         self.rng = np.random.default_rng(seed)
         self.space = AddressSpace(gpu_nodes=list(range(1, n_gpus + 1)))
-        self._lanes: dict[int, list[list[Access]]] = {
-            g: [[] for _ in range(n_lanes)] for g in range(1, n_gpus + 1)
+        self._lanes: dict[int, list[tuple[list[int], list[int], list[int]]]] = {
+            g: [([], [], []) for _ in range(n_lanes)] for g in range(1, n_gpus + 1)
         }
         self._pending_gap: dict[tuple[int, int], int] = {}
         self._pinned_pages: set[int] = set()
@@ -99,15 +102,15 @@ class TraceBuilder:
 
     def access(self, gpu: int, lane: int, address: int, gap: int = 0, write: bool = False) -> None:
         """Emit one access on (gpu, lane) after ``gap`` compute cycles."""
-        key = (gpu, lane)
-        total_gap = self._pending_gap.pop(key, 0) + gap
-        self._lanes[gpu][lane].append(
-            Access(
-                gap=total_gap,
-                address=address,
-                kind=AccessKind.WRITE if write else AccessKind.READ,
-            )
-        )
+        gap += self._pending_gap.pop((gpu, lane), 0)
+        if gap < 0:
+            raise ValueError("access gap must be non-negative")
+        if address < 0:
+            raise ValueError("address must be non-negative")
+        gaps, addrs, writes = self._lanes[gpu][lane]
+        gaps.append(gap)
+        addrs.append(address)
+        writes.append(1 if write else 0)
 
     def burst(
         self,
@@ -160,39 +163,33 @@ class TraceBuilder:
     # ------------------------------------------------------------------
     # Finalization
     # ------------------------------------------------------------------
-    def _instructions(self, lanes: list[list[Access]]) -> int:
-        gaps = sum(a.gap for lane in lanes for a in lane)
-        accesses = sum(len(lane) for lane in lanes)
-        return gaps + accesses
-
-    def build(self, lane_jitter: int = 257) -> WorkloadTrace:
+    def build(self, lane_jitter: int = 257) -> CompiledTrace:
         """Finalize the trace.
 
-        ``lane_jitter`` prepends a random start offset in ``[0, jitter)``
-        to every lane, modeling wavefront-scheduler skew.  Without it all
-        lanes march in lockstep and their bursts collide artificially,
-        which distorts the baseline the secure schemes are measured
-        against.
+        ``lane_jitter`` adds a random start offset in ``[0, jitter)`` to
+        the first gap of every non-empty lane, modeling wavefront-scheduler
+        skew.  Without it all lanes march in lockstep and their bursts
+        collide artificially, which distorts the baseline the secure
+        schemes are measured against.
         """
         gpu_traces = {}
         for gpu, lanes in self._lanes.items():
-            if not any(lanes):
+            if not any(gaps for gaps, _, _ in lanes):
                 continue
-            staggered = []
-            for lane in lanes:
-                if lane and lane_jitter > 0:
+            compiled = []
+            instructions = 0
+            for gaps, addrs, writes in lanes:
+                gaps = tuple(gaps)
+                if gaps and lane_jitter > 0:
                     offset = int(self.rng.integers(0, lane_jitter))
-                    first = lane[0]
-                    lane = [Access(first.gap + offset, first.address, first.kind)] + lane[1:]
-                staggered.append(lane)
-            gpu_traces[gpu] = GpuTrace(
-                lanes=staggered,
-                instructions=self._instructions(staggered),
-            )
-        trace = WorkloadTrace(
+                    gaps = (gaps[0] + offset,) + gaps[1:]
+                instructions += sum(gaps) + len(gaps)
+                compiled.append(CompiledLane(gaps, tuple(addrs), tuple(writes)))
+            gpu_traces[gpu] = CompiledGpuTrace(tuple(compiled), instructions)
+        trace = CompiledTrace(
             name=self.name,
             gpu_traces=gpu_traces,
-            pinned_pages=set(self._pinned_pages),
+            pinned_pages=frozenset(self._pinned_pages),
             initial_owners=self.space.initial_owners(),
         )
         trace.validate()

@@ -40,8 +40,8 @@ migration.
 from __future__ import annotations
 
 from repro.memory.address_space import ArrayHandle, Placement
-from repro.workloads.base import WorkloadTrace
 from repro.workloads.builder import TraceBuilder
+from repro.workloads.compiled import CompiledTrace
 
 #: Wire-chunk granularity: blocks moved back-to-back before the next lane
 #: takes over.  16 blocks = 1 KiB matches the batching controller's default
@@ -369,7 +369,7 @@ def training_step(
     n_lanes: int = 8,
     steps: int | None = None,
     grad_blocks: int | None = None,
-) -> WorkloadTrace:
+) -> CompiledTrace:
     """Data-parallel training steps: forward compute + gradient all-reduce.
 
     Each step streams a batch of activations in from the host, runs the

@@ -1,22 +1,15 @@
-"""Compiled trace layer: the immutable array-backed replay format.
+"""The trace format: immutable per-lane integer streams.
 
-A :class:`~repro.workloads.base.WorkloadTrace` is the *authoring* format —
-per-lane lists of :class:`~repro.workloads.base.Access` objects, convenient
-for generators to emit.  It is a terrible *replay* format: a full-scale
-sweep touches millions of accesses and every one costs an object header,
-three attribute loads, and an enum comparison on the simulator's hottest
-path.
+:class:`CompiledTrace` is the one trace format.  Generators emit it through
+:class:`~repro.workloads.builder.TraceBuilder` and the device pump replays
+it: per-(GPU, lane) parallel tuples of plain integers — ``gaps``,
+``addrs``, ``writes`` — indexed directly, so no per-access object exists
+anywhere between generation and replay.
 
-:class:`CompiledTrace` is the replay format: per-(GPU, lane) parallel
-tuples of plain integers — ``gaps``, ``addrs``, ``writes`` — that the
-device pump indexes directly.  Compilation is lossless and reversible
-(property-tested in ``tests/test_compiled_trace.py``), so simulation
-results are bit-identical regardless of which form a trace passed through.
-
-Compiled traces also serialize compactly to ``.npz`` (one numpy array per
-per-GPU stream plus a JSON header), which is what the content-addressed
-trace store persists so a sweep generates each trace once and every scheme
-— and every pool worker — replays the same bytes.
+Traces also serialize compactly to ``.npz`` (one numpy array per per-GPU
+stream plus a JSON header), which is what the content-addressed trace
+store persists so a sweep generates each trace once and every scheme —
+and every pool worker — replays the same bytes.
 """
 
 from __future__ import annotations
@@ -26,8 +19,6 @@ import json
 import zipfile
 
 import numpy as np
-
-from repro.workloads.base import Access, AccessKind, GpuTrace, WorkloadTrace
 
 #: Bump when the compiled layout (not the traced behavior) changes; folded
 #: into trace-store keys so old files simply stop being found.
@@ -140,64 +131,10 @@ class CompiledTrace:
 
 
 # ---------------------------------------------------------------------------
-# Compilation (lossless, both directions)
-# ---------------------------------------------------------------------------
-def compile_trace(trace: WorkloadTrace) -> CompiledTrace:
-    """Flatten a WorkloadTrace into the array-backed replay form."""
-    gpu_traces: dict[int, CompiledGpuTrace] = {}
-    for node, gpu_trace in trace.gpu_traces.items():
-        lanes = []
-        for lane in gpu_trace.lanes:
-            gaps = tuple(a.gap for a in lane)
-            addrs = tuple(a.address for a in lane)
-            writes = tuple(1 if a.kind is AccessKind.WRITE else 0 for a in lane)
-            lanes.append(CompiledLane(gaps, addrs, writes))
-        gpu_traces[node] = CompiledGpuTrace(tuple(lanes), gpu_trace.instructions)
-    return CompiledTrace(
-        name=trace.name,
-        gpu_traces=gpu_traces,
-        pinned_pages=frozenset(trace.pinned_pages),
-        initial_owners=dict(trace.initial_owners),
-    )
-
-
-def to_workload_trace(compiled: CompiledTrace) -> WorkloadTrace:
-    """Reconstruct the authoring form (the exact inverse of compilation)."""
-    gpu_traces: dict[int, GpuTrace] = {}
-    for node, gpu_trace in compiled.gpu_traces.items():
-        lanes = []
-        for lane in gpu_trace.lanes:
-            lanes.append(
-                [
-                    Access(
-                        gap=gap,
-                        address=addr,
-                        kind=AccessKind.WRITE if write else AccessKind.READ,
-                    )
-                    for gap, addr, write in zip(lane.gaps, lane.addrs, lane.writes)
-                ]
-            )
-        gpu_traces[node] = GpuTrace(lanes=lanes, instructions=gpu_trace.instructions)
-    return WorkloadTrace(
-        name=compiled.name,
-        gpu_traces=gpu_traces,
-        pinned_pages=set(compiled.pinned_pages),
-        initial_owners=dict(compiled.initial_owners),
-    )
-
-
-def ensure_compiled(trace: WorkloadTrace | CompiledTrace) -> CompiledTrace:
-    """Accept either form; compile on the way in."""
-    if isinstance(trace, CompiledTrace):
-        return trace
-    return compile_trace(trace)
-
-
-# ---------------------------------------------------------------------------
 # Serialization: one .npz per trace (per-GPU concatenated streams + header)
 # ---------------------------------------------------------------------------
 def dump_bytes(compiled: CompiledTrace) -> bytes:
-    """Render a compiled trace to compact ``.npz`` bytes.
+    """Render a trace to compact ``.npz`` bytes.
 
     Lanes are concatenated per GPU into one ``gaps``/``addrs``/``writes``
     array each plus a lane-boundary offset table — dozens of numpy arrays
@@ -275,9 +212,6 @@ __all__ = [
     "CompiledLane",
     "CompiledGpuTrace",
     "CompiledTrace",
-    "compile_trace",
-    "to_workload_trace",
-    "ensure_compiled",
     "dump_bytes",
     "load_bytes",
 ]

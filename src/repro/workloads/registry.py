@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.workloads.base import WorkloadTrace
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.suites import amdappsdk, dnnmark, heteromark, nccl, polybench, shoc
 
-Builder = Callable[..., WorkloadTrace]
+Builder = Callable[..., CompiledTrace]
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class WorkloadSpec:
 
     def generate(
         self, n_gpus: int = 4, seed: int = 0, scale: float = 1.0, n_lanes: int = 8
-    ) -> WorkloadTrace:
+    ) -> CompiledTrace:
         """Build this workload's trace for an ``n_gpus`` system."""
         return self.builder(n_gpus=n_gpus, seed=seed, scale=scale, n_lanes=n_lanes)
 

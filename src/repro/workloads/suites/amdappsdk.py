@@ -9,11 +9,11 @@ and who owns them.
 from __future__ import annotations
 
 from repro.memory.address_space import Placement
-from repro.workloads.base import WorkloadTrace
 from repro.workloads.builder import TraceBuilder
+from repro.workloads.compiled import CompiledTrace
 
 
-def matrixtranspose(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def matrixtranspose(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Out-of-place transpose, row-blocked (high RPKI).
 
     GPU ``g`` produces row-block ``g`` of the transpose by reading the
@@ -52,7 +52,7 @@ def matrixtranspose(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int
     return b.build()
 
 
-def simpleconvolution(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def simpleconvolution(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """3x3 convolution over a row-blocked image (medium RPKI).
 
     Interior rows are local; the first/last row of each GPU's slab reads a
@@ -85,7 +85,7 @@ def simpleconvolution(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: i
     return b.build()
 
 
-def matrixmultiplication(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def matrixmultiplication(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Tiled C = A x B with row-blocked A/B (medium RPKI).
 
     Runs ``n_gpus`` phases; in phase ``k`` GPU ``g`` consumes the B
@@ -120,7 +120,7 @@ def matrixmultiplication(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes
     return b.build()
 
 
-def floydwarshall(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def floydwarshall(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """All-pairs shortest paths, row-blocked distance matrix (low RPKI).
 
     Iteration ``k`` broadcasts pivot row ``k`` (a 16-block burst from its

@@ -9,11 +9,11 @@ framework would advise for single-use streaming input).
 from __future__ import annotations
 
 from repro.memory.address_space import Placement
-from repro.workloads.base import WorkloadTrace
 from repro.workloads.builder import TraceBuilder
+from repro.workloads.compiled import CompiledTrace
 
 
-def relu(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def relu(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Elementwise max(x, 0) over CPU-resident activations (high RPKI).
 
     Every lane streams a disjoint slice of the input from the CPU with no

@@ -7,14 +7,12 @@ compute-dominated streaming kernels at the low-RPKI end of Table IV.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.memory.address_space import Placement
-from repro.workloads.base import WorkloadTrace
 from repro.workloads.builder import TraceBuilder
+from repro.workloads.compiled import CompiledTrace
 
 
-def pagerank(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def pagerank(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Push-style PageRank over an interleaved rank vector (high RPKI).
 
     Each GPU walks its local adjacency partition and gathers neighbour
@@ -41,7 +39,7 @@ def pagerank(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -
     return b.build()
 
 
-def kmeans(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def kmeans(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """K-means clustering (medium RPKI).
 
     Points live locally; the centroid table (one per iteration, modelling
@@ -68,7 +66,7 @@ def kmeans(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> 
     return b.build()
 
 
-def aes_cipher(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def aes_cipher(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """AES encryption of local buffers (low RPKI).
 
     The expanded key schedule is fetched once from the host; after that the
@@ -92,7 +90,7 @@ def aes_cipher(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8)
     return b.build()
 
 
-def fir(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def fir(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """FIR filter over a blocked signal (low RPKI).
 
     Taps come from the host once per lane; each chunk needs a tiny halo

@@ -18,8 +18,8 @@ fraction below 1.
 
 from __future__ import annotations
 
-from repro.workloads.base import WorkloadTrace
 from repro.workloads.collectives import DEFAULT_CHUNK_BLOCKS, CollectiveBuilder
+from repro.workloads.compiled import CompiledTrace
 
 
 def _chunked(blocks: int, multiple: int) -> int:
@@ -37,7 +37,7 @@ def _warmup(b: CollectiveBuilder, shards, gap: int = 2) -> None:
             b.compute(g, lane, 60)
 
 
-def allreduce_ring(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def allreduce_ring(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Bandwidth-optimal ring all-reduce: reduce-scatter + all-gather.
 
     Every byte a GPU moves goes to its fixed left ring neighbour, so one
@@ -56,7 +56,7 @@ def allreduce_ring(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int 
     return b.build()
 
 
-def allreduce_tree(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def allreduce_tree(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Tree all-reduce: reduce up a binary tree, broadcast back down.
 
     Latency-optimal but bandwidth-hungry — the full message crosses every
@@ -75,7 +75,7 @@ def allreduce_tree(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int 
     return b.build()
 
 
-def allgather(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def allgather(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Rotated direct all-gather over the p2p fabric.
 
     Each step every GPU pulls a *different* peer's shard (rank-staggered to
@@ -93,7 +93,7 @@ def allgather(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) 
     return b.build()
 
 
-def reducescatter(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def reducescatter(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Ring reduce-scatter alone: the gradient-sharding half of ZeRO/FSDP.
 
     Fixed-neighbour chunk rotation with reduction arithmetic between
@@ -111,7 +111,7 @@ def reducescatter(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int =
     return b.build()
 
 
-def broadcast(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def broadcast(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Flat broadcast from rank 0: one hot source, N-1 sinks.
 
     The root's send direction carries (N-1)x the message while its recv
@@ -130,7 +130,7 @@ def broadcast(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) 
     return b.build()
 
 
-def halo2d(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def halo2d(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """2D grid halo exchange: domain decomposition on a GPU grid.
 
     Each iteration every GPU pulls boundary strips from up to four grid

@@ -10,8 +10,8 @@ row blocks, putting it in the high-RPKI class.
 from __future__ import annotations
 
 from repro.memory.address_space import Placement
-from repro.workloads.base import WorkloadTrace
 from repro.workloads.builder import TraceBuilder
+from repro.workloads.compiled import CompiledTrace
 
 
 def _vector_sweep(b: TraceBuilder, gpu: int, lane: int, vec, n_blocks: int, gap: int) -> None:
@@ -25,7 +25,7 @@ def _vector_sweep(b: TraceBuilder, gpu: int, lane: int, vec, n_blocks: int, gap:
     b.burst(gpu, lane, vec, start, n_blocks, gap=gap, stride=67)
 
 
-def syr2k(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def syr2k(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """C += A·Bᵀ + B·Aᵀ rank-2k update (high RPKI).
 
     Each output row block needs *whole rows* of both A and B from every
@@ -59,7 +59,7 @@ def syr2k(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> W
     return b.build()
 
 
-def atax(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def atax(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """y = Aᵀ(A·x) (medium RPKI): two matrix passes, two vector sweeps."""
     b = TraceBuilder("atax", n_gpus, seed, n_lanes)
     rows = max(24, int(280 * scale))
@@ -82,7 +82,7 @@ def atax(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> Wo
     return b.build()
 
 
-def bicg(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def bicg(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """BiCG kernel: s = Aᵀ·r and q = A·p (medium RPKI)."""
     b = TraceBuilder("bicg", n_gpus, seed, n_lanes)
     rows = max(24, int(280 * scale))
@@ -103,7 +103,7 @@ def bicg(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> Wo
     return b.build()
 
 
-def gesummv(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def gesummv(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """y = α·A·x + β·B·x (medium RPKI): two local matrices, shared x."""
     b = TraceBuilder("gesummv", n_gpus, seed, n_lanes)
     rows = max(24, int(280 * scale))
@@ -122,7 +122,7 @@ def gesummv(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) ->
     return b.build()
 
 
-def mvt(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def mvt(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """x1 += A·y1, x2 += Aᵀ·y2 (medium RPKI)."""
     b = TraceBuilder("mvt", n_gpus, seed, n_lanes)
     rows = max(24, int(280 * scale))

@@ -8,14 +8,12 @@ interval adaptation is built for.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.memory.address_space import Placement
-from repro.workloads.base import WorkloadTrace
 from repro.workloads.builder import TraceBuilder
+from repro.workloads.compiled import CompiledTrace
 
 
-def spmv(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def spmv(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Sparse matrix-vector multiply (high RPKI).
 
     Row data (values + column indices) streams locally; every nonzero then
@@ -37,7 +35,7 @@ def spmv(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> Wo
     return b.build()
 
 
-def stencil2d(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def stencil2d(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """9-point 2D stencil, iterated (medium RPKI).
 
     Every iteration exchanges halo rows with both ring neighbours in
@@ -67,7 +65,7 @@ def stencil2d(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) 
     return b.build()
 
 
-def fft(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> WorkloadTrace:
+def fft(n_gpus: int, seed: int = 0, scale: float = 1.0, n_lanes: int = 8) -> CompiledTrace:
     """Distributed radix-2 FFT (medium RPKI).
 
     ``log2`` stages: in stage ``s`` each GPU exchanges butterfly partners

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memory.address_space import Placement
-from repro.workloads.base import WorkloadTrace
 from repro.workloads.builder import TraceBuilder
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.registry import WorkloadSpec
 
 
@@ -44,7 +44,7 @@ def synthetic_workload(
     phase_length: int = 12,
     cpu_share: float = 0.1,
     bursts_per_lane: int = 40,
-) -> WorkloadTrace:
+) -> CompiledTrace:
     """Build a trace with the requested communication profile."""
     if not 0.0 <= remote_fraction <= 1.0:
         raise ValueError("remote_fraction must be a fraction")

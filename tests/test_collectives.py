@@ -25,36 +25,38 @@ from repro.workloads import (
     training_step,
     workloads_in_class,
 )
-from repro.workloads.base import AccessKind
 from repro.workloads.collectives import DEFAULT_CHUNK_BLOCKS, CollectiveBuilder
 
 COLLECTIVE_NAMES = [spec.name for spec in all_collectives()]
 
 
+def flat_accesses(trace, gpu):
+    """``gpu``'s accesses as ``(gap, addr, write)`` triples, lane by lane."""
+    return [
+        access
+        for lane in trace.gpu_traces[gpu].lanes
+        for access in zip(lane.gaps, lane.addrs, lane.writes)
+    ]
+
+
 def remote_reads(trace, gpu):
     """Blocks GPU ``gpu`` reads from pages another node owns."""
-    count = 0
-    for lane in trace.gpu_traces[gpu].lanes:
-        for access in lane:
-            if (access.kind is AccessKind.READ
-                    and trace.initial_owners[page_of(access.address)] != gpu):
-                count += 1
-    return count
+    return sum(
+        1
+        for _gap, addr, write in flat_accesses(trace, gpu)
+        if not write and trace.initial_owners[page_of(addr)] != gpu
+    )
 
 
 def remote_owners(trace, gpu):
     """Initial owners of the pages ``gpu`` touches remotely."""
     owners = set()
     for lane in trace.gpu_traces[gpu].lanes:
-        for access in lane:
-            owner = trace.initial_owners[page_of(access.address)]
+        for addr in lane.addrs:
+            owner = trace.initial_owners[page_of(addr)]
             if owner != gpu:
                 owners.add(owner)
     return owners
-
-
-def flat_accesses(trace, gpu):
-    return [a for lane in trace.gpu_traces[gpu].lanes for a in lane]
 
 
 class TestConservation:
@@ -115,9 +117,8 @@ class TestConservation:
         trace = b.build()
         for g in range(1, 5):
             gaps = [
-                a.gap for a in flat_accesses(trace, g)
-                if (a.kind is AccessKind.READ
-                    and trace.initial_owners[page_of(a.address)] != g)
+                gap for gap, addr, write in flat_accesses(trace, g)
+                if not write and trace.initial_owners[page_of(addr)] != g
             ]
             assert gaps
             dense = sum(1 for gap in gaps if gap == 0)
@@ -140,9 +141,9 @@ class TestPeerStructure:
         """The hot recv peer must change over the trace, not interleave."""
         trace = get_workload("allgather").generate(4, seed=1, scale=0.25)
         owners = [
-            trace.initial_owners[page_of(a.address)]
-            for a in flat_accesses(trace, 1)
-            if trace.initial_owners[page_of(a.address)] != 1
+            trace.initial_owners[page_of(addr)]
+            for _gap, addr, _write in flat_accesses(trace, 1)
+            if trace.initial_owners[page_of(addr)] != 1
         ]
         # Drop repeats: the sequence visits peers in contiguous runs.
         transitions = [o for i, o in enumerate(owners) if i == 0 or owners[i - 1] != o]

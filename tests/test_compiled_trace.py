@@ -1,10 +1,9 @@
-"""Property tests for the compiled trace layer and cross-scheme sharing.
+"""Property tests for the trace format, its store and cross-scheme sharing.
 
 Two contracts are pinned here:
 
-1. **Losslessness** — compiling a `WorkloadTrace` to the array-backed
-   `CompiledTrace` and back (including through the `.npz` byte format the
-   on-disk store persists) reconstructs the authoring form exactly.
+1. **Losslessness** — a `CompiledTrace` survives the `.npz` byte format
+   the on-disk store persists exactly.
 2. **Determinism** — a sweep replaying one shared trace across schemes
    (serially, through the process pool, or via the result cache) produces
    reports byte-identical to generating the trace per cell.
@@ -18,13 +17,7 @@ from repro.configs import scheme_config
 from repro.runner import ResultCache, SweepJob, SweepRunner, execute_job, report_to_dict
 from repro.runner.trace_store import TraceStore, default_trace_store, trace_key
 from repro.workloads import get_workload
-from repro.workloads.compiled import (
-    compile_trace,
-    dump_bytes,
-    ensure_compiled,
-    load_bytes,
-    to_workload_trace,
-)
+from repro.workloads.compiled import dump_bytes, load_bytes
 from repro.workloads.synthetic import synthetic_spec
 
 SCALE = 0.1
@@ -37,40 +30,13 @@ def _trace(name: str, seed: int = 1):
 
 class TestLosslessRoundTrip:
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_compile_then_decompile_is_identity(self, name):
-        trace = _trace(name)
-        compiled = compile_trace(trace)
-        restored = to_workload_trace(compiled)
-        assert restored == trace
-        # and re-compiling the restored form reproduces the compiled form
-        assert compile_trace(restored) == compiled
-
-    @pytest.mark.parametrize("name", WORKLOADS)
     def test_npz_bytes_round_trip(self, name):
-        compiled = compile_trace(_trace(name))
-        blob = dump_bytes(compiled)
-        assert load_bytes(blob) == compiled
-
-    def test_compiled_totals_match_authoring_form(self):
-        trace = _trace("fir")
-        compiled = compile_trace(trace)
-        n_accesses = sum(
-            len(lane) for gt in trace.gpu_traces.values() for lane in gt.lanes
-        )
-        assert compiled.total_accesses == n_accesses
-        assert compiled.total_instructions == sum(
-            gt.instructions for gt in trace.gpu_traces.values()
-        )
-
-    def test_workload_trace_compile_method(self):
-        trace = _trace("fir")
-        assert trace.compile() == compile_trace(trace)
-        assert ensure_compiled(trace) == compile_trace(trace)
-        compiled = trace.compile()
-        assert ensure_compiled(compiled) is compiled
+        trace = _trace(name)
+        blob = dump_bytes(trace)
+        assert load_bytes(blob) == trace
 
     def test_truncated_blob_raises_value_error(self):
-        blob = dump_bytes(compile_trace(_trace("fir")))
+        blob = dump_bytes(_trace("fir"))
         with pytest.raises(ValueError):
             load_bytes(blob[: len(blob) // 2])
 

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.configs import GpuConfig, MigrationConfig, SecurityConfig
-from repro.gpu.cpu import HostCpu, Iommu
-from repro.gpu.gpu import GpuDevice
+from repro.configs import SecurityConfig
+from repro.gpu.cpu import HostCpu
 from repro.interconnect.packet import Packet, PacketKind
-from repro.memory.migration import AccessCounterMigrationPolicy
-from repro.memory.page_table import PageTable
 from repro.secure.engine import AesGcmEngineModel
 from repro.secure.schemes.ideal import IdealScheme
-from repro.workloads.base import Access, GpuTrace
+from repro.workloads.compiled import CompiledGpuTrace
 
 from tests.test_gpu_device import make_gpu, reads
 
@@ -18,9 +15,9 @@ from tests.test_gpu_device import make_gpu, reads
 class TestGpuErrorPaths:
     def test_double_trace_load_rejected(self, sim, fake_transport):
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
-        gpu.load_trace(GpuTrace(lanes=[reads([4096])], instructions=1))
+        gpu.load_trace(CompiledGpuTrace((reads([4096]),), instructions=1))
         with pytest.raises(RuntimeError):
-            gpu.load_trace(GpuTrace(lanes=[reads([4096])], instructions=1))
+            gpu.load_trace(CompiledGpuTrace((reads([4096]),), instructions=1))
 
     def test_stray_data_response_rejected(self, sim, fake_transport):
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
@@ -62,19 +59,12 @@ class TestHostCpu:
         sim.run()
         kinds = [p.kind for p in fake_transport.sent]
         assert PacketKind.DATA_RESP in kinds
-        assert cpu.served_requests == 1
 
     def test_cpu_dram_serializes_bulk(self, sim, fake_transport):
         cpu = HostCpu(sim, fake_transport, dram_latency=10, dram_bytes_per_cycle=64)
         done1 = cpu._dram_access(4096)
         done2 = cpu._dram_access(4096)
         assert done2 > done1  # bandwidth occupancy accumulates
-
-    def test_iommu_counts_walks(self):
-        iommu = Iommu(walk_latency=99)
-        assert iommu.walk() == 99
-        assert iommu.walk() == 99
-        assert iommu.walks == 2
 
 
 class TestIdealScheme:

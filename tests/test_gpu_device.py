@@ -10,7 +10,7 @@ from repro.interconnect.packet import PacketKind
 from repro.memory.address_space import BLOCK_BYTES, PAGE_BYTES
 from repro.memory.migration import AccessCounterMigrationPolicy, MigrationCost
 from repro.memory.page_table import PageTable
-from repro.workloads.base import Access, AccessKind, GpuTrace
+from repro.workloads.compiled import CompiledGpuTrace, CompiledLane
 
 
 def make_gpu(sim, transport, owners, node=1, threshold=100, **gpu_overrides):
@@ -32,7 +32,14 @@ def make_gpu(sim, transport, owners, node=1, threshold=100, **gpu_overrides):
 
 
 def reads(addresses, gap=1):
-    return [Access(gap=gap, address=a) for a in addresses]
+    """A read-only lane: ``gap`` compute cycles before every access."""
+    n = len(addresses)
+    return CompiledLane((gap,) * n, tuple(addresses), (0,) * n)
+
+
+def cache_hits(gpu):
+    """Reads served by L1 or, on an L1 miss, by L2."""
+    return sum(l1.stats.hits for l1 in gpu.l1s) + gpu.l2.stats.hits
 
 
 class TestComputeUnitLane:
@@ -59,12 +66,12 @@ class TestComputeUnitLane:
             lane.issue(0, consumes_slot=False)
 
     def test_complete_without_outstanding_raises(self):
-        lane = ComputeUnitLane(0, [])
+        lane = ComputeUnitLane(0, reads([]))
         with pytest.raises(RuntimeError):
             lane.complete()
 
     def test_empty_trace_is_drained(self):
-        lane = ComputeUnitLane(0, [])
+        lane = ComputeUnitLane(0, reads([]))
         assert lane.drained and lane.finished
 
 
@@ -73,12 +80,12 @@ class TestGpuLocalExecution:
         # GPU 1 owns page 1; all accesses local.
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
         addrs = [PAGE_BYTES + i * BLOCK_BYTES for i in range(8)]
-        gpu.load_trace(GpuTrace(lanes=[reads(addrs)], instructions=1000))
+        gpu.load_trace(CompiledGpuTrace((reads(addrs),), instructions=1000))
         gpu.start()
         sim.run()
         assert gpu.finish_cycle is not None
         assert gpu.remote_requests == 0
-        assert gpu._local_accesses.value == 8
+        assert gpu.hbm.accesses == 8  # every local miss reads HBM
         assert fake_transport.sent == []
 
     def test_cache_hits_filter_memory_traffic(self, sim, fake_transport):
@@ -86,15 +93,15 @@ class TestGpuLocalExecution:
         addr = PAGE_BYTES
         # serial accesses (gap larger than walk+HBM) so the first fill lands
         # before the next lookup; the remaining nine then hit in L1
-        gpu.load_trace(GpuTrace(lanes=[reads([addr] * 10, gap=500)], instructions=100))
+        gpu.load_trace(CompiledGpuTrace((reads([addr] * 10, gap=500),), instructions=100))
         gpu.start()
         sim.run()
-        assert gpu._cache_hits.value == 9
+        assert cache_hits(gpu) == 9
         assert gpu.hbm.accesses == 1
 
     def test_rpki_computation(self, sim, fake_transport):
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
-        gpu.load_trace(GpuTrace(lanes=[reads([PAGE_BYTES])], instructions=2000))
+        gpu.load_trace(CompiledGpuTrace((reads([PAGE_BYTES]),), instructions=2000))
         gpu.start()
         sim.run()
         assert gpu.rpki() == 0.0
@@ -106,7 +113,7 @@ class TestGpuRemoteExecution:
         gpu, pt = make_gpu(sim, fake_transport, {0: 0}, **overrides)
         HostCpu(sim, fake_transport)
         addrs = [i * BLOCK_BYTES for i in range(n_blocks)]
-        gpu.load_trace(GpuTrace(lanes=[reads(addrs)], instructions=1000))
+        gpu.load_trace(CompiledGpuTrace((reads(addrs),), instructions=1000))
         gpu.start()
         sim.run()
         return gpu
@@ -125,7 +132,7 @@ class TestGpuRemoteExecution:
         HostCpu(sim, fake_transport)
         # two lanes read the same block at the same time: one fetch expected
         lanes = [reads([0], gap=0), reads([0], gap=0)]
-        gpu.load_trace(GpuTrace(lanes=lanes, instructions=100))
+        gpu.load_trace(CompiledGpuTrace(tuple(lanes), instructions=100))
         gpu.start()
         sim.run()
         reqs = [p for p in fake_transport.sent if p.kind is PacketKind.READ_REQ]
@@ -136,8 +143,8 @@ class TestGpuRemoteExecution:
     def test_remote_write_completes_via_ack(self, sim, fake_transport):
         gpu, _ = make_gpu(sim, fake_transport, {0: 0})
         HostCpu(sim, fake_transport)
-        trace = [Access(gap=1, address=0, kind=AccessKind.WRITE)]
-        gpu.load_trace(GpuTrace(lanes=[trace], instructions=100))
+        write = CompiledLane((1,), (0,), (1,))
+        gpu.load_trace(CompiledGpuTrace((write,), instructions=100))
         gpu.start()
         sim.run()
         kinds = [p.kind for p in fake_transport.sent]
@@ -147,7 +154,7 @@ class TestGpuRemoteExecution:
 
     def test_second_read_of_same_block_hits_l2(self, sim, fake_transport):
         gpu = self._run_remote(sim, fake_transport, n_blocks=1)
-        assert gpu._cache_hits.value == 0
+        assert cache_hits(gpu) == 0
         # re-run same address: already filled into L2+L1 by the response
         assert gpu.l2.contains(0)
 
@@ -157,7 +164,7 @@ class TestGpuRemoteExecution:
         )
         HostCpu(sim, fake_transport)
         addrs = [i * BLOCK_BYTES for i in range(8)]
-        gpu.load_trace(GpuTrace(lanes=[reads(addrs, gap=0)], instructions=100))
+        gpu.load_trace(CompiledGpuTrace((reads(addrs, gap=0),), instructions=100))
         gpu.start()
         # after the first pump, at most 2 requests may be outstanding
         sim.step()  # initial pump event
@@ -174,7 +181,7 @@ class TestMigration:
         HostCpu(sim, fake_transport)
         # 6 distinct blocks of the same CPU page, reads cross the threshold
         addrs = [i * BLOCK_BYTES for i in range(6)]
-        gpu.load_trace(GpuTrace(lanes=[reads(addrs, gap=2)], instructions=100))
+        gpu.load_trace(CompiledGpuTrace((reads(addrs, gap=2),), instructions=100))
         gpu.start()
         sim.run()
         assert pt.owner(0) == 1
@@ -188,7 +195,7 @@ class TestMigration:
         gpu.migration_policy.pin(0)
         HostCpu(sim, fake_transport)
         addrs = [i * BLOCK_BYTES for i in range(6)]
-        gpu.load_trace(GpuTrace(lanes=[reads(addrs, gap=2)], instructions=100))
+        gpu.load_trace(CompiledGpuTrace((reads(addrs, gap=2),), instructions=100))
         gpu.start()
         sim.run()
         assert pt.owner(0) == 0
@@ -199,14 +206,14 @@ class TestMigration:
         gpu, pt = make_gpu(sim, fake_transport, {0: 0}, threshold=1)
         gpu.on_migration_commit = lambda page, old, new: commits.append((page, old, new))
         HostCpu(sim, fake_transport)
-        gpu.load_trace(GpuTrace(lanes=[reads([0, 64], gap=2)], instructions=100))
+        gpu.load_trace(CompiledGpuTrace((reads([0, 64], gap=2),), instructions=100))
         gpu.start()
         sim.run()
         assert commits == [(0, 0, 1)]
 
     def test_invalidate_page_clears_state(self, sim, fake_transport):
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
-        gpu.load_trace(GpuTrace(lanes=[reads([PAGE_BYTES])], instructions=10))
+        gpu.load_trace(CompiledGpuTrace((reads([PAGE_BYTES]),), instructions=10))
         gpu.start()
         sim.run()
         assert gpu.l2.contains(PAGE_BYTES)

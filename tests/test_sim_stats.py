@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import Counter, Gauge, Histogram, IntervalSeries, RatioStat, StatsRegistry
+from repro.sim.stats import Counter, Gauge, Histogram, IntervalSeries, RatioStat
 
 
 def test_counter_add_and_reset():
@@ -111,13 +111,3 @@ def test_ratio_stat_merge():
 
 def test_ratio_stat_empty_fraction_is_zero():
     assert RatioStat("e").fraction("hit") == 0.0
-
-
-def test_registry_returns_same_instance():
-    reg = StatsRegistry("gpu0")
-    c1 = reg.counter("sends")
-    c1.add(5)
-    assert reg.counter("sends").value == 5
-    assert "sends" in reg
-    assert "other" not in reg
-    assert set(reg.all()) == {"sends"}

@@ -29,8 +29,8 @@ class TestDials:
         def owner_entropy(trace):
             counts = {}
             for lane in trace.gpu_traces[1].lanes:
-                for a in lane:
-                    o = trace.initial_owners[page_of(a.address)]
+                for addr in lane.addrs:
+                    o = trace.initial_owners[page_of(addr)]
                     if o not in (0, 1):
                         counts[o] = counts.get(o, 0) + 1
             total = sum(counts.values())
@@ -52,8 +52,8 @@ class TestDials:
             return sum(
                 1
                 for lane in trace.gpu_traces[1].lanes
-                for a in lane
-                if trace.initial_owners[page_of(a.address)] == 0
+                for addr in lane.addrs
+                if trace.initial_owners[page_of(addr)] == 0
             )
 
         none = build(cpu_share=0.0, remote_fraction=0.8)
@@ -87,6 +87,4 @@ class TestValidation:
     def test_deterministic_per_seed(self):
         a = synthetic_workload(4, seed=9, scale=0.2)
         b = synthetic_workload(4, seed=9, scale=0.2)
-        assert [x.address for x in a.gpu_traces[2].lanes[0]] == [
-            x.address for x in b.gpu_traces[2].lanes[0]
-        ]
+        assert a.gpu_traces[2].lanes[0].addrs == b.gpu_traces[2].lanes[0].addrs

@@ -39,11 +39,7 @@ def _cell(scheme: str, workload: str = WORKLOAD, scale: float = SCALE) -> CellRe
 
 
 def _trace(workload: str = WORKLOAD, scale: float = SCALE, n_gpus: int = N_GPUS):
-    from repro.workloads.compiled import compile_trace
-
-    return compile_trace(
-        get_workload(workload).generate(n_gpus=n_gpus, seed=1, scale=scale, n_lanes=8)
-    )
+    return get_workload(workload).generate(n_gpus=n_gpus, seed=1, scale=scale, n_lanes=8)
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +289,11 @@ class TestShrinker:
         artifact = shrink(violations[0])
         assert len(artifact.cells) <= 2
         assert {c.scheme for c in artifact.cells} <= {"dynamic", "batching"}
+
+    def test_relabel_oracle_reruns_without_a_trace_store(self):
+        # With no store the shrinker generates the trace itself; the relabel
+        # oracle must replay that same trace, rotated, and find nothing.
+        assert evaluate_cells("metamorphic.relabel_timing", [_cell("private")]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ def owners_touched(trace, gpu):
     """Set of initial owners of the pages GPU ``gpu`` touches remotely."""
     owners = set()
     for lane in trace.gpu_traces[gpu].lanes:
-        for access in lane:
-            owner = trace.initial_owners[page_of(access.address)]
+        for addr in lane.addrs:
+            owner = trace.initial_owners[page_of(addr)]
             if owner != gpu:
                 owners.add(owner)
     return owners
@@ -25,9 +25,9 @@ def owners_touched(trace, gpu):
 def remote_fraction(trace, gpu):
     total = remote = 0
     for lane in trace.gpu_traces[gpu].lanes:
-        for access in lane:
+        for addr in lane.addrs:
             total += 1
-            if trace.initial_owners[page_of(access.address)] != gpu:
+            if trace.initial_owners[page_of(addr)] != gpu:
                 remote += 1
     return remote / total if total else 0.0
 
@@ -53,8 +53,8 @@ class TestHighRpkiWorkloads:
         trace = get_workload("pr").generate(4, seed=1, scale=0.3)
         counts = {}
         for lane in trace.gpu_traces[1].lanes:
-            for access in lane:
-                counts[access.address] = counts.get(access.address, 0) + 1
+            for addr in lane.addrs:
+                counts[addr] = counts.get(addr, 0) + 1
         top = sorted(counts.values(), reverse=True)
         # Zipf gathers: the hottest block is touched far more than the median
         assert top[0] >= 5 * top[len(top) // 2]
@@ -66,7 +66,7 @@ class TestPhaseStructure:
         trace = get_workload("mm").generate(4, seed=1, scale=0.3)
         lane = trace.gpu_traces[1].lanes[0]
         owners_sequence = [
-            trace.initial_owners[page_of(a.address)] for a in lane
+            trace.initial_owners[page_of(addr)] for addr in lane.addrs
         ]
         remote = [o for o in owners_sequence if o != 1]
         first_half = set(remote[: len(remote) // 4])
@@ -77,8 +77,8 @@ class TestPhaseStructure:
         trace = get_workload("fft").generate(4, seed=1, scale=0.3)
         remote_owners = []
         for lane in trace.gpu_traces[1].lanes:
-            for a in lane:
-                o = trace.initial_owners[page_of(a.address)]
+            for addr in lane.addrs:
+                o = trace.initial_owners[page_of(addr)]
                 if o != 1:
                     remote_owners.append(o)
         assert len(set(remote_owners)) >= 2  # at least two butterfly partners
@@ -99,7 +99,7 @@ class TestLowRpkiWorkloads:
         high = get_workload("relu").generate(4, seed=1, scale=0.2)
 
         def mean_gap(trace):
-            gaps = [a.gap for lane in trace.gpu_traces[1].lanes for a in lane]
+            gaps = [gap for lane in trace.gpu_traces[1].lanes for gap in lane.gaps]
             return sum(gaps) / len(gaps)
 
         assert mean_gap(low) > 3 * mean_gap(high)
@@ -117,5 +117,5 @@ class TestPinning:
         touched = set()
         for gt in trace.gpu_traces.values():
             for lane in gt.lanes:
-                touched.update(page_of(a.address) for a in lane)
+                touched.update(page_of(addr) for addr in lane.addrs)
         assert touched - trace.pinned_pages  # some pages can move

@@ -9,8 +9,8 @@ from repro.workloads import (
     get_workload,
     workloads_in_class,
 )
-from repro.workloads.base import Access, AccessKind, GpuTrace, WorkloadTrace
 from repro.workloads.builder import TraceBuilder
+from repro.workloads.compiled import CompiledGpuTrace, CompiledLane, CompiledTrace
 from repro.workloads.rpki import rpki_of
 
 
@@ -63,9 +63,7 @@ class TestGeneration:
     def test_generation_is_deterministic(self):
         t1 = get_workload("pagerank").generate(4, seed=5, scale=0.1)
         t2 = get_workload("pagerank").generate(4, seed=5, scale=0.1)
-        a1 = [a.address for a in t1.gpu_traces[1].lanes[0]]
-        a2 = [a.address for a in t2.gpu_traces[1].lanes[0]]
-        assert a1 == a2
+        assert t1.gpu_traces[1].lanes[0].addrs == t2.gpu_traces[1].lanes[0].addrs
 
     def test_scale_grows_traces(self):
         small = get_workload("fft").generate(4, seed=1, scale=0.1)
@@ -86,14 +84,14 @@ class TestTraceBuilder:
         b.compute(1, 0, 100)
         b.access(1, 0, arr.block_addr(0), gap=5)
         trace = b.build(lane_jitter=0)
-        assert trace.gpu_traces[1].lanes[0][0].gap == 105
+        assert trace.gpu_traces[1].lanes[0].gaps[0] == 105
 
     def test_burst_strides(self):
         b = TraceBuilder("t", n_gpus=1, n_lanes=1)
         arr = b.alloc("a", 256)
         b.burst(1, 0, arr, start_block=0, n_blocks=3, stride=2)
-        addrs = [a.address for a in b.build(lane_jitter=0).gpu_traces[1].lanes[0]]
-        assert addrs == [arr.block_addr(0), arr.block_addr(2), arr.block_addr(4)]
+        addrs = b.build(lane_jitter=0).gpu_traces[1].lanes[0].addrs
+        assert addrs == (arr.block_addr(0), arr.block_addr(2), arr.block_addr(4))
 
     def test_blocked_range_partitions_fully(self):
         b = TraceBuilder("t", n_gpus=3, n_lanes=1)
@@ -114,7 +112,7 @@ class TestTraceBuilder:
         for lane in range(4):
             b.access(1, lane, arr.block_addr(lane))
         trace = b.build(lane_jitter=100)
-        gaps = [lane[0].gap for lane in trace.gpu_traces[1].lanes]
+        gaps = [lane.gaps[0] for lane in trace.gpu_traces[1].lanes]
         assert any(g > 0 for g in gaps)
         assert all(0 <= g < 100 for g in gaps)
 
@@ -126,9 +124,11 @@ class TestTraceBuilder:
         assert page_of(arr.base) in trace.pinned_pages
 
     def test_validation_rejects_unmapped_pages(self):
-        trace = WorkloadTrace(
+        lane = CompiledLane((0,), (999 * PAGE_BYTES,), (0,))
+        trace = CompiledTrace(
             name="broken",
-            gpu_traces={1: GpuTrace(lanes=[[Access(0, 999 * PAGE_BYTES)]], instructions=1)},
+            gpu_traces={1: CompiledGpuTrace((lane,), instructions=1)},
+            pinned_pages=frozenset(),
             initial_owners={0: 1},
         )
         with pytest.raises(ValueError):
@@ -165,8 +165,11 @@ class TestRpki:
             classify_rpki(-1.0)
 
     def test_access_validation(self):
-        with pytest.raises(ValueError):
-            Access(gap=-1, address=0)
-        with pytest.raises(ValueError):
-            Access(gap=0, address=-5)
-        assert Access(0, 0, AccessKind.WRITE).is_write
+        b = TraceBuilder("t", n_gpus=1, n_lanes=1)
+        arr = b.alloc("a", 16)
+        with pytest.raises(ValueError, match="gap must be non-negative"):
+            b.access(1, 0, arr.block_addr(0), gap=-1)
+        with pytest.raises(ValueError, match="address must be non-negative"):
+            b.access(1, 0, -5)
+        b.access(1, 0, arr.block_addr(0), write=True)
+        assert b.build(lane_jitter=0).gpu_traces[1].lanes[0].writes == (1,)
