@@ -100,11 +100,20 @@ class SetAssociativeCache:
         return False
 
     def invalidate_page(self, page_base: int, page_bytes: int) -> int:
-        """Invalidate every line of a page (used on migration)."""
+        """Invalidate every line of a page (used on migration).
+
+        The page's blocks are consecutive, so one pass walks them with one
+        ``dict.pop`` each and bumps ``stats.invalidations`` once by the
+        number dropped.
+        """
+        n_sets = self.n_sets
+        sets = self._sets
+        first = page_base // self.line_bytes
         dropped = 0
-        for addr in range(page_base, page_base + page_bytes, self.line_bytes):
-            if self.invalidate(addr):
+        for block in range(first, first - (-page_bytes // self.line_bytes)):
+            if sets[block % n_sets].pop(block // n_sets, None) is not None:
                 dropped += 1
+        self.stats.invalidations += dropped
         return dropped
 
     @property

@@ -40,7 +40,6 @@ class ComputeUnitLane:
         "index",
         "ready_at",
         "outstanding",
-        "issued",
     )
 
     def __init__(
@@ -60,7 +59,6 @@ class ComputeUnitLane:
         self.index = 0
         self.ready_at = trace.gaps[0] if self.n else 0
         self.outstanding = 0
-        self.issued = 0
 
     # ------------------------------------------------------------------
     # State queries
@@ -93,11 +91,15 @@ class ComputeUnitLane:
         (remote misses); cache hits and local accesses complete immediately
         from the lane's point of view.
         """
-        if self.state(now) is not LaneState.READY:
+        # state() is READY, inlined: the enum stays off the issue path
+        if (
+            self.index >= self.n
+            or self.outstanding >= self.max_outstanding
+            or now < self.ready_at
+        ):
             raise RuntimeError(f"lane {self.lane_id} not ready at {now}")
         index = self.index + 1
         self.index = index
-        self.issued += 1
         if consumes_slot:
             self.outstanding += 1
         if index < self.n:

@@ -15,10 +15,12 @@ outstanding-request window (MSHR capacity).
 Hot-path notes: the pump replays :class:`~repro.workloads.compiled.
 CompiledLane` integer arrays directly — no per-access objects — with lane
 readiness inlined (the :class:`~repro.gpu.compute_unit.LaneState` enum is
-for tests and diagnostics, not the issue loop), and every one-shot
-completion callback goes through the engine's no-handle ``post``/
-``post_at`` path.  Only the wakeup timer, which is routinely cancelled and
-rescheduled, takes an :class:`~repro.sim.engine.Event` handle.
+for tests and diagnostics, not the issue loop).  An issue grant allocates
+nothing: the pump scans the lanes from a round-robin pointer and issues
+the first ready one.  Every one-shot completion callback goes through the
+engine's no-handle ``post``/``post_at`` path.  Only the wakeup timer, which is routinely
+cancelled and rescheduled, takes an :class:`~repro.sim.engine.Event`
+handle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Callable
 from repro.configs import GpuConfig, MigrationConfig
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.compute_unit import ComputeUnitLane
-from repro.interconnect.arbiter import RoundRobinArbiter
 from repro.gpu.hbm import HbmModel
 from repro.gpu.tlb import TlbHierarchy
 from repro.interconnect.packet import Packet, PacketKind
@@ -82,6 +83,7 @@ class GpuDevice:
         self.directory = BlockDirectory()
 
         self.outstanding = 0  # GPU-wide remote window occupancy
+        self._next_lane = 0  # round-robin issue pointer
         self._pending: dict[int, tuple] = {}  # txn id -> (kind, payload)
         self._migrating: dict[int, dict] = {}  # page -> in-flight migration state
         self._wakeup = None
@@ -110,7 +112,6 @@ class GpuDevice:
                     f"gpu{self.node_id}.l1.{lane_id}", self.cfg.l1_size, self.cfg.l1_assoc
                 )
             )
-        self._arbiter = RoundRobinArbiter(range(len(self.lanes)))
 
     def start(self) -> None:
         self.sim.post(0, self._pump)
@@ -121,22 +122,31 @@ class GpuDevice:
     def _pump(self) -> None:
         now = self.sim.now
         lanes = self.lanes
+        n_lanes = len(lanes)
         max_out = self.cfg.max_outstanding
-        grant = self._arbiter.grant
         while self.outstanding < max_out:
-            # inline LaneState.READY: not exhausted, under its outstanding
-            # cap, and its gap has elapsed
-            ready = [
-                l.lane_id
-                for l in lanes
-                if l.index < l.n and l.outstanding < l.max_outstanding and now >= l.ready_at
-            ]
-            if not ready:
-                break
             # wavefront schedulers grant issue slots fairly; without
-            # rotation, low-numbered lanes would monopolize the window
-            winner = grant(ready)
-            self._handle_access(lanes[winner], now)
+            # rotation, low-numbered lanes would monopolize the window.
+            # Scan from the pointer and issue the first ready lane; the
+            # pointer then moves past the winner.
+            i = self._next_lane
+            for _ in lanes:
+                lane = lanes[i]
+                i += 1
+                if i == n_lanes:
+                    i = 0
+                # inline LaneState.READY: not exhausted, under its
+                # outstanding cap, and its gap has elapsed
+                if (
+                    lane.index < lane.n
+                    and lane.outstanding < lane.max_outstanding
+                    and now >= lane.ready_at
+                ):
+                    break
+            else:
+                break
+            self._next_lane = i
+            self._handle_access(lane, now)
         self._schedule_wakeup(now)
         if self.finish_cycle is None:
             self._check_finished(now)

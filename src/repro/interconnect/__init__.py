@@ -10,7 +10,6 @@ what turns security-metadata bytes into measurable slowdown.
 from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.link import Channel, Link
 from repro.interconnect.topology import Topology, NodeId, CPU_NODE
-from repro.interconnect.arbiter import RoundRobinArbiter
 from repro.interconnect.faults import FaultVerdict, LinkFailureError
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "Topology",
     "NodeId",
     "CPU_NODE",
-    "RoundRobinArbiter",
     "FaultVerdict",
     "LinkFailureError",
 ]

@@ -31,24 +31,26 @@ class Channel:
         self._bytes = Counter("bytes")
         self._base_bytes = Counter("base_bytes")
         self._meta_bytes = Counter("meta_bytes")
-        self._packets = Counter("packets")
-        self._queue_cycles = Counter("queue_cycles")
 
     def serialization_cycles(self, size_bytes: int) -> int:
         return max(1, ceil(size_bytes / self.bytes_per_cycle))
 
     def send(self, packet: Packet, now: int) -> int:
         """Accept ``packet`` at cycle ``now``; return its arrival cycle."""
-        start = max(now, self.busy_until)
-        self.busy_until = start + self.serialization_cycles(packet.size_bytes)
-        # Inlined Counter.add: five bumps per packet per stage make this the
-        # densest counter site in the simulator.
-        self._bytes.value += packet.size_bytes
-        self._base_bytes.value += packet.base_bytes
-        self._meta_bytes.value += packet.meta_bytes
-        self._packets.value += 1
-        self._queue_cycles.value += start - now
-        return self.busy_until + self.latency
+        # Densest site in the simulator (every packet, every stage): the
+        # packet's sizes are read once, serialization_cycles() and
+        # Counter.add are inlined.
+        size = packet.size_bytes
+        meta = packet.meta_bytes
+        busy = self.busy_until
+        start = now if now > busy else busy
+        cycles = ceil(size / self.bytes_per_cycle)
+        busy = start + (cycles if cycles > 1 else 1)
+        self.busy_until = busy
+        self._bytes.value += size
+        self._base_bytes.value += size - meta
+        self._meta_bytes.value += meta
+        return busy + self.latency
 
     @property
     def total_bytes(self) -> int:
@@ -61,14 +63,6 @@ class Channel:
     @property
     def base_bytes(self) -> int:
         return self._base_bytes.value
-
-    @property
-    def packets(self) -> int:
-        return self._packets.value
-
-    @property
-    def queue_cycles(self) -> int:
-        return self._queue_cycles.value
 
 
 class Link:

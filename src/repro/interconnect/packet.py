@@ -27,13 +27,31 @@ class PacketKind(Enum):
     MIGRATION_DATA = "migration_data"  # one block of a 4 KB page migration
     TLB_WALK = "tlb_walk"  # IOMMU page-walk request/response
 
-    @property
-    def carries_data(self) -> bool:
-        return self in (
-            PacketKind.WRITE_REQ,
-            PacketKind.DATA_RESP,
-            PacketKind.MIGRATION_DATA,
-        )
+    # Members are singletons, so identity hashing is exact, and it runs in
+    # C instead of Enum's Python-level ``hash(self._name_)``.  Nothing
+    # iterates a set of kinds, so set order cannot leak into a report.
+    __hash__ = object.__hash__
+
+    #: the message moves a data block (set per member below)
+    carries_data: bool
+    #: protocol housekeeping the transport generates itself: replay ACKs,
+    #: NACKs and standalone batch MACs (set per member below)
+    housekeeping: bool
+
+
+# Plain per-member flags, read on every message; set once at import.
+for _kind in PacketKind:
+    _kind.carries_data = _kind in (
+        PacketKind.WRITE_REQ,
+        PacketKind.DATA_RESP,
+        PacketKind.MIGRATION_DATA,
+    )
+    _kind.housekeeping = _kind in (
+        PacketKind.SEC_ACK,
+        PacketKind.SEC_NACK,
+        PacketKind.BATCH_MAC,
+    )
+del _kind
 
 
 _packet_ids = itertools.count()

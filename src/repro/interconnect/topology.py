@@ -94,7 +94,6 @@ class Topology:
         self._bytes = Counter("bytes")
         self._base_bytes = Counter("base_bytes")
         self._meta_bytes = Counter("meta_bytes")
-        self._packets = Counter("packets")
         # The fabric is static after construction, so (src, dst) → stages is
         # memoized — path() runs once per pair instead of once per packet.
         # quarantine() is the one sanctioned mutation: it *replaces* a
@@ -255,12 +254,13 @@ class Topology:
         t = now
         for stage in self.path(packet.src, packet.dst):
             t = stage.send(packet, t)
-        # Inlined Counter.add: one message-level bump per counter, on the
-        # per-packet hot path.
-        self._bytes.value += packet.size_bytes
-        self._base_bytes.value += packet.base_bytes
-        self._meta_bytes.value += packet.meta_bytes
-        self._packets.value += 1
+        # Inlined Counter.add and base_bytes: one message-level bump per
+        # counter, on the per-packet hot path.
+        size = packet.size_bytes
+        meta = packet.meta_bytes
+        self._bytes.value += size
+        self._base_bytes.value += size - meta
+        self._meta_bytes.value += meta
         return t
 
     # ------------------------------------------------------------------
@@ -277,10 +277,6 @@ class Topology:
     @property
     def base_bytes(self) -> int:
         return self._base_bytes.value
-
-    @property
-    def packets(self) -> int:
-        return self._packets.value
 
 
 __all__ = ["Topology", "NodeId", "CPU_NODE", "FABRICS"]

@@ -40,9 +40,6 @@ from repro.transport import DeliveryHandler
 #: Histogram bin edges of Figs 15/16.
 BURST_EDGES = [40, 160, 640, 2560]
 
-#: Kinds excluded from the request timelines (protocol housekeeping).
-_HOUSEKEEPING = frozenset({PacketKind.SEC_ACK, PacketKind.SEC_NACK, PacketKind.BATCH_MAC})
-
 
 class _TransportBase:
     """Delivery registry plus the measurement instrumentation."""
@@ -69,6 +66,8 @@ class _TransportBase:
             node: IntervalSeries(f"node{node}", cfg.timeline_interval)
             for node in topology.nodes()
         }
+        #: per-destination timeline channel names, built once
+        self._to_channel = {node: f"to{node}" for node in topology.nodes()}
         self.burst16 = Histogram("burst16", BURST_EDGES)
         self.burst32 = Histogram("burst32", BURST_EDGES)
         self._burst_state: dict[tuple[int, int], list[int]] = {}
@@ -109,14 +108,15 @@ class _TransportBase:
 
     def _note_send(self, packet: Packet, now: int) -> None:
         self.messages_sent += 1
-        if packet.kind in _HOUSEKEEPING:
+        # housekeeping kinds stay out of the request timelines
+        if packet.kind.housekeeping:
             return
         timeline = self.timelines[packet.src]
         timeline.record(now, "send")
-        timeline.record(now, f"to{packet.dst}")
+        timeline.record(now, self._to_channel[packet.dst])
 
     def _note_arrival(self, packet: Packet, now: int) -> None:
-        if packet.kind in _HOUSEKEEPING:
+        if packet.kind.housekeeping:
             return
         self.timelines[packet.dst].record(now, "recv")
         if packet.kind.carries_data:
@@ -202,7 +202,7 @@ class SecureTransport(_TransportBase):
     # Send path
     # ------------------------------------------------------------------
     def send(self, packet: Packet, now: int) -> None:
-        if packet.kind in _HOUSEKEEPING:
+        if packet.kind.housekeeping:
             raise ValueError("ACK/batch-MAC packets are generated by the transport itself")
         self._note_send(packet, now)
 

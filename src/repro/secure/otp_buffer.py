@@ -88,13 +88,13 @@ class PadStream:
         if not self._ready:
             # No buffer entry at all: generate on demand, nothing to refill.
             return PadGrant(wait=self.latency, outcome=PadOutcome.MISS)
-        ready = heapq.heappop(self._ready)
+        # Take the earliest pad; the freed entry immediately begins
+        # pre-generating a future one (one heapreplace: pop, then push).
+        ready = heapq.heapreplace(self._ready, now + self.latency)
         # Pipelined engine: even if the pre-generation pipeline is behind,
         # on-demand generation for this message starts *now*, so the wait
         # never exceeds one generation latency.
         wait = min(max(0, ready - now), self.latency)
-        # The freed entry immediately begins pre-generating a future pad.
-        heapq.heappush(self._ready, now + self.latency)
         return PadGrant(wait=wait, outcome=self._classify(wait))
 
     def consume_desync(self, now: int) -> PadGrant:
@@ -107,8 +107,7 @@ class PadStream:
         self.last_use = now
         self.consumed += 1
         if self._ready:
-            heapq.heappop(self._ready)
-            heapq.heappush(self._ready, now + self.latency)
+            heapq.heapreplace(self._ready, now + self.latency)
         return PadGrant(wait=self.latency, outcome=PadOutcome.MISS)
 
     def _classify(self, wait: int) -> PadOutcome:

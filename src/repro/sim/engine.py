@@ -96,15 +96,6 @@ class EventQueue:
         heappush(self._heap, (time, seq, event))
         return event
 
-    def push_callback(self, time: int, callback: Callable[[], None]) -> None:
-        """Schedule a fire-and-forget callback with no handle allocation.
-
-        This is the hot path: the callable itself is the heap payload.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (time, seq, callback))
-
     def pop(self) -> Event | None:
         """Pop the earliest live entry as an :class:`Event`, or None if empty.
 
@@ -175,16 +166,26 @@ class Simulator:
         return self.queue.push(int(time), callback)
 
     def post(self, delay: int, callback: Callable[[], None]) -> None:
-        """Hot-path :meth:`schedule`: no cancellation handle, no allocation."""
+        """Hot-path :meth:`schedule`: no cancellation handle, no allocation.
+
+        The callable itself is the heap payload, pushed here rather than
+        through a queue method: one call frame less per event.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} scheduled at cycle {self.now}")
-        self.queue.push_callback(self.now + int(delay), callback)
+        queue = self.queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(queue._heap, (self.now + int(delay), seq, callback))
 
     def post_at(self, time: int, callback: Callable[[], None]) -> None:
         """Hot-path :meth:`schedule_at`: no cancellation handle, no allocation."""
         if time < self.now:
             raise SimulationError(f"event scheduled in the past: {time} < now {self.now}")
-        self.queue.push_callback(int(time), callback)
+        queue = self.queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(queue._heap, (int(time), seq, callback))
 
     def add_end_hook(self, hook: Callable[[], None]) -> None:
         """Register a hook invoked once when the run finishes."""
@@ -204,9 +205,10 @@ class Simulator:
         The cyclic garbage collector is paused for the duration of the
         drain: the engine's own garbage (heap tuples, packets, lambdas) is
         acyclic and freed by refcounting, so gen-0 scans during the run are
-        pure overhead.  The collector is restored — and run once — on exit,
-        so long-lived cycles created by a run are still reclaimed between
-        cells of a sweep.
+        pure overhead.  The collector is re-enabled on exit but not run:
+        :class:`~repro.system.MultiGpuSystem` cuts its machine's
+        back-references when its run ends, so a finished machine is acyclic
+        and refcounting frees it as soon as its caller drops it.
         """
         heap = self.queue._heap
         pop = heappop
@@ -241,7 +243,6 @@ class Simulator:
         finally:
             if gc_was_enabled:
                 gc.enable()
-                gc.collect()
             self.events_processed = processed
             self.queue.cancelled_dropped += cancelled
             self._running = False

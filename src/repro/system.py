@@ -162,14 +162,24 @@ class MultiGpuSystem:
         if self._ran:
             raise RuntimeError("a MultiGpuSystem instance runs exactly one workload")
         self._ran = True
-        # Generated traces were validated when built; hand-made and
-        # disk-loaded ones are checked only here.
-        trace.validate()
-        self._build_devices(trace)
-        for gpu in self.gpus.values():
-            gpu.start()
-        self.sim.run()
-        return self._report(trace)
+        try:
+            # Generated traces were validated when built; hand-made and
+            # disk-loaded ones are checked only here.
+            trace.validate()
+            self._build_devices(trace)
+            for gpu in self.gpus.values():
+                gpu.start()
+            self.sim.run()
+            return self._report(trace)
+        finally:
+            # The engine runs no collection, so a finished machine must be
+            # acyclic for refcounting to free it: cut the back-references
+            # from the transport (delivery handlers), the devices (commit
+            # hook) and the last wakeup events (bound pumps).
+            self.transport._handlers.clear()
+            for gpu in self.gpus.values():
+                gpu.on_migration_commit = None
+                gpu._wakeup = None
 
     # ------------------------------------------------------------------
     # Reporting

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.interconnect.packet import Packet
-from repro.secure.channel import _HOUSEKEEPING
 from repro.system import MultiGpuSystem
 
 
@@ -88,7 +87,7 @@ class MessageTracer:
         original_fault = transport._note_fault
 
         def note_send(packet, now):
-            if packet.kind not in _HOUSEKEEPING:
+            if not packet.kind.housekeeping:
                 self._sent[packet.pid] = (packet, now)
             original_send(packet, now)
 

@@ -99,6 +99,28 @@ class TestGpuLocalExecution:
         assert cache_hits(gpu) == 9
         assert gpu.hbm.accesses == 1
 
+    def test_pump_grants_ready_lanes_round_robin(self, sim, fake_transport, monkeypatch):
+        gpu, _ = make_gpu(sim, fake_transport, {1: 1})
+        # three lanes of two local writes each, all ready at cycle 0 and
+        # ready again right after issuing; lane 1 starts 5 cycles late
+        lanes = tuple(
+            CompiledLane((5 if i == 1 else 0, 0), (PAGE_BYTES, PAGE_BYTES + 64), (1, 1))
+            for i in range(3)
+        )
+        gpu.load_trace(CompiledGpuTrace(lanes, instructions=100))
+        order = []
+        handle = GpuDevice._handle_access
+
+        def record(self, lane, now):
+            order.append((now, lane.lane_id))
+            handle(self, lane, now)
+
+        monkeypatch.setattr(GpuDevice, "_handle_access", record)
+        gpu.start()
+        sim.run()
+        # the pointer moves past each winner and skips lanes not ready
+        assert order == [(0, 0), (0, 2), (0, 0), (0, 2), (5, 1), (5, 1)]
+
     def test_rpki_computation(self, sim, fake_transport):
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
         gpu.load_trace(CompiledGpuTrace((reads([PAGE_BYTES]),), instructions=2000))

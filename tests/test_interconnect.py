@@ -1,8 +1,7 @@
-"""Interconnect substrate tests: packets, links, topology, arbitration."""
+"""Interconnect substrate tests: packets, links, topology."""
 
 import pytest
 
-from repro.interconnect.arbiter import RoundRobinArbiter
 from repro.interconnect.link import Channel, Link
 from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.topology import CPU_NODE, Topology
@@ -54,14 +53,12 @@ class TestChannel:
         a2 = ch.send(mk_packet(size=10), now=0)
         assert a1 == 10
         assert a2 == 20
-        assert ch.queue_cycles == 10
 
     def test_idle_gap_does_not_queue(self):
         ch = Channel("c", bytes_per_cycle=1.0, latency=0)
         ch.send(mk_packet(size=5), now=0)
         arrival = ch.send(mk_packet(size=5), now=100)
         assert arrival == 105
-        assert ch.queue_cycles == 0
 
     def test_byte_accounting_splits_metadata(self):
         ch = Channel("c", bytes_per_cycle=8.0, latency=0)
@@ -69,7 +66,6 @@ class TestChannel:
         assert ch.total_bytes == 97
         assert ch.meta_bytes == 17
         assert ch.base_bytes == 80
-        assert ch.packets == 1
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -158,33 +154,3 @@ class TestTopology:
     def test_requires_a_gpu(self):
         with pytest.raises(ValueError):
             Topology(n_gpus=0)
-
-
-class TestRoundRobinArbiter:
-    def test_rotates_grants(self):
-        arb = RoundRobinArbiter(["a", "b", "c"])
-        assert arb.grant(["a", "b", "c"]) == "a"
-        assert arb.grant(["a", "b", "c"]) == "b"
-        assert arb.grant(["a", "b", "c"]) == "c"
-        assert arb.grant(["a", "b", "c"]) == "a"
-
-    def test_skips_non_requesting(self):
-        arb = RoundRobinArbiter(["a", "b", "c"])
-        assert arb.grant(["c"]) == "c"
-        assert arb.grant(["a", "c"]) == "a"
-
-    def test_empty_requests(self):
-        arb = RoundRobinArbiter(["a"])
-        assert arb.grant([]) is None
-
-    def test_grant_all_limited_by_slots(self):
-        arb = RoundRobinArbiter(["a", "b", "c", "d"])
-        assert arb.grant_all(["a", "b", "c", "d"], slots=2) == ["a", "b"]
-        assert arb.grant_all(["a", "b", "c", "d"], slots=3) == ["c", "d", "a"]
-
-    def test_duplicate_participants_rejected(self):
-        with pytest.raises(ValueError):
-            RoundRobinArbiter(["a", "a"])
-        arb = RoundRobinArbiter(["a"])
-        with pytest.raises(ValueError):
-            arb.add("a")

@@ -1,10 +1,19 @@
 """End-to-end system tests: full machine, real workload traces."""
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.configs import default_config, scheme_config
+from repro.experiments.fig_adversary import adversary_overrides
+from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.tlb import TlbHierarchy
+from repro.interconnect.topology import Topology
+from repro.memory.address_space import Placement
 from repro.system import MultiGpuSystem, run_workload
 from repro.workloads import get_workload
+from repro.workloads.builder import TraceBuilder
 
 SCALE = 0.15  # small traces keep these tests fast
 
@@ -125,3 +134,74 @@ class TestSlowdownApi:
         broken.execution_cycles = 0
         with pytest.raises(ValueError):
             base.slowdown_vs(broken)
+
+
+class TestIdleGpu:
+    @pytest.mark.parametrize("scheme", ["unsecure", "private", "batching"])
+    def test_gpu_that_issues_nothing_still_serves(self, scheme):
+        # GPU 2 owns the array but issues no access, so build() leaves it
+        # out of the trace and it has no lanes; it must still serve GPU 1.
+        builder = TraceBuilder("idle", n_gpus=4, seed=1)
+        array = builder.alloc("a", 128, placement=Placement.OWNER, owner=2)
+        builder.burst(1, 0, array, 0, 32)
+        report = MultiGpuSystem(scheme_config(scheme, n_gpus=4)).run(builder.build())
+        assert list(report.per_gpu_finish) == [1]
+        assert report.remote_requests == 32
+
+
+@pytest.fixture(scope="module")
+def fir_trace():
+    return get_workload("fir").generate(n_gpus=4, seed=1, scale=0.05)
+
+
+LIFETIME_CELLS = {
+    **{s: scheme_config(s, n_gpus=4) for s in ("unsecure", "private", "dynamic", "batching")},
+    "batching-hostile": scheme_config("batching", n_gpus=4)
+    .with_fault(drop_rate=0.01, corrupt_rate=0.01, seed=1)
+    .with_adversary(**adversary_overrides("all", 0.04, seed=1)),
+}
+
+
+class TestMachineLifetime:
+    """The engine runs no collection after a cell, so a finished machine
+    must be acyclic: refcounting then frees it as soon as it is dropped,
+    and two machines never coexist in a sweep."""
+
+    @pytest.mark.parametrize("cell", list(LIFETIME_CELLS))
+    def test_finished_cell_leaves_no_cyclic_garbage(self, fir_trace, cell):
+        gc.collect()
+        MultiGpuSystem(LIFETIME_CELLS[cell]).run(fir_trace)
+        assert gc.collect() == 0
+
+
+class TestTracedEntryPoints:
+    """The benchmark tracer counts cache hits, TLB walks and messages by
+    wrapping these class attributes; a hot-path change that inlined one
+    of them would silently stop its counts."""
+
+    @pytest.mark.parametrize("scheme", ["unsecure", "private", "batching"])
+    def test_every_call_goes_through_the_class(self, monkeypatch, fir_trace, scheme):
+        calls = Counter()
+
+        def count_calls(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count_calls(SetAssociativeCache, "lookup")
+        count_calls(TlbHierarchy, "translate")
+        count_calls(Topology, "send")
+        system = MultiGpuSystem(scheme_config(scheme, n_gpus=4))
+        report = system.run(fir_trace)
+
+        caches = [c for gpu in system.gpus.values() for c in (*gpu.l1s, gpu.l2)]
+        accesses = sum(
+            len(lane.gaps) for gpu in fir_trace.gpu_traces.values() for lane in gpu.lanes
+        )
+        assert calls["lookup"] == sum(c.stats.hits + c.stats.misses for c in caches) > 0
+        assert calls["translate"] == accesses > 0
+        assert calls["send"] == report.metrics["msg.sent"]["value"] > 0
