@@ -31,7 +31,7 @@ from repro.configs import (
     scheme_config,
 )
 from repro.interconnect.faults import LinkFailureError
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs import MetricsRegistry
 from repro.secure.adversary import AttackKind, AttackReport
 from repro.secure.invariants import InvariantMonitor, InvariantViolationError
 from repro.system import MultiGpuSystem, OtpDistribution, SimulationReport, run_workload
@@ -54,7 +54,6 @@ __all__ = [
     "InvariantMonitor",
     "InvariantViolationError",
     "MetricsRegistry",
-    "Telemetry",
     "GpuConfig",
     "LinkConfig",
     "LinkFailureError",

@@ -112,6 +112,14 @@ class SecurityConfig:
     protect_requests: bool = False  # extension: secure control messages too [34]
     metadata: MetadataConfig = field(default_factory=MetadataConfig)
 
+    def __post_init__(self) -> None:
+        # The AES-GCM engines are fully pipelined (§IV-A): these three
+        # latencies are their whole timing model.
+        if self.aes_gcm_latency < 1:
+            raise ValueError("pad latency must be >= 1 cycle")
+        if self.ghash_latency < 0 or self.xor_latency < 0:
+            raise ValueError("latencies must be non-negative")
+
     def total_otp_entries(self, n_peers: int) -> int:
         """Pool size per processor: peers x 2 directions x multiplier."""
         return n_peers * 2 * self.otp_multiplier

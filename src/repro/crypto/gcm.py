@@ -2,9 +2,9 @@
 
 GCM = counter-mode encryption + GHASH authentication over GF(2^128).  The
 hardware engines the paper models ("fully pipelined AES-GCM engines",
-40-cycle latency) compute exactly this; the simulator's
-:mod:`repro.secure.engine` models the latency while this module provides the
-function for protocol-level tests.
+40-cycle latency) compute exactly this; the simulator models their
+latency with :class:`~repro.configs.SecurityConfig`'s three latencies,
+while this module provides the function for protocol-level tests.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@
 configurations are simulated once — and writes each table to
 ``out_dir/<name>.txt`` plus a combined ``report.txt``.
 
-Each section runs inside a :meth:`~repro.obs.Telemetry.phase`, and the
-resulting wall-clock profile lands in ``out_dir/PROFILE.json`` — the
-cheapest way to see which figure dominates a full regeneration (see
+Each section is timed with ``perf_counter``, and the resulting
+wall-clock profile lands in ``out_dir/PROFILE.json`` — the cheapest way
+to see which figure dominates a full regeneration (see
 ``docs/OBSERVABILITY.md``).
 
 Used by ``repro-sim experiment`` and by the EXPERIMENTS.md record.
@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-
-from repro.obs import Telemetry
 
 from repro.experiments import (
     fig08_otp_sensitivity,
@@ -62,16 +60,18 @@ def generate_all(
     runner4 = ExperimentRunner(
         n_gpus=4, seed=seed, scale=scale, workloads=workloads, **exec_kwargs
     )
-    telemetry = Telemetry()
     sections: dict[str, str] = {}
+    # wall-clock seconds per section, in PROFILE.json's phase-table shape
+    phases: dict[str, dict] = {}
 
     def record(name: str, make) -> None:
-        with telemetry.phase(f"experiment.{name}"):
-            text = make()
+        started = time.perf_counter()
+        text = make()
+        seconds = time.perf_counter() - started
+        phases[f"experiment.{name}"] = {"calls": 1, "seconds": seconds}
         sections[name] = text
         (out_path / f"{name}.txt").write_text(text + "\n")
         if verbose:
-            seconds = telemetry.phase_seconds(f"experiment.{name}")
             print(f"[{time.strftime('%H:%M:%S')}] {name} done ({seconds:.1f}s)", flush=True)
 
     record("table1_storage", lambda: table1_storage.format_result(table1_storage.run()))
@@ -117,7 +117,7 @@ def generate_all(
     combined = "\n\n\n".join(sections[k] for k in sections)
     (out_path / "report.txt").write_text(combined + "\n")
     (out_path / "PROFILE.json").write_text(
-        json.dumps(telemetry.profile_snapshot(), indent=2, sort_keys=True) + "\n"
+        json.dumps({"phases": phases}, indent=2, sort_keys=True) + "\n"
     )
     return sections
 

@@ -1,4 +1,4 @@
-"""Unified observability layer: metrics registry, run telemetry, exports.
+"""Unified observability layer: metrics registry and exports.
 
 See ``docs/OBSERVABILITY.md`` for the metric namespace table, the export
 formats, and the determinism contract (serial / parallel / cache-hit
@@ -22,14 +22,12 @@ from repro.obs.metrics import (
     encode_metric,
     validate_name,
 )
-from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "EXPORT_SCHEMA",
     "KNOWN_NAMESPACES",
     "METRIC_TYPES",
     "MetricsRegistry",
-    "Telemetry",
     "diff_metrics",
     "encode_metric",
     "metrics_to_jsonl",

@@ -41,9 +41,6 @@ KNOWN_NAMESPACES = frozenset(
         "fault",    # injected faults and recovery events
         "adv",      # adversarial attacks, detections, and quarantines
         "engine",   # event-engine push/pop/cancel profile
-        "cache",    # sweep-runner cache activity
-        "trace",    # trace-store reuse (runner-side; never in a report)
-        "profile",  # reserved for wall-clock phase profiling
     }
 )
 

@@ -75,18 +75,6 @@ class ResultCache:
         atomic_write_text(self.path_for(key), json.dumps(payload))
         self.stores += 1
 
-    def clear(self) -> int:
-        """Delete every cache entry; returns how many were removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
     def __repr__(self) -> str:
         return f"ResultCache({self.root}, hits={self.hits}, misses={self.misses}, stores={self.stores})"
 

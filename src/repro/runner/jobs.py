@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -66,8 +65,9 @@ class SweepJob:
 
 
 @functools.cache
-def _source_digest() -> str:
-    """SHA-256 over the simulation source and numpy's version, once per process.
+def cache_salt() -> str:
+    """Salt folded into every result-cache and trace-store key: SHA-256
+    over the simulation source and numpy's version, once per process.
 
     Every ``.py`` file of the package outside :data:`_UNSALTED` counts, by
     path and content, so any change to simulated behavior changes every
@@ -80,16 +80,6 @@ def _source_digest() -> str:
         if not name.startswith(_UNSALTED):
             digest.update(f"{name}\0".encode() + path.read_bytes() + b"\0")
     return digest.hexdigest()
-
-
-def cache_salt() -> str:
-    """Salt folded into every result-cache and trace-store key.
-
-    ``REPRO_CACHE_SALT`` lets a developer segregate (or force-invalidate)
-    cache entries without touching the source.
-    """
-    extra = os.environ.get("REPRO_CACHE_SALT", "")
-    return f"{_source_digest()}+{extra}" if extra else _source_digest()
 
 
 def job_key(job: SweepJob) -> str | None:

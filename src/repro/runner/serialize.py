@@ -18,7 +18,7 @@ from repro.sim.stats import FaultStats, IntervalSeries
 from repro.system import OtpDistribution, SimulationReport
 
 #: Bump when the report layout changes; stale cache entries stop matching.
-#: v2: reports carry the uniform-namespace telemetry snapshot (``metrics``).
+#: v2: reports carry the uniform-namespace metrics snapshot (``metrics``).
 REPORT_SCHEMA = 2
 
 

@@ -11,18 +11,17 @@ input order*, regardless of how the work was executed:
    only in their security configuration replay literally the same
    :class:`~repro.workloads.compiled.CompiledTrace`, generated (or loaded
    from the on-disk trace store) exactly once,
-4. execution mode is chosen: ``"serial"`` runs groups in-process;
-   ``"parallel"`` fans trace-key groups out over a
-   ``ProcessPoolExecutor`` as *chunks*, so each worker round-trip carries
-   several cells and amortizes its trace load across them; ``"auto"``
-   (the default) picks parallel only when it can plausibly win — more than
-   one worker requested, more than one CPU present, and enough pending
-   cells to amortize pool startup.  The measured failure mode this guards
-   against: on a single-core host (or a two-cell grid) pool spawn + IPC
-   costs more than the simulations themselves,
-5. anything the pool could not produce (pickling failure, worker crash,
-   per-chunk timeout, a broken pool, an OS without working process pools)
-   falls back to in-process serial execution with bounded retries.
+4. execution mode is chosen: serial runs groups in-process; parallel fans
+   trace-key groups out over a ``ProcessPoolExecutor`` as *chunks*, so
+   each worker round-trip carries several cells and amortizes its trace
+   load across them.  Parallel is picked only when it can plausibly win —
+   more than one worker requested, more than one CPU present, and enough
+   pending cells to amortize pool startup.  The measured failure mode this
+   guards against: on a single-core host (or a two-cell grid) pool spawn
+   + IPC costs more than the simulations themselves,
+5. anything the pool could not produce (pickling failure, worker crash or
+   exception, a broken pool, an OS without working process pools) falls
+   back to in-process serial execution with bounded retries.
 
 Each cell is a pure deterministic function of its job description, so the
 merge is trivially deterministic: results carry no trace of where or in
@@ -42,21 +41,19 @@ trace bytes dominate the IPC cost, while a worker-side store load is a
 single mmap-free ``.npz`` read.  See docs/PERFORMANCE.md.)
 
 :class:`SweepStats` records how the last run was executed — chosen mode,
-cell provenance, trace-reuse counts, and a parent-side wall-clock split
-(``trace_gen_s`` / ``simulate_s`` / ``ipc_s``).  The sweep wall times of
-record come from ``benchmarks/e2e`` (see docs/PERFORMANCE.md).
+cell provenance, trace-reuse counts, and the parent's time blocked on the
+pool (``ipc_s``).  The sweep wall times of record come from
+``benchmarks/e2e`` (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Sequence
 
-from repro.obs import Telemetry
 from repro.system import SimulationReport
 
 from repro.runner.cache import ResultCache
@@ -70,10 +67,14 @@ class SweepError(RuntimeError):
     """A sweep cell failed on every execution attempt."""
 
 
-#: ``mode="auto"`` only goes parallel when at least this many cells are
-#: pending — below it, pool spawn + per-chunk IPC exceeds the simulation
-#: time saved (measured on a 9-cell sweep; see docs/PERFORMANCE.md).
-AUTO_PARALLEL_MIN_CELLS = 4
+#: A sweep only goes parallel when at least this many cells are pending —
+#: below it, pool spawn + per-chunk IPC exceeds the simulation time saved
+#: (measured on a 9-cell sweep; see docs/PERFORMANCE.md).
+PARALLEL_MIN_CELLS = 4
+
+#: Extra serial attempts per cell after its first failure.  Simulations
+#: are deterministic, so this only rescues a transient host error.
+RETRIES = 1
 
 
 def available_cpus() -> int:
@@ -148,29 +149,20 @@ def _worker(
 class SweepStats:
     """How the cells of the last ``run_jobs`` call were executed.
 
-    The three ``*_s`` fields are a parent-side wall-clock decomposition:
-    ``trace_gen_s`` is time spent generating traces in the parent (store
-    hits and reuses contribute nothing), ``simulate_s`` is in-process
-    simulation time, and ``ipc_s`` is time blocked on pool futures —
+    ``ipc_s`` is the parent's wall-clock time blocked on pool futures —
     worker compute plus pickling — for chunks that ran remotely.
     """
 
-    requested: int = 0
     deduplicated: int = 0
     cache_hits: int = 0
     parallel_runs: int = 0
     serial_runs: int = 0
     retries: int = 0
     fallbacks: int = 0  # cells the pool failed and serial execution rescued
-    mode: str = ""  # effective mode of the last run: "serial" or "parallel"
+    mode: str = ""  # the mode the last run chose: "serial" or "parallel"
     trace_reused: int = 0  # cells served by an already-loaded trace (memo)
     trace_store_hits: int = 0  # cells whose trace loaded from the disk store
-    trace_gen_s: float = 0.0
-    simulate_s: float = 0.0
     ipc_s: float = 0.0
-
-    def as_dict(self) -> dict[str, int | float | str]:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -179,37 +171,22 @@ class SweepRunner:
 
     ``jobs``         worker processes (1 = serial; None = ``REPRO_JOBS`` or 1)
     ``cache``        optional :class:`ResultCache`; None disables persistence
-    ``timeout``      seconds before the parent gives up on a pool chunk and
-                     re-runs its cells serially (None = wait forever)
-    ``retries``      extra serial attempts per cell after its first failure
-    ``mode``         ``"auto"`` (default) / ``"serial"`` / ``"parallel"``;
-                     auto picks serial for small grids and single-CPU hosts
     ``trace_store``  :class:`TraceStore` for cross-scheme trace sharing;
                      None builds :func:`default_trace_store` on first use
+    ``stats``        :class:`SweepStats` of the last ``run_jobs`` call
     """
 
     jobs: int | None = None
     cache: ResultCache | None = None
-    timeout: float | None = None
-    retries: int = 1
-    mode: str = "auto"
     trace_store: TraceStore | None = None
     stats: SweepStats = field(default_factory=SweepStats)
-    #: runner-scoped telemetry: ``trace.reused`` / ``trace.store_hits``
-    #: counters accumulate here across ``run_jobs`` calls.  Deliberately
-    #: *not* the per-run telemetry that feeds ``SimulationReport.metrics``
-    #: — trace reuse depends on execution history, and the report snapshot
-    #: must stay a pure function of the job description.
-    telemetry: Telemetry = field(default_factory=Telemetry)
 
     def run_jobs(self, sweep_jobs: Sequence[SweepJob]) -> list[SimulationReport]:
         """Execute every cell and return reports in input order."""
-        if self.mode not in ("auto", "serial", "parallel"):
-            raise ValueError(f"unknown sweep mode {self.mode!r}")
         if self.trace_store is None:
             self.trace_store = default_trace_store()
         n_workers = resolve_jobs(self.jobs)
-        self.stats = SweepStats(requested=len(sweep_jobs))
+        self.stats = SweepStats()
 
         # Stable-order dedup: dict preserves first-seen order.
         unique: dict[SweepJob, SimulationReport | None] = {}
@@ -247,17 +224,13 @@ class SweepRunner:
                     except OSError:
                         break  # cache root unwritable — results still stand
 
-        self.telemetry.counter("trace.reused").add(self.stats.trace_reused)
-        self.telemetry.counter("trace.store_hits").add(self.stats.trace_store_hits)
         return [unique[job] for job in sweep_jobs]  # type: ignore[misc]
 
     def _resolve_mode(self, n_workers: int, n_pending: int) -> str:
-        """Pick the effective execution mode for this run."""
-        if self.mode != "auto":
-            return self.mode
+        """Pick the execution mode for this run: ``"serial"`` or ``"parallel"``."""
         if n_workers <= 1 or available_cpus() <= 1:
             return "serial"
-        if n_pending < AUTO_PARALLEL_MIN_CELLS:
+        if n_pending < PARALLEL_MIN_CELLS:
             return "serial"
         return "parallel"
 
@@ -291,14 +264,13 @@ class SweepRunner:
         if len(dispatchable) < 2:
             return
         chunks = self._group_by_trace(dispatchable)
-        store = self.trace_store
-        store_root = str(store.root) if store is not None and store.root is not None else None
+        root = self.trace_store.root
+        store_root = str(root) if root is not None else None
         try:
             pool = ProcessPoolExecutor(max_workers=min(n_workers, len(chunks)))
         except (OSError, ValueError, NotImplementedError):
             self.stats.fallbacks += len(dispatchable)
             return
-        wedged = False
         try:
             futures = []
             for chunk in chunks:
@@ -311,73 +283,37 @@ class SweepRunner:
                 except Exception:
                     self.stats.fallbacks += len(chunk)
             for chunk, future in futures:
-                if wedged and not future.done():
-                    # A worker already blew its deadline and may be wedged
-                    # in its slot.  Waiting another full timeout per
-                    # remaining future would serialize the damage, so only
-                    # harvest results that are already in hand.
-                    self.stats.fallbacks += len(chunk)
-                    continue
                 try:
                     started = perf_counter()
-                    encoded = future.result(timeout=self.timeout)
+                    encoded = future.result()
                     for job, blob in zip(chunk, encoded):
                         results[job] = report_from_dict(blob)
                     self.stats.ipc_s += perf_counter() - started
                     self.stats.parallel_runs += len(chunk)
                     # every cell after a chunk's first replays its trace
                     self.stats.trace_reused += max(0, len(chunk) - 1)
-                except FutureTimeoutError:
-                    wedged = True
-                    self.stats.fallbacks += len(chunk)
                 except Exception:
                     self.stats.fallbacks += len(chunk)
         finally:
-            # Grab the process handles first: shutdown() clears _processes.
-            processes = list((getattr(pool, "_processes", None) or {}).values())
-            pool.shutdown(wait=not wedged, cancel_futures=True)
-            if wedged:
-                # shutdown(wait=False) leaves a wedged worker running —
-                # possibly forever, holding a core and its memory.  Kill
-                # the pool's processes outright; every unharvested cell is
-                # re-run serially by the caller anyway.
-                for proc in processes:
-                    try:
-                        proc.terminate()
-                    except (OSError, ValueError):
-                        pass
-                for proc in processes:
-                    try:
-                        proc.join(timeout=5.0)
-                    except (OSError, ValueError, AssertionError):
-                        pass
+            pool.shutdown(cancel_futures=True)
 
     def _run_cell(self, job: SweepJob) -> SimulationReport:
-        """Run one cell in-process, sharing its trace through the store."""
+        """Run one cell in-process, sharing its trace through the store,
+        with :data:`RETRIES` extra attempts."""
         trace = None
         if is_registry_spec(job.spec):
-            store = self.trace_store
-            started = perf_counter()
-            trace, source = store.get_or_generate(
+            trace, source = self.trace_store.get_or_generate(
                 job.spec, job.config.n_gpus, job.seed, job.scale, job.n_lanes
             )
-            elapsed = perf_counter() - started
-            if source == "generated":
-                self.stats.trace_gen_s += elapsed
-            else:
+            if source != "generated":
                 self.stats.trace_reused += 1
                 if source == "disk":
                     self.stats.trace_store_hits += 1
-        return self._run_serial(job, trace)
-
-    def _run_serial(self, job: SweepJob, trace=None) -> SimulationReport:
-        attempts = max(1, self.retries + 1)
+        attempts = RETRIES + 1
         last_error: Exception | None = None
         for attempt in range(attempts):
             try:
-                started = perf_counter()
                 report = execute_job(job, trace=trace)
-                self.stats.simulate_s += perf_counter() - started
                 self.stats.serial_runs += 1
                 return report
             except Exception as exc:  # deterministic sims rarely recover, but
@@ -390,7 +326,8 @@ class SweepRunner:
 
 
 __all__ = [
-    "AUTO_PARALLEL_MIN_CELLS",
+    "PARALLEL_MIN_CELLS",
+    "RETRIES",
     "SweepRunner",
     "SweepStats",
     "SweepError",

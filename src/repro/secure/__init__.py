@@ -8,7 +8,6 @@ device messages over the interconnect with all security costs applied.
 
 from repro.secure.otp_buffer import PadOutcome, PadGrant, PadStream
 from repro.secure.adversary import AttackKind, AttackReport, LinkPerturbation
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.invariants import InvariantMonitor, InvariantViolationError
 from repro.secure.metadata import MetadataAccountant
 from repro.secure.replay import ReplayGuard
@@ -22,7 +21,6 @@ __all__ = [
     "AttackKind",
     "AttackReport",
     "LinkPerturbation",
-    "AesGcmEngineModel",
     "InvariantMonitor",
     "InvariantViolationError",
     "MetadataAccountant",

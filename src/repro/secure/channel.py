@@ -27,9 +27,8 @@ from repro.configs import SystemConfig
 from repro.core.batching import BatchingController, MsgMacStorage
 from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.topology import Topology
-from repro.obs import Telemetry
+from repro.obs import MetricsRegistry
 from repro.secure.audit import AuditEntry
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.metadata import MetadataAccountant
 from repro.secure.replay import ReplayGuard
 from repro.secure.schemes import build_scheme
@@ -53,14 +52,14 @@ class _TransportBase:
         sim: Simulator,
         topology: Topology,
         cfg: SystemConfig,
-        telemetry: Telemetry | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
         self.cfg = cfg
         #: run-scoped metric sink; the owning system passes its own so the
         #: transport's ``fault.*`` counters land in the run's namespace
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._handlers: dict[int, DeliveryHandler] = {}
         self.timelines: dict[int, IntervalSeries] = {
             node: IntervalSeries(f"node{node}", cfg.timeline_interval)
@@ -102,9 +101,9 @@ class _TransportBase:
 
         Only ever invoked under active fault injection, so a rate-0 run
         creates no ``fault.*`` metrics at all — absence of the namespace is
-        the telemetry-level statement that the link stayed clean.
+        the metrics-level statement that the link stayed clean.
         """
-        self.telemetry.counter(f"fault.{event.replace('-', '_')}").add()
+        self.metrics.counter(f"fault.{event.replace('-', '_')}").add()
 
     def _note_send(self, packet: Packet, now: int) -> None:
         self.messages_sent += 1
@@ -156,24 +155,19 @@ class SecureTransport(_TransportBase):
         sim: Simulator,
         topology: Topology,
         cfg: SystemConfig,
-        telemetry: Telemetry | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(sim, topology, cfg, telemetry)
+        super().__init__(sim, topology, cfg, metrics)
         sec = cfg.security
         if sec.scheme == "unsecure":
             raise ValueError("SecureTransport requires a managed scheme")
         self.accountant = MetadataAccountant(sec.metadata, sec.count_metadata)
-        self.engines: dict[int, AesGcmEngineModel] = {}
         self.schemes = {}
         self.guards: dict[int, ReplayGuard] = {}
         self.batchers: dict[int, BatchingController] = {}
         self.mac_storage: dict[int, MsgMacStorage] = {}
         for node in topology.nodes():
-            engine = AesGcmEngineModel(sec.aes_gcm_latency, sec.ghash_latency, sec.xor_latency)
-            self.engines[node] = engine
-            self.schemes[node] = build_scheme(
-                sec.scheme, node, topology.peers_of(node), sec, engine
-            )
+            self.schemes[node] = build_scheme(sec.scheme, node, topology.peers_of(node), sec)
             self.guards[node] = ReplayGuard(node)
             if sec.batching:
                 self.batchers[node] = BatchingController(sec.batch_size, sec.batch_timeout)
@@ -283,9 +277,9 @@ class SecureTransport(_TransportBase):
             # by design — the batch waits for its close).
             batch_id = batch_ctx.batch_id if batch_ctx is not None else None
             self.guards[src].on_send(dst, counter, batch_id=batch_id)
-        engine = self.engines[src]
-        engine.count_mac()
-        launch_at = ready + engine.mac_fast_path + engine.encrypt_fast_path
+        # with the pad in hand, MAC (one GHASH) and encrypt (one XOR), Fig. 6
+        sec = self.cfg.security
+        launch_at = ready + sec.ghash_latency + sec.xor_latency
         self.sim.post_at(
             launch_at,
             lambda p=packet, s=synced, b=batch_ctx, c=counter: self._launch(p, s, b, c),
@@ -316,14 +310,14 @@ class SecureTransport(_TransportBase):
         the plaintext is ready."""
         now = self.sim.now
         src, dst = packet.src, packet.dst
-        engine = self.engines[dst]
+        sec = self.cfg.security
         demand = packet.kind is not PacketKind.MIGRATION_DATA
         self.schemes[dst].note_recv(src, now, demand=demand)
         start = max(now, self._recv_crypto_busy.get((src, dst), 0))
         recv_grant = self.schemes[dst].acquire_recv(src, start, synced=synced, demand=demand)
         self._recv_crypto_busy[(src, dst)] = start + recv_grant.wait
-        verify = 0 if lazy else engine.mac_fast_path
-        return start + recv_grant.wait + engine.encrypt_fast_path + verify
+        verify = 0 if lazy else sec.ghash_latency
+        return start + recv_grant.wait + sec.xor_latency + verify
 
     def _delivered(self, packet: Packet, batch_ctx, counter: int) -> None:
         now = self.sim.now
@@ -357,7 +351,6 @@ class SecureTransport(_TransportBase):
             return
         del self._batch_arrivals[key]
         self.mac_storage[dst].release_batch(src, state[1])
-        self.engines[dst].count_mac()  # the batched-MAC verification
         self._send_ack(dst, src, batch_id=batch_id)
 
     def _batch_timeout(self, src: int, dst: int, batch_id: int) -> None:
@@ -448,7 +441,7 @@ def build_transport(
     sim: Simulator,
     topology: Topology,
     cfg: SystemConfig,
-    telemetry: Telemetry | None = None,
+    metrics: MetricsRegistry | None = None,
 ):
     """Pick the transport for ``cfg``: ``cfg.security.scheme`` decides
     unsecure or secure, and an enabled fault or adversary section makes the
@@ -456,7 +449,7 @@ def build_transport(
     unsecure = cfg.security.scheme == "unsecure"
     if not (cfg.fault.enabled or cfg.adversary.enabled):
         cls = UnsecureTransport if unsecure else SecureTransport
-        return cls(sim, topology, cfg, telemetry)
+        return cls(sim, topology, cfg, metrics)
     if cfg.security.audit:
         # The audit log records first copies only, while every
         # retransmission burns a counter the log never sees.
@@ -464,7 +457,7 @@ def build_transport(
     from repro.secure import hostile  # hostile.py imports this module
 
     cls = hostile.HostileUnsecureTransport if unsecure else hostile.HostileSecureTransport
-    return cls(sim, topology, cfg, telemetry)
+    return cls(sim, topology, cfg, metrics)
 
 
 __all__ = ["UnsecureTransport", "SecureTransport", "build_transport", "BURST_EDGES"]

@@ -26,7 +26,7 @@ from repro.configs import SystemConfig
 from repro.interconnect.faults import FaultVerdict, LinkFailureError
 from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.topology import Topology
-from repro.obs import Telemetry
+from repro.obs import MetricsRegistry
 from repro.secure.adversary import (
     ALIEN_KINDS,
     TAMPER_KINDS,
@@ -86,9 +86,9 @@ class _HostileLink:
         sim: Simulator,
         topology: Topology,
         cfg: SystemConfig,
-        telemetry: Telemetry | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(sim, topology, cfg, telemetry)
+        super().__init__(sim, topology, cfg, metrics)
         self.perturb = LinkPerturbation(cfg, topology)
         self.fault_stats = FaultStats() if cfg.fault.enabled else None
         self.attack_report = AttackReport() if cfg.adversary.enabled else None
@@ -165,7 +165,7 @@ class _HostileLink:
         Only ever invoked under an active adversary, so attack-free runs
         create no ``adv.*`` metrics — mirroring the ``fault.*`` contract.
         """
-        self.telemetry.counter(f"adv.{event.replace('-', '_')}").add()
+        self.metrics.counter(f"adv.{event.replace('-', '_')}").add()
 
 
 class HostileUnsecureTransport(_HostileLink, UnsecureTransport):
@@ -224,9 +224,9 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
         sim: Simulator,
         topology: Topology,
         cfg: SystemConfig,
-        telemetry: Telemetry | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(sim, topology, cfg, telemetry)
+        super().__init__(sim, topology, cfg, metrics)
         # Hostile-channel batching verifies every block eagerly, so each
         # block keeps its own MsgMAC on the wire.
         self.accountant.eager_block_mac = True

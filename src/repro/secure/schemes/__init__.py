@@ -16,7 +16,7 @@ from repro.secure.schemes.dynamic import DynamicScheme
 from repro.secure.schemes.ideal import IdealScheme
 
 
-def build_scheme(name, node, peers, security, engine):
+def build_scheme(name, node, peers, security):
     """Instantiate the named scheme for one processor.
 
     ``unsecure`` returns None: the transport skips all security processing.
@@ -36,7 +36,7 @@ def build_scheme(name, node, peers, security, engine):
         raise ValueError(
             f"unknown scheme {name!r}; expected one of {sorted(builders)} or 'unsecure'"
         ) from None
-    return cls(node, peers, security, engine)
+    return cls(node, peers, security)
 
 
 __all__ = [

@@ -18,7 +18,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.configs import SecurityConfig
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.otp_buffer import PadGrant
 from repro.sim.stats import RatioStat
 
@@ -41,7 +40,6 @@ class OtpScheme(ABC):
         node: int,
         peers: list[int],
         security: SecurityConfig,
-        engine: AesGcmEngineModel,
     ) -> None:
         if node in peers:
             raise ValueError("a node cannot be its own peer")
@@ -50,7 +48,6 @@ class OtpScheme(ABC):
         self.node = node
         self.peers = list(peers)
         self.security = security
-        self.engine = engine
         self._send_outcomes = RatioStat("send_otp")
         self._recv_outcomes = RatioStat("recv_otp")
 
@@ -93,11 +90,9 @@ class OtpScheme(ABC):
     # ------------------------------------------------------------------
     def _record_send(self, grant: PadGrant) -> None:
         self._send_outcomes.record(grant.outcome.value)
-        self.engine.count_pad()
 
     def _record_recv(self, grant: PadGrant) -> None:
         self._recv_outcomes.record(grant.outcome.value)
-        self.engine.count_pad()
 
     @property
     def send_outcomes(self) -> RatioStat:

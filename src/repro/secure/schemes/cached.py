@@ -12,7 +12,6 @@ miss, per §II-C: "otherwise, it adopts Shared using the maximum MsgCTR").
 from __future__ import annotations
 
 from repro.configs import SecurityConfig
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.otp_buffer import PadGrant, PadOutcome, PadStream
 from repro.secure.schemes.base import OtpScheme, SendGrant
 
@@ -22,20 +21,14 @@ _SEND, _RECV = 0, 1
 class CachedScheme(OtpScheme):
     name = "cached"
 
-    def __init__(
-        self,
-        node: int,
-        peers: list[int],
-        security: SecurityConfig,
-        engine: AesGcmEngineModel,
-    ) -> None:
-        super().__init__(node, peers, security, engine)
+    def __init__(self, node: int, peers: list[int], security: SecurityConfig) -> None:
+        super().__init__(node, peers, security)
         self.total_entries = security.total_otp_entries(len(peers))
         # The pad table is cache-like (set-associative over pair keys), so
         # one pair's residency is bounded by the way count — modeled as
         # twice Private's per-stream share.
         self.max_per_stream = 2 * security.otp_multiplier
-        latency = engine.pad_latency
+        latency = security.aes_gcm_latency
         # Start like Private: entries spread evenly over all stream keys.
         per_stream, leftover = divmod(self.total_entries, 2 * len(peers))
         self._streams: dict[tuple[int, int], PadStream] = {}
@@ -77,11 +70,11 @@ class CachedScheme(OtpScheme):
             self._steal_entry(key, now)
             stream.last_use = now
             stream.consumed += 1
-            return PadGrant(wait=self.engine.pad_latency, outcome=PadOutcome.MISS)
+            return PadGrant(wait=self.security.aes_gcm_latency, outcome=PadOutcome.MISS)
         if not synced:
             return stream.consume_desync(now)
         grant = stream.consume(now)
-        if grant.wait * 2 >= self.engine.pad_latency:
+        if grant.wait * 2 >= self.security.aes_gcm_latency:
             # Under pressure the hot stream grows its residency, which is
             # how Cached concentrates entries on active pairs.  Shallow
             # partials do not steal: the refill pipeline is merely behind.

@@ -5,7 +5,9 @@ the per-stream capacities are repartitioned every interval ``T`` by the
 EWMA-based :class:`~repro.core.dynamic_allocator.DynamicOtpAllocator`.
 Directions and peers that carry more traffic receive more pad entries out
 of the same fixed pool, so the storage cost stays at Private's while the
-hit rate approaches that of a much larger table.
+hit rate approaches that of a much larger table.  The allocator's launch
+plan is Private's even split (``otp_multiplier`` entries per stream), so
+the scheme starts from Private's streams.
 
 The adjustment is applied lazily: the first pad acquisition past an
 interval boundary triggers the monitoring rollover and capacity changes —
@@ -17,22 +19,14 @@ from __future__ import annotations
 
 from repro.configs import SecurityConfig
 from repro.core.dynamic_allocator import AllocationPlan, DynamicOtpAllocator
-from repro.secure.engine import AesGcmEngineModel
-from repro.secure.otp_buffer import PadGrant, PadStream
-from repro.secure.schemes.base import OtpScheme, SendGrant
+from repro.secure.schemes.private import PrivateScheme
 
 
-class DynamicScheme(OtpScheme):
+class DynamicScheme(PrivateScheme):
     name = "dynamic"
 
-    def __init__(
-        self,
-        node: int,
-        peers: list[int],
-        security: SecurityConfig,
-        engine: AesGcmEngineModel,
-    ) -> None:
-        super().__init__(node, peers, security, engine)
+    def __init__(self, node: int, peers: list[int], security: SecurityConfig) -> None:
+        super().__init__(node, peers, security)
         self.allocator = DynamicOtpAllocator(
             peers=peers,
             total_pool=security.total_otp_entries(len(peers)),
@@ -40,14 +34,6 @@ class DynamicScheme(OtpScheme):
             beta=security.beta,
             interval=security.interval,
         )
-        latency = engine.pad_latency
-        plan = self.allocator.even_plan()
-        self._send_streams = {
-            p: PadStream(latency, plan.send_per_peer[p]) for p in peers
-        }
-        self._recv_streams = {
-            p: PadStream(latency, plan.recv_per_peer[p]) for p in peers
-        }
         self.plans_applied = 0
 
     # ------------------------------------------------------------------
@@ -76,7 +62,7 @@ class DynamicScheme(OtpScheme):
         self.plans_applied += 1
 
     # ------------------------------------------------------------------
-    # Scheme interface
+    # Monitoring
     # ------------------------------------------------------------------
     def note_send(self, peer: int, now: int, demand: bool = True) -> None:
         """Monitoring phase: sample offered send load at enqueue time."""
@@ -92,32 +78,6 @@ class DynamicScheme(OtpScheme):
         self._tick(now)
         if demand:
             self.allocator.record_recv(peer)
-
-    def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
-        self._check_peer(peer)
-        self._tick(now)
-        grant = self._send_streams[peer].consume(now)
-        self._record_send(grant)
-        return SendGrant(grant=grant, receiver_synced=True)
-
-    def acquire_recv(
-        self, peer: int, now: int, synced: bool = True, demand: bool = True
-    ) -> PadGrant:
-        self._check_peer(peer)
-        self._tick(now)
-        stream = self._recv_streams[peer]
-        grant = stream.consume(now) if synced else stream.consume_desync(now)
-        self._record_recv(grant)
-        return grant
-
-    def pool_size(self) -> int:
-        return sum(s.capacity for s in self._send_streams.values()) + sum(
-            s.capacity for s in self._recv_streams.values()
-        )
-
-    def stream_capacity(self, direction: str, peer: int) -> int:
-        streams = self._send_streams if direction == "send" else self._recv_streams
-        return streams[peer].capacity
 
 
 __all__ = ["DynamicScheme"]

@@ -10,8 +10,6 @@ the paper attacks.
 
 from __future__ import annotations
 
-from repro.configs import SecurityConfig
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.otp_buffer import PadGrant, PadOutcome
 from repro.secure.schemes.base import OtpScheme, SendGrant
 
@@ -20,15 +18,6 @@ _ALWAYS_HIT = PadGrant(wait=0, outcome=PadOutcome.HIT)
 
 class IdealScheme(OtpScheme):
     name = "ideal"
-
-    def __init__(
-        self,
-        node: int,
-        peers: list[int],
-        security: SecurityConfig,
-        engine: AesGcmEngineModel,
-    ) -> None:
-        super().__init__(node, peers, security, engine)
 
     def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
         self._check_peer(peer)

@@ -11,7 +11,6 @@ exactly the problem the Dynamic scheme addresses with the same pool size.
 from __future__ import annotations
 
 from repro.configs import SecurityConfig
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.otp_buffer import PadGrant, PadStream
 from repro.secure.schemes.base import OtpScheme, SendGrant
 
@@ -19,21 +18,19 @@ from repro.secure.schemes.base import OtpScheme, SendGrant
 class PrivateScheme(OtpScheme):
     name = "private"
 
-    def __init__(
-        self,
-        node: int,
-        peers: list[int],
-        security: SecurityConfig,
-        engine: AesGcmEngineModel,
-    ) -> None:
-        super().__init__(node, peers, security, engine)
+    def __init__(self, node: int, peers: list[int], security: SecurityConfig) -> None:
+        super().__init__(node, peers, security)
         k = security.otp_multiplier
-        latency = engine.pad_latency
+        latency = security.aes_gcm_latency
         self._send_streams = {p: PadStream(latency, k) for p in peers}
         self._recv_streams = {p: PadStream(latency, k) for p in peers}
 
+    def _tick(self, now: int) -> None:
+        """Hook run before every acquisition; Private's streams never change."""
+
     def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
         self._check_peer(peer)
+        self._tick(now)
         grant = self._send_streams[peer].consume(now)
         self._record_send(grant)
         return SendGrant(grant=grant, receiver_synced=True)
@@ -42,6 +39,7 @@ class PrivateScheme(OtpScheme):
         self, peer: int, now: int, synced: bool = True, demand: bool = True
     ) -> PadGrant:
         self._check_peer(peer)
+        self._tick(now)
         stream = self._recv_streams[peer]
         grant = stream.consume(now) if synced else stream.consume_desync(now)
         self._record_recv(grant)
@@ -51,6 +49,10 @@ class PrivateScheme(OtpScheme):
         return sum(s.capacity for s in self._send_streams.values()) + sum(
             s.capacity for s in self._recv_streams.values()
         )
+
+    def stream_capacity(self, direction: str, peer: int) -> int:
+        streams = self._send_streams if direction == "send" else self._recv_streams
+        return streams[peer].capacity
 
 
 __all__ = ["PrivateScheme"]

@@ -15,7 +15,6 @@ entry instead of peers × multiplier) but pre-generation barely helps:
 from __future__ import annotations
 
 from repro.configs import SecurityConfig
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.otp_buffer import PadGrant, PadStream
 from repro.secure.schemes.base import OtpScheme, SendGrant
 
@@ -23,15 +22,9 @@ from repro.secure.schemes.base import OtpScheme, SendGrant
 class SharedScheme(OtpScheme):
     name = "shared"
 
-    def __init__(
-        self,
-        node: int,
-        peers: list[int],
-        security: SecurityConfig,
-        engine: AesGcmEngineModel,
-    ) -> None:
-        super().__init__(node, peers, security, engine)
-        latency = engine.pad_latency
+    def __init__(self, node: int, peers: list[int], security: SecurityConfig) -> None:
+        super().__init__(node, peers, security)
+        latency = security.aes_gcm_latency
         self._send_stream = PadStream(latency, capacity=1)
         self._recv_streams = {p: PadStream(latency, capacity=1) for p in peers}
         self._last_dst: int | None = None

@@ -5,12 +5,11 @@ subsystem (interconnect, GPUs, secure channels) schedules work on, plus the
 statistics primitives used to collect the paper's measurements.
 """
 
-from repro.sim.engine import Event, EventQueue, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Counter, Histogram, IntervalSeries, RatioStat
 
 __all__ = [
     "Event",
-    "EventQueue",
     "Simulator",
     "Counter",
     "Histogram",

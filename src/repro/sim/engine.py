@@ -61,94 +61,27 @@ class Event:
         return f"Event(time={self.time}, seq={self.seq}{state})"
 
 
-class EventQueue:
-    """Priority queue of scheduled callbacks with lazy cancellation.
-
-    ``pop`` and ``peek_time`` both compact the heap top eagerly: consecutive
-    cancelled entries are dropped as soon as they surface, so a heap
-    dominated by cancelled events (a common pattern for wakeup timers that
-    are almost always rescheduled) never pays for them more than once.
-    """
-
-    __slots__ = ("_heap", "_seq", "cancelled_dropped")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, object]] = []
-        self._seq = 0
-        #: cancelled entries lazily discarded so far (pop, peek, run loop) —
-        #: with ``pushes`` and the simulator's ``events_processed`` this is
-        #: the engine's push/pop/cancel profile the telemetry layer exports.
-        self.cancelled_dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def pushes(self) -> int:
-        """Total events ever scheduled on this queue."""
-        return self._seq
-
-    def push(self, time: int, callback: Callable[[], None]) -> Event:
-        """Schedule a cancellable callback; returns its :class:`Event` handle."""
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, callback)
-        heappush(self._heap, (time, seq, event))
-        return event
-
-    def pop(self) -> Event | None:
-        """Pop the earliest live entry as an :class:`Event`, or None if empty.
-
-        Bare-callback entries are wrapped in a fresh handle on the way out —
-        this accessor serves ``step()`` and tests, not the run loop, which
-        works on the heap directly.
-        """
-        heap = self._heap
-        while heap:
-            time, seq, item = heappop(heap)
-            if type(item) is Event:
-                if item.cancelled:
-                    self.cancelled_dropped += 1
-                    continue
-            else:
-                item = Event(time, seq, item)
-            # Eager compaction: drain cancelled entries now at the top
-            # so the next pop/peek starts from a live event.
-            while heap and type(heap[0][2]) is Event and heap[0][2].cancelled:
-                heappop(heap)
-                self.cancelled_dropped += 1
-            return item
-        return None
-
-    def peek_time(self) -> int | None:
-        """Return the timestamp of the earliest live event without popping."""
-        heap = self._heap
-        while heap and type(heap[0][2]) is Event and heap[0][2].cancelled:
-            heappop(heap)
-            self.cancelled_dropped += 1
-        if heap:
-            return heap[0][0]
-        return None
-
-
 class Simulator:
-    """The simulation kernel: a clock plus an event queue.
+    """The simulation kernel: a clock plus a heap of scheduled callbacks.
 
     Components hold a reference to the simulator and call :meth:`post`
     (relative delay, no handle) / :meth:`post_at` (absolute cycle, no
     handle) on hot paths, or :meth:`schedule` / :meth:`schedule_at` when
     they need a cancellable :class:`Event` handle back.  ``run`` drains
-    the queue until it is empty or a cycle/event limit is hit.
+    the heap until it is empty.
+
+    ``pushes`` (events ever scheduled, which is also the next event's
+    sequence number), ``events_processed`` and ``cancelled`` (cancelled
+    entries the run loop discarded) are the engine's push/pop/cancel
+    profile, exported as the ``engine.*`` metrics.
     """
 
-    def __init__(self, max_cycles: int | None = None, max_events: int | None = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
-        self.queue = EventQueue()
-        self.max_cycles = max_cycles
-        self.max_events = max_events
         self.events_processed: int = 0
-        self._running = False
-        self._end_hooks: list[Callable[[], None]] = []
+        self.pushes: int = 0
+        self.cancelled: int = 0
+        self._heap: list[tuple[int, int, object]] = []
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -157,50 +90,51 @@ class Simulator:
         """Schedule ``callback`` ``delay`` cycles from now; returns a handle."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} scheduled at cycle {self.now}")
-        return self.queue.push(self.now + int(delay), callback)
+        return self._push_event(self.now + int(delay), callback)
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute cycle ``time`` (>= now)."""
         if time < self.now:
             raise SimulationError(f"event scheduled in the past: {time} < now {self.now}")
-        return self.queue.push(int(time), callback)
+        return self._push_event(int(time), callback)
+
+    def _push_event(self, time: int, callback: Callable[[], None]) -> Event:
+        seq = self.pushes
+        self.pushes = seq + 1
+        event = Event(time, seq, callback)
+        heappush(self._heap, (time, seq, event))
+        return event
 
     def post(self, delay: int, callback: Callable[[], None]) -> None:
         """Hot-path :meth:`schedule`: no cancellation handle, no allocation.
 
         The callable itself is the heap payload, pushed here rather than
-        through a queue method: one call frame less per event.
+        through a helper: one call frame less per event.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} scheduled at cycle {self.now}")
-        queue = self.queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heappush(queue._heap, (self.now + int(delay), seq, callback))
+        seq = self.pushes
+        self.pushes = seq + 1
+        heappush(self._heap, (self.now + int(delay), seq, callback))
 
     def post_at(self, time: int, callback: Callable[[], None]) -> None:
         """Hot-path :meth:`schedule_at`: no cancellation handle, no allocation."""
         if time < self.now:
             raise SimulationError(f"event scheduled in the past: {time} < now {self.now}")
-        queue = self.queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heappush(queue._heap, (int(time), seq, callback))
-
-    def add_end_hook(self, hook: Callable[[], None]) -> None:
-        """Register a hook invoked once when the run finishes."""
-        self._end_hooks.append(hook)
+        seq = self.pushes
+        self.pushes = seq + 1
+        heappush(self._heap, (int(time), seq, callback))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> int:
-        """Drain the event queue.  Returns the final simulation cycle.
+        """Drain the heap.  Returns the final simulation cycle.
 
-        The loop works on the heap directly with everything hoisted into
-        locals — this is the hottest code in the repository (every simulated
-        cycle of every sweep goes through it), and attribute lookups per
-        event are measurable at that volume.
+        The loop works on the heap with everything hoisted into locals —
+        this is the hottest code in the repository (every simulated cycle
+        of every sweep goes through it), and attribute lookups per event
+        are measurable at that volume.
 
         The cyclic garbage collector is paused for the duration of the
         drain: the engine's own garbage (heap tuples, packets, lambdas) is
@@ -210,29 +144,22 @@ class Simulator:
         back-references when its run ends, so a finished machine is acyclic
         and refcounting frees it as soon as its caller drops it.
         """
-        heap = self.queue._heap
+        heap = self._heap
         pop = heappop
         event_cls = Event
-        max_cycles = self.max_cycles
-        max_events = self.max_events
         processed = self.events_processed
         cancelled = 0
-        self._running = True
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             while heap:
-                if max_events is not None and processed >= max_events:
-                    break
                 time, _seq, item = pop(heap)
                 if type(item) is event_cls:
                     if item.cancelled:
                         cancelled += 1
                         continue
                     item = item.callback
-                if max_cycles is not None and time > max_cycles:
-                    break
                 if time < self.now:
                     raise SimulationError(
                         f"time went backwards: event at {time}, now {self.now}"
@@ -244,21 +171,8 @@ class Simulator:
             if gc_was_enabled:
                 gc.enable()
             self.events_processed = processed
-            self.queue.cancelled_dropped += cancelled
-            self._running = False
-        for hook in self._end_hooks:
-            hook()
+            self.cancelled += cancelled
         return self.now
 
-    def step(self) -> bool:
-        """Process a single event.  Returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self.now = event.time
-        self.events_processed += 1
-        event.callback()
-        return True
 
-
-__all__ = ["Event", "EventQueue", "Simulator", "SimulationError"]
+__all__ = ["Event", "Simulator", "SimulationError"]

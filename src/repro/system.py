@@ -24,8 +24,8 @@ from repro.gpu.cpu import HostCpu
 from repro.gpu.gpu import GpuDevice
 from repro.interconnect.topology import CPU_NODE, Topology
 from repro.memory.migration import AccessCounterMigrationPolicy, MigrationCost
-from repro.obs import Telemetry
 from repro.memory.page_table import PageTable
+from repro.obs import MetricsRegistry
 from repro.secure.adversary import AttackReport
 from repro.secure.channel import SecureTransport, build_transport
 from repro.sim.engine import Simulator
@@ -74,9 +74,10 @@ class SimulationReport:
     fault_stats: FaultStats | None = None
     #: populated only when an active adversary is configured
     attack_report: AttackReport | None = None
-    #: uniform-namespace telemetry snapshot (see ``docs/OBSERVABILITY.md``):
+    #: uniform-namespace metrics snapshot (see ``docs/OBSERVABILITY.md``):
     #: a JSON-safe dict of ``{"otp.send": {...}, "meta.bytes": {...}, ...}``
-    #: harvested from the run's :class:`~repro.obs.Telemetry` at report time
+    #: harvested from the run's :class:`~repro.obs.MetricsRegistry` at
+    #: report time
     metrics: dict = field(default_factory=dict)
 
     def slowdown_vs(self, baseline: "SimulationReport") -> float:
@@ -97,7 +98,7 @@ class MultiGpuSystem:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         #: run-scoped metrics; their snapshot becomes ``report.metrics``
-        self.telemetry = Telemetry()
+        self.metrics = MetricsRegistry()
         self.sim = Simulator()
         self.topology = Topology(
             n_gpus=config.n_gpus,
@@ -108,7 +109,7 @@ class MultiGpuSystem:
             fabric=config.link.fabric,
             switch_factor=config.link.switch_factor,
         )
-        self.transport = build_transport(self.sim, self.topology, config, self.telemetry)
+        self.transport = build_transport(self.sim, self.topology, config, self.metrics)
         self.cpu: HostCpu | None = None
         self.gpus: dict[int, GpuDevice] = {}
         self.page_table: PageTable | None = None
@@ -249,7 +250,7 @@ class MultiGpuSystem:
         function of the job description, so it survives the result cache
         and the process-pool boundary bit-identically.
         """
-        m = self.telemetry.metrics
+        m = self.metrics
         m.counter("run.cycles").add(report.execution_cycles)
         m.counter("run.remote_requests").add(report.remote_requests)
         m.counter("run.migrations").add(report.migrations)
@@ -260,8 +261,8 @@ class MultiGpuSystem:
         m.counter("msg.sent").add(self.transport.messages_sent)
         m.counter("msg.data_blocks").add(self.transport.data_blocks)
         m.counter("engine.events").add(report.events_processed)
-        m.counter("engine.pushes").add(self.sim.queue.pushes)
-        m.counter("engine.cancelled").add(self.sim.queue.cancelled_dropped)
+        m.counter("engine.pushes").add(self.sim.pushes)
+        m.counter("engine.cancelled").add(self.sim.cancelled)
         m.register("burst.accum16", self.transport.burst16)
         m.register("burst.accum32", self.transport.burst32)
         if isinstance(self.transport, SecureTransport):
@@ -322,7 +323,7 @@ class MultiGpuSystem:
             monitor = self.transport.monitor
             if monitor is not None:
                 m.counter("adv.invariant_violations").add(len(monitor.violations))
-        report.metrics = self.telemetry.snapshot()
+        report.metrics = m.snapshot()
 
 
 def run_workload(config: SystemConfig, trace: CompiledTrace) -> SimulationReport:

@@ -45,6 +45,15 @@ def _isolated_trace_store(monkeypatch, tmp_path_factory):
 
 
 @pytest.fixture
+def four_cpus(monkeypatch):
+    """Let the sweep runner see four CPUs, so a ``jobs > 1`` sweep of enough
+    cells takes the process pool even on a one-core host."""
+    import repro.runner.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod, "available_cpus", lambda: 4)
+
+
+@pytest.fixture
 def sim():
     return Simulator()
 

@@ -93,7 +93,7 @@ class TestSharedTraceDeterminism:
                 )
         return jobs
 
-    def test_shared_serial_parallel_cached_all_match_per_cell(self, tmp_path):
+    def test_shared_serial_parallel_cached_all_match_per_cell(self, tmp_path, four_cpus):
         grid = self._grid()
         # ground truth: per-cell generation, no store, no sharing
         expected = [report_to_dict(execute_job(job)) for job in grid]
@@ -104,9 +104,8 @@ class TestSharedTraceDeterminism:
         # 2 workloads generate; the other 4 cells reuse the memo
         assert shared.stats.trace_reused == 4
         assert shared.stats.mode == "serial"
-        assert int(shared.telemetry.counter("trace.reused").value) == 4
 
-        par = SweepRunner(jobs=4, mode="parallel", trace_store=TraceStore(tmp_path / "ts"))
+        par = SweepRunner(jobs=4, trace_store=TraceStore(tmp_path / "ts"))
         parallel = par.run_jobs(grid)
         assert [report_to_dict(r) for r in parallel] == expected
         assert par.stats.mode == "parallel"
@@ -116,7 +115,6 @@ class TestSharedTraceDeterminism:
         priming.run_jobs(grid)
         # a fresh store over the same root loads both traces from disk
         assert priming.stats.trace_store_hits == 2
-        assert int(priming.telemetry.counter("trace.store_hits").value) == 2
         warm =SweepRunner(jobs=1, cache=cache, trace_store=TraceStore(tmp_path / "ts"))
         cached = warm.run_jobs(grid)
         assert warm.stats.cache_hits == len(grid)
@@ -133,12 +131,12 @@ class TestSharedTraceDeterminism:
         via_shared = report_to_dict(execute_job(job, trace=trace))
         assert fresh == via_store == via_shared
 
-    def test_parallel_workers_share_parent_store_root(self, tmp_path):
+    def test_parallel_workers_share_parent_store_root(self, tmp_path, four_cpus):
         """Pool workers must persist into the parent's store root — not a
         default root of their own (which would litter ``results/``)."""
         grid = self._grid()
         root = tmp_path / "par-ts"
-        runner = SweepRunner(jobs=2, mode="parallel", trace_store=TraceStore(root))
+        runner = SweepRunner(jobs=2, trace_store=TraceStore(root))
         runner.run_jobs(grid)
         assert runner.stats.parallel_runs == len(grid)
         assert list(root.glob("*.npz"))

@@ -98,6 +98,13 @@ class TestDynamicAllocator:
         assert plan.send_total == plan.recv_total == 16
         assert all(v == 4 for v in plan.send_per_peer.values())
         assert all(v == 4 for v in plan.recv_per_peer.values())
+        # DynamicScheme starts from Private's streams, which holds only if
+        # every stream gets exactly the multiplier at every provisioning
+        for n_peers in range(2, 33):
+            for k in (1, 2, 4, 8, 16):
+                plan = self._alloc(pool=n_peers * 2 * k, peers=range(n_peers)).even_plan()
+                shares = [*plan.send_per_peer.values(), *plan.recv_per_peer.values()]
+                assert shares == [k] * (2 * n_peers), (n_peers, k)
 
     def test_send_heavy_traffic_shifts_pool_to_send(self):
         alloc = self._alloc()

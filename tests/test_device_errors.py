@@ -5,7 +5,6 @@ import pytest
 from repro.configs import SecurityConfig
 from repro.gpu.cpu import HostCpu
 from repro.interconnect.packet import Packet, PacketKind
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.schemes.ideal import IdealScheme
 from repro.workloads.compiled import CompiledGpuTrace
 
@@ -69,7 +68,7 @@ class TestHostCpu:
 
 class TestIdealScheme:
     def _scheme(self):
-        return IdealScheme(1, [0, 2], SecurityConfig(scheme="ideal"), AesGcmEngineModel())
+        return IdealScheme(1, [0, 2], SecurityConfig(scheme="ideal"))
 
     def test_always_hits(self):
         s = self._scheme()

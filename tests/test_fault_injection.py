@@ -338,14 +338,14 @@ class TestLinkFailure:
 
 
 class TestDeterminismAndSerialization:
-    def test_serial_parallel_cached_identical_under_faults(self, tmp_path):
+    def test_serial_parallel_cached_identical_under_faults(self, tmp_path, four_cpus):
         grid = [
             SweepJob(get_workload(name), faulted(scheme), seed=1, scale=SCALE)
             for name in ("fir", "matrixmultiplication")
             for scheme in ("unsecure", "private", "batching")
         ]
         serial = SweepRunner(jobs=1).run_jobs(grid)
-        par_runner = SweepRunner(jobs=4, mode="parallel")
+        par_runner = SweepRunner(jobs=4)
         parallel = par_runner.run_jobs(grid)
         assert par_runner.stats.parallel_runs == len(grid)
 

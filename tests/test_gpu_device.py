@@ -188,11 +188,14 @@ class TestGpuRemoteExecution:
         addrs = [i * BLOCK_BYTES for i in range(8)]
         gpu.load_trace(CompiledGpuTrace((reads(addrs, gap=0),), instructions=100))
         gpu.start()
-        # after the first pump, at most 2 requests may be outstanding
-        sim.step()  # initial pump event
-        reqs = [p for p in fake_transport.sent if p.kind is PacketKind.READ_REQ]
-        assert len(reqs) == 2
+        # after the first pump, at most 2 requests may be outstanding: a
+        # probe posted now is next in FIFO order after the initial pump
+        first_pump = []
+        sim.post(0, lambda: first_pump.extend(
+            p for p in fake_transport.sent if p.kind is PacketKind.READ_REQ
+        ))
         sim.run()
+        assert len(first_pump) == 2
         assert gpu.finish_cycle is not None
         assert gpu.remote_requests == 8
 

@@ -1,10 +1,9 @@
-"""Observability layer: metrics registry, telemetry, exports, determinism.
+"""Observability layer: metrics registry, exports, determinism.
 
 The contract under test (see ``docs/OBSERVABILITY.md``): every scheme
-emits one uniform, validated metric namespace; the snapshot is a pure
+emits one uniform, validated metric namespace; and the snapshot is a pure
 function of the job description, so serial / parallel / cache-hit runs
-export byte-identical metrics files; and wall-clock profiling never leaks
-into the deterministic snapshot.
+export byte-identical metrics files.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.configs import scheme_config
 from repro.obs import (
     KNOWN_NAMESPACES,
     MetricsRegistry,
-    Telemetry,
     diff_metrics,
     encode_metric,
     metrics_to_jsonl,
@@ -123,32 +121,6 @@ class TestMetricsRegistry:
             "total": 3,
             "sum": 45,
         }
-
-
-class TestTelemetry:
-    def test_phase_accumulates_wall_clock(self):
-        telemetry = Telemetry()
-        with telemetry.phase("system.simulate"):
-            pass
-        with telemetry.phase("system.simulate"):
-            pass
-        profile = telemetry.profile_snapshot()
-        assert profile["phases"]["system.simulate"]["calls"] == 2
-        assert profile["phases"]["system.simulate"]["seconds"] >= 0.0
-        assert telemetry.phase_seconds("system.simulate") >= 0.0
-        assert telemetry.phase_seconds("never.entered") == 0.0
-
-    def test_profile_excluded_from_metrics_snapshot(self):
-        telemetry = Telemetry()
-        with telemetry.phase("system.simulate"):
-            telemetry.counter("msg.sent").add()
-        snap = telemetry.snapshot()
-        assert set(snap) == {"msg.sent"}
-
-    def test_accessors_share_one_registry(self):
-        telemetry = Telemetry()
-        telemetry.counter("msg.sent").add(5)
-        assert telemetry.metrics.counter("msg.sent").value == 5
 
 
 class TestExport:
@@ -366,12 +338,15 @@ class TestUniformNamespace:
 
 class TestMetricsDeterminism:
     def _grid(self):
-        return [_job(scheme) for scheme in ("unsecure", "private", "batching")]
+        # four cells: enough pending work for a two-worker sweep to take the pool
+        return [_job(scheme) for scheme in ("unsecure", "private", "dynamic", "batching")]
 
-    def test_serial_parallel_cached_metrics_bit_identical(self, tmp_path):
+    def test_serial_parallel_cached_metrics_bit_identical(self, tmp_path, four_cpus):
         grid = self._grid()
         serial = SweepRunner(jobs=1).run_jobs(grid)
-        parallel = SweepRunner(jobs=2, mode="parallel").run_jobs(grid)
+        par_runner = SweepRunner(jobs=2)
+        parallel = par_runner.run_jobs(grid)
+        assert par_runner.stats.parallel_runs == len(grid)
 
         cache = ResultCache(tmp_path / "cache")
         SweepRunner(jobs=1, cache=cache).run_jobs(grid)  # cold: populates

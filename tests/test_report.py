@@ -1,5 +1,7 @@
 """Report generator smoke test (tiny workload set)."""
 
+import json
+
 from repro.experiments.report import generate_all
 from repro.workloads import get_workload
 
@@ -32,3 +34,9 @@ def test_generate_all_writes_every_section(tmp_path):
         assert sections[name].strip()
     combined = (tmp_path / "report.txt").read_text()
     assert "Figure 21" in combined and "Table I" in combined
+    # one wall-clock phase per section; never part of a report
+    profile = json.loads((tmp_path / "PROFILE.json").read_text())
+    assert set(profile) == {"phases"}
+    assert set(profile["phases"]) == {f"experiment.{name}" for name in sections}
+    for phase in profile["phases"].values():
+        assert phase["calls"] == 1 and phase["seconds"] >= 0.0

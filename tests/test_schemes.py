@@ -3,7 +3,6 @@
 import pytest
 
 from repro.configs import SecurityConfig
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.otp_buffer import PadOutcome
 from repro.secure.schemes import build_scheme
 from repro.secure.schemes.cached import CachedScheme
@@ -16,9 +15,10 @@ L = 40
 
 
 def make(scheme, multiplier=4, **sec_overrides):
-    sec = SecurityConfig(scheme=scheme, otp_multiplier=multiplier, **sec_overrides)
-    engine = AesGcmEngineModel(pad_latency=L)
-    return build_scheme(scheme, node=1, peers=PEERS, security=sec, engine=engine)
+    sec = SecurityConfig(
+        scheme=scheme, otp_multiplier=multiplier, aes_gcm_latency=L, **sec_overrides
+    )
+    return build_scheme(scheme, node=1, peers=PEERS, security=sec)
 
 
 class TestBuildScheme:

@@ -2,30 +2,39 @@
 
 import pytest
 
-from repro.configs import MetadataConfig
+from repro.configs import MetadataConfig, SecurityConfig
 from repro.interconnect.packet import Packet, PacketKind
-from repro.secure.engine import AesGcmEngineModel
 from repro.secure.metadata import MetadataAccountant
 from repro.secure.replay import ReplayGuard
 
+from tests.test_transport import data_packet, make_fabric
+
 
 class TestEngineModel:
-    def test_fast_paths(self):
-        e = AesGcmEngineModel(pad_latency=40, ghash_latency=4, xor_latency=1)
-        assert e.encrypt_fast_path == 1
-        assert e.mac_fast_path == 4
+    """The pipelined AES-GCM engines are modelled by SecurityConfig's three
+    latencies: pad generation, GHASH and XOR."""
 
-    def test_counters(self):
-        e = AesGcmEngineModel()
-        e.count_pad(3)
-        e.count_mac()
-        assert e.pads_generated == 3 and e.macs_computed == 1
+    def test_fast_paths(self):
+        """With its pad in hand a message pays GHASH + XOR on each side."""
+
+        def delivered(**latencies):
+            sim, _, transport, inboxes = make_fabric("private", **latencies)
+            transport.send(data_packet(), now=0)
+            sim.run()
+            ((_, at),) = inboxes[2]
+            return at
+
+        base = delivered(ghash_latency=4, xor_latency=1)
+        assert delivered(ghash_latency=10, xor_latency=1) == base + 2 * 6
+        assert delivered(ghash_latency=4, xor_latency=3) == base + 2 * 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AesGcmEngineModel(pad_latency=0)
-        with pytest.raises(ValueError):
-            AesGcmEngineModel(ghash_latency=-1)
+        with pytest.raises(ValueError, match="pad latency must be >= 1 cycle"):
+            SecurityConfig(aes_gcm_latency=0)
+        with pytest.raises(ValueError, match="latencies must be non-negative"):
+            SecurityConfig(ghash_latency=-1)
+        with pytest.raises(ValueError, match="latencies must be non-negative"):
+            SecurityConfig(xor_latency=-1)
 
 
 class TestMetadataAccountant:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import EventQueue, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 def test_events_run_in_time_order():
@@ -61,99 +61,91 @@ def test_cancelled_event_is_skipped():
     assert fired == ["kept"]
 
 
-def test_max_events_limit():
-    sim = Simulator(max_events=2)
-    fired = []
-    for i in range(5):
-        sim.schedule(i, lambda i=i: fired.append(i))
-    sim.run()
-    assert fired == [0, 1]
-
-
-def test_max_cycles_limit():
-    sim = Simulator(max_cycles=15)
-    fired = []
-    sim.schedule(10, lambda: fired.append(10))
-    sim.schedule(20, lambda: fired.append(20))
-    sim.run()
-    assert fired == [10]
-
-
-def test_end_hooks_fire_once_after_run():
+def test_cancelled_head_does_not_advance_the_clock():
     sim = Simulator()
-    calls = []
-    sim.add_end_hook(lambda: calls.append(sim.now))
-    sim.schedule(42, lambda: None)
-    sim.run()
-    assert calls == [42]
-
-
-def test_step_returns_false_when_empty():
-    sim = Simulator()
-    assert sim.step() is False
-    sim.schedule(3, lambda: None)
-    assert sim.step() is True
-    assert sim.now == 3
-
-
-def test_event_queue_peek_skips_cancelled():
-    q = EventQueue()
-    e1 = q.push(5, lambda: None)
-    q.push(9, lambda: None)
-    e1.cancel()
-    assert q.peek_time() == 9
+    fired = []
+    sim.schedule(5, lambda: fired.append(sim.now)).cancel()
+    sim.schedule(9, lambda: fired.append(sim.now))
+    assert sim.run() == 9
+    assert fired == [9]
+    assert sim.cancelled == 1
 
 
 def test_pop_compacts_heap_dominated_by_cancelled_events():
-    q = EventQueue()
-    events = [q.push(t, lambda: None) for t in range(1000)]
-    live = events[500]
+    sim = Simulator()
+    fired = []
+    events = [sim.schedule(t, lambda t=t: fired.append(t)) for t in range(1000)]
     for event in events:
-        if event is not live:
+        if event is not events[500]:
             event.cancel()
-    assert len(q) == 1000
-    popped = q.pop()
-    assert popped is live
-    # one pop drained every cancelled entry: the ones before the live event
-    # on the way to it, and the consecutive cancelled run behind it eagerly
-    assert len(q) == 0
-    assert q.pop() is None
-
-
-def test_pop_compaction_stops_at_next_live_event():
-    q = EventQueue()
-    first = q.push(1, lambda: None)
-    cancelled = [q.push(t, lambda: None) for t in range(2, 6)]
-    survivor = q.push(6, lambda: None)
-    for event in cancelled:
-        event.cancel()
-    assert q.pop() is first
-    # the cancelled run was compacted away, but the live survivor remains
-    assert len(q) == 1
-    assert q.peek_time() == 6
-    assert q.pop() is survivor
+    sim.run()
+    assert fired == [500]
+    assert sim.events_processed == 1
+    assert sim.cancelled == 999
+    assert sim.pushes == 1000
 
 
 def test_peek_time_drains_cancelled_prefix():
-    q = EventQueue()
-    events = [q.push(t, lambda: None) for t in range(10)]
+    """A run of cancelled events ahead of the first live one neither fires
+    nor moves the clock: the run lands straight on the live event."""
+    sim = Simulator()
+    fired = []
+    events = [sim.schedule(t, lambda t=t: fired.append((t, sim.now))) for t in range(10)]
     for event in events[:9]:
         event.cancel()
-    assert q.peek_time() == 9
-    assert len(q) == 1  # the cancelled prefix was physically removed
+    assert sim.run() == 9
+    assert fired == [(9, 9)]
+    assert sim.events_processed == 1
+    assert sim.cancelled == 9
+
+
+def test_run_fires_live_events_around_a_cancelled_run():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1, lambda: fired.append(1))
+    cancelled = [sim.schedule(t, lambda t=t: fired.append(t)) for t in range(2, 6)]
+    sim.schedule(6, lambda: fired.append(6))
+    for event in cancelled:
+        event.cancel()
+    sim.run()
+    assert fired == [1, 6]
+    assert sim.cancelled == 4
 
 
 def test_all_cancelled_heap_drains_to_empty():
-    q = EventQueue()
-    for event in [q.push(t, lambda: None) for t in range(50)]:
+    sim = Simulator()
+    fired = []
+    for event in [sim.schedule(t, lambda: fired.append(t)) for t in range(50)]:
         event.cancel()
-    assert q.peek_time() is None
-    assert len(q) == 0
+    assert sim.run() == 0
+    assert fired == []
+    assert sim.events_processed == 0
+    assert sim.cancelled == 50
+    sim.schedule(3, lambda: fired.append(sim.now))  # the drained heap is reusable
+    sim.run()
+    assert fired == [3]
+
+
+def test_same_cycle_fifo_holds_across_post_and_schedule():
+    """Handles and bare callables share one sequence counter, so events of
+    one cycle fire in scheduling order whichever call scheduled them, and a
+    cancelled handle leaves the order of the others intact."""
+    sim = Simulator()
+    order = []
+    sim.post(4, lambda: order.append("post"))
+    sim.schedule(4, lambda: order.append("schedule"))
+    dropped = sim.schedule_at(4, lambda: order.append("dropped"))
+    sim.post_at(4, lambda: order.append("post_at"))
+    sim.schedule_at(4, lambda: order.append("schedule_at"))
+    dropped.cancel()
+    sim.run()
+    assert order == ["post", "schedule", "post_at", "schedule_at"]
+    assert sim.pushes == 5 and sim.cancelled == 1
 
 
 def test_cancelled_wakeup_storm_simulation_still_correct():
     """A component that always reschedules its wakeup (the GPU lane pump
-    pattern) must not change observable behavior under eager compaction."""
+    pattern) fires only its last wakeup."""
     sim = Simulator()
     fired = []
     pending = []

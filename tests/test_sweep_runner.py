@@ -50,11 +50,11 @@ def _grid(seed: int = 1) -> list[SweepJob]:
 
 
 class TestDeterminism:
-    def test_serial_parallel_cached_bit_identical(self, tmp_path):
+    def test_serial_parallel_cached_bit_identical(self, tmp_path, four_cpus):
         grid = _grid()
         serial = SweepRunner(jobs=1).run_jobs(grid)
 
-        par_runner = SweepRunner(jobs=4, mode="parallel")
+        par_runner = SweepRunner(jobs=4)
         parallel = par_runner.run_jobs(grid)
         assert par_runner.stats.parallel_runs == len(grid)
         assert par_runner.stats.mode == "parallel"
@@ -171,13 +171,6 @@ class TestCache:
         cache = default_cache()
         assert cache is not None and cache.root == tmp_path / "envdir"
 
-    def test_env_salt_changes_the_key(self, monkeypatch):
-        job = _grid()[0]
-        monkeypatch.delenv("REPRO_CACHE_SALT", raising=False)
-        key = job_key(job)
-        monkeypatch.setenv("REPRO_CACHE_SALT", "segregated")
-        assert job_key(job) != key
-
 
 _KEYS = (
     "import repro\n"
@@ -197,8 +190,7 @@ class TestSourceSalt:
 
     @staticmethod
     def _keys(root: Path) -> tuple[str, str]:
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_SALT"}
-        env["PYTHONPATH"] = str(root)
+        env = {**os.environ, "PYTHONPATH": str(root)}
         out = subprocess.run(
             [sys.executable, "-c", _KEYS],
             env=env, capture_output=True, text=True, check=True, timeout=120,
@@ -252,7 +244,7 @@ class TestSweepMechanics:
             return real(j, **kw)
 
         monkeypatch.setattr(sweep_mod, "execute_job", flaky)
-        runner = SweepRunner(jobs=1, retries=1)
+        runner = SweepRunner(jobs=1)
         report = runner.run_jobs([job])[0]
         assert report.workload == job.spec.name
         assert runner.stats.retries == 1
@@ -268,16 +260,12 @@ class TestSweepMechanics:
             raise errors[-1]
 
         monkeypatch.setattr(sweep_mod, "execute_job", persistent)
-        runner = SweepRunner(jobs=1, retries=2)
+        runner = SweepRunner(jobs=1)
         with pytest.raises(SweepError) as excinfo:
             runner.run_jobs([_grid()[0]])
-        assert len(errors) == 3
+        assert len(errors) == sweep_mod.RETRIES + 1
         assert excinfo.value.__cause__ is errors[-1]
-        assert runner.stats.retries == 2
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep mode"):
-            SweepRunner(mode="fleet").run_jobs([_grid()[0]])
+        assert runner.stats.retries == sweep_mod.RETRIES
 
     def test_memo_identity_preserved_within_runner(self):
         runner = ExperimentRunner(
@@ -297,49 +285,33 @@ class TestSweepMechanics:
         assert report_from_dict(data["report"]).workload == "fir"
 
 
-def _hang_worker(store_root, payload):
-    """Stand-in worker that wedges its pool slot (see TestHungWorker)."""
-    import time as _time
-
-    _time.sleep(60.0)
-    raise AssertionError("hung worker was never terminated")
+def _failing_worker(store_root, payload):
+    """Stand-in pool worker that fails every chunk (see TestFailingWorker)."""
+    raise RuntimeError("worker failed")
 
 
-class TestHungWorker:
-    def test_wedged_pool_is_recycled_and_cells_rescued_serially(self, monkeypatch):
-        """A worker that never returns must not hang the sweep: the runner
-        gives up after ``timeout`` seconds, stops waiting on the remaining
-        futures, kills the pool's processes, and re-runs every unharvested
-        cell serially in the parent."""
+class TestFailingWorker:
+    def test_failed_pool_cells_are_rescued_serially(self, monkeypatch, four_cpus):
+        """Every cell whose pool chunk fails is re-run serially in the
+        parent: the sweep still returns the reports ``execute_job`` gives,
+        and counts each rescued cell as a fallback."""
         import multiprocessing
-        import time
 
         import repro.runner.sweep as sweep_mod
 
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("monkeypatched worker needs fork start method")
-
-        monkeypatch.setattr(sweep_mod, "_worker", _hang_worker)
-        jobs = _grid()[:2]
+        monkeypatch.setattr(sweep_mod, "_worker", _failing_worker)
+        jobs = _grid()[:4]  # two trace keys, so two pool chunks
         expected = [report_to_dict(execute_job(job)) for job in jobs]
 
-        runner = SweepRunner(jobs=2, timeout=1.0, mode="parallel")
-        start = time.monotonic()
+        runner = SweepRunner(jobs=2)
         reports = runner.run_jobs(jobs)
-        elapsed = time.monotonic() - start
 
-        # Nowhere near the worker's 60 s sleep: one timeout for the first
-        # future, the second skipped as wedged, then serial rescue.
-        assert elapsed < 30.0
+        assert runner.stats.mode == "parallel"
         assert [report_to_dict(r) for r in reports] == expected
-        assert runner.stats.fallbacks >= 1
+        assert runner.stats.fallbacks == len(jobs)
         assert runner.stats.parallel_runs == 0
-
-        # The wedged pool processes were terminated, not leaked.
-        deadline = time.monotonic() + 10.0
-        while multiprocessing.active_children() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not multiprocessing.active_children()
+        assert runner.stats.serial_runs == len(jobs)
+        assert not multiprocessing.active_children()  # the pool was shut down
 
 
 class TestRetryBackoff:
@@ -357,13 +329,14 @@ class TestRetryBackoff:
 
         monkeypatch.setattr(sweep_mod, "execute_job", persistent)
         job = _grid()[0]
-        runner = SweepRunner(jobs=1, retries=2)
-        with pytest.raises(SweepError, match="failed after 3 attempt") as excinfo:
+        runner = SweepRunner(jobs=1)
+        attempts = sweep_mod.RETRIES + 1
+        with pytest.raises(SweepError, match=f"failed after {attempts} attempt") as excinfo:
             runner.run_jobs([job])
         assert job.describe() in str(excinfo.value)
-        assert [type(e) for e in errors] == [ValueError] * 3
+        assert [type(e) for e in errors] == [ValueError] * attempts
         assert excinfo.value.__cause__ is errors[-1]
-        assert runner.stats.retries == 2
+        assert runner.stats.retries == sweep_mod.RETRIES
         assert runner.stats.serial_runs == 0
 
 
@@ -409,12 +382,12 @@ class TestCpuAffinity:
         # serial — pool spawn on an oversubscribed core only loses time.
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0})
-        runner = SweepRunner(jobs=4, mode="auto")
+        runner = SweepRunner(jobs=4)
         assert runner._resolve_mode(n_workers=4, n_pending=10) == "serial"
 
     def test_auto_mode_parallel_with_wide_affinity(self, monkeypatch):
         import repro.runner.sweep as sweep_mod
 
         monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        runner = SweepRunner(jobs=4, mode="auto")
+        runner = SweepRunner(jobs=4)
         assert runner._resolve_mode(n_workers=4, n_pending=10) == "parallel"
