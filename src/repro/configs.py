@@ -57,7 +57,7 @@ class LinkConfig:
 
 @dataclass(frozen=True)
 class MetadataConfig:
-    """Wire sizes for headers and security metadata (§II-C, §IV-D).
+    """Wire sizes of the security metadata (§II-C, §IV-D).
 
     ``compressed_counters`` is an optional extension beyond the paper
     (Common-Counters-style delta encoding): per-pair channels deliver in
@@ -66,9 +66,6 @@ class MetadataConfig:
     stream.
     """
 
-    request_header_bytes: int = 16
-    response_header_bytes: int = 16
-    block_bytes: int = 64
     msg_ctr_bytes: int = 8
     msg_mac_bytes: int = 8
     sender_id_bytes: int = 1
@@ -119,6 +116,8 @@ class SecurityConfig:
             raise ValueError("pad latency must be >= 1 cycle")
         if self.ghash_latency < 0 or self.xor_latency < 0:
             raise ValueError("latencies must be non-negative")
+        if self.batch_timeout < 1:
+            raise ValueError("batch timeout must be >= 1")
 
     def total_otp_entries(self, n_peers: int) -> int:
         """Pool size per processor: peers x 2 directions x multiplier."""

@@ -46,17 +46,15 @@ class BatchingController:
 
     The owner (the secure channel layer) calls :meth:`add_block` for every
     outgoing data block and :meth:`timeout_close` when a batch's timer
-    fires; the controller only decides batch boundaries, never touches the
-    clock itself.
+    fires; the controller only decides batch boundaries.  The owner arms
+    that timer (``SecurityConfig.batch_timeout``); the controller never
+    touches the clock itself.
     """
 
-    def __init__(self, batch_size: int = 16, timeout: int = 160) -> None:
+    def __init__(self, batch_size: int = 16) -> None:
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if timeout < 1:
-            raise ValueError("batch timeout must be >= 1")
         self.batch_size = batch_size
-        self.timeout = timeout
         self._open: dict[int, _PairBatch] = {}  # peer -> open batch
         self._next_batch_id = 0
         self.batches_opened = 0

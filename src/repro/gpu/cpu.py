@@ -1,11 +1,16 @@
-"""Host CPU node: the memory server for host-resident pages.
+"""Memory nodes: every processor that serves block requests from its memory.
+
+The host CPU and each GPU answer the same three requests from the memory
+they own — a block read, a block write and a page pull — so
+:class:`MemoryNode` holds that serve path once and
+:class:`~repro.gpu.gpu.GpuDevice` builds on it.
 
 In the evaluated workloads the CPU stages input data (unified memory
-first-touch on the host) and serves GPU requests: block reads/writes and
-page-migration pulls.  Its DRAM sits outside the trusted boundary but is
-protected by the CPU TEE's memory protection (PENGLAI-style, §IV-A), whose
-cost is orthogonal to the interconnect protection this study measures — so
-DRAM here is a latency/bandwidth server with no crypto charge of its own.
+first-touch on the host) and serves GPU requests.  Its DRAM sits outside
+the trusted boundary but is protected by the CPU TEE's memory protection
+(PENGLAI-style, §IV-A), whose cost is orthogonal to the interconnect
+protection this study measures — so the host is a plain memory node over a
+DRAM :class:`~repro.gpu.hbm.HbmModel` with no crypto charge of its own.
 
 Address translation for GPU-side TLB misses is an IOMMU walk whose
 latency is charged on the GPU (see ``GpuConfig.iommu_walk_cycles``).
@@ -13,89 +18,64 @@ latency is charged on the GPU (see ``GpuConfig.iommu_walk_cycles``).
 
 from __future__ import annotations
 
-from math import ceil
-
-from repro.interconnect.packet import Packet, PacketKind
+from repro.gpu.hbm import HbmModel
+from repro.interconnect.packet import HEADER_BYTES, Packet, PacketKind
 from repro.memory.address_space import BLOCK_BYTES, BLOCKS_PER_PAGE, PAGE_BYTES, page_of
 from repro.sim.engine import Simulator
 from repro.transport import MessageTransport
 
+#: Host DRAM bandwidth in bytes per cycle.
+DRAM_BYTES_PER_CYCLE = 64
 
-class HostCpu:
-    """The host processor (node 0)."""
+
+class MemoryNode:
+    """A processor that serves block reads, writes and page pulls."""
 
     def __init__(
-        self,
-        sim: Simulator,
-        transport: MessageTransport,
-        node_id: int = 0,
-        dram_latency: int = 220,
-        dram_bytes_per_cycle: float = 64.0,
+        self, node_id: int, sim: Simulator, transport: MessageTransport, memory: HbmModel
     ) -> None:
         self.node_id = node_id
         self.sim = sim
         self.transport = transport
-        self.dram_latency = dram_latency
-        self.dram_bytes_per_cycle = dram_bytes_per_cycle
-        self._busy_until = 0
+        self.memory = memory
         transport.register(node_id, self._on_message)
 
-    def _dram_access(self, size_bytes: int) -> int:
-        start = max(self.sim.now, self._busy_until)
-        occupancy = max(1, ceil(size_bytes / self.dram_bytes_per_cycle))
-        self._busy_until = start + occupancy
-        return start + occupancy + self.dram_latency
-
-    # ------------------------------------------------------------------
-    # Serving GPU requests
-    # ------------------------------------------------------------------
     def _on_message(self, packet: Packet, now: int) -> None:
+        """Answer a request once ``memory`` has served it."""
         kind = packet.kind
-        if kind is PacketKind.READ_REQ:
-            done = self._dram_access(BLOCK_BYTES)
-            response = Packet(
-                kind=PacketKind.DATA_RESP,
-                src=self.node_id,
-                dst=packet.src,
-                size_bytes=16 + BLOCK_BYTES,
-                txn_id=packet.txn_id,
-                address=packet.address,
-            )
-            self.sim.post_at(done, lambda p=response: self.transport.send(p, self.sim.now))
-        elif kind is PacketKind.WRITE_REQ:
-            done = self._dram_access(BLOCK_BYTES)
-            ack = Packet(
-                kind=PacketKind.WRITE_ACK,
-                src=self.node_id,
-                dst=packet.src,
-                size_bytes=16,
-                txn_id=packet.txn_id,
-                address=packet.address,
-            )
-            self.sim.post_at(done, lambda p=ack: self.transport.send(p, self.sim.now))
-        elif kind is PacketKind.MIGRATION_REQ:
-            done = self._dram_access(PAGE_BYTES)
+        if kind is PacketKind.MIGRATION_REQ:
             base = page_of(packet.address) * PAGE_BYTES
-
-            def stream(requester=packet.src, page_base=base):
-                for i in range(BLOCKS_PER_PAGE):
-                    self.transport.send(
-                        Packet(
-                            kind=PacketKind.MIGRATION_DATA,
-                            src=self.node_id,
-                            dst=requester,
-                            size_bytes=16 + BLOCK_BYTES,
-                            address=page_base + i * BLOCK_BYTES,
-                        ),
-                        self.sim.now,
-                    )
-
-            self.sim.post_at(done, stream)
+            done = self.memory.access(self.sim.now, PAGE_BYTES)
+            self.sim.post_at(done, lambda r=packet.src, b=base: self._stream_page(r, b))
+            return
+        if kind is PacketKind.READ_REQ:
+            reply, size = PacketKind.DATA_RESP, HEADER_BYTES + BLOCK_BYTES
+        elif kind is PacketKind.WRITE_REQ:
+            reply, size = PacketKind.WRITE_ACK, HEADER_BYTES
         else:
-            raise ValueError(f"cpu: unexpected packet kind {kind}")
+            raise ValueError(f"node {self.node_id}: unexpected packet kind {kind}")
+        done = self.memory.access(self.sim.now, BLOCK_BYTES)
+        response = Packet(
+            kind=reply,
+            src=self.node_id,
+            dst=packet.src,
+            size_bytes=size,
+            txn_id=packet.txn_id,
+            address=packet.address,
+        )
+        self.sim.post_at(done, lambda p=response: self.transport.send(p, self.sim.now))
 
-    def invalidate_page(self, page: int) -> None:
-        """Migration shootdown — the CPU model keeps no GPU-visible caches."""
+    def _stream_page(self, requester: int, base: int) -> None:
+        """Send a pulled page to ``requester`` as 64 block packets."""
+        for i in range(BLOCKS_PER_PAGE):
+            block = Packet(
+                kind=PacketKind.MIGRATION_DATA,
+                src=self.node_id,
+                dst=requester,
+                size_bytes=HEADER_BYTES + BLOCK_BYTES,
+                address=base + i * BLOCK_BYTES,
+            )
+            self.transport.send(block, self.sim.now)
 
 
-__all__ = ["HostCpu"]
+__all__ = ["MemoryNode", "DRAM_BYTES_PER_CYCLE"]

@@ -31,9 +31,10 @@ from typing import Callable
 from repro.configs import GpuConfig, MigrationConfig
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.compute_unit import ComputeUnitLane
+from repro.gpu.cpu import MemoryNode
 from repro.gpu.hbm import HbmModel
 from repro.gpu.tlb import TlbHierarchy
-from repro.interconnect.packet import Packet, PacketKind
+from repro.interconnect.packet import HEADER_BYTES, Packet, PacketKind
 from repro.memory.address_space import (
     BLOCK_BYTES,
     BLOCKS_PER_PAGE,
@@ -52,8 +53,9 @@ from repro.workloads.compiled import CompiledGpuTrace
 _txn_ids = itertools.count(1)
 
 
-class GpuDevice:
-    """One GPU node: lanes, caches, HBM, and remote-transaction logic."""
+class GpuDevice(MemoryNode):
+    """One GPU node: lanes, caches and remote-transaction logic over its
+    HBM, which serves other nodes' requests as any memory node does."""
 
     def __init__(
         self,
@@ -66,16 +68,14 @@ class GpuDevice:
         migration_cfg: MigrationConfig,
         on_migration_commit: Callable[[int, int, int], None] | None = None,
     ) -> None:
-        self.node_id = node_id
-        self.sim = sim
+        hbm = HbmModel(f"gpu{node_id}.hbm", cfg.hbm_latency, cfg.hbm_bytes_per_cycle)
+        super().__init__(node_id, sim, transport, hbm)
         self.cfg = cfg
-        self.transport = transport
         self.page_table = page_table
         self.migration_policy = migration_policy
         self.migration_cfg = migration_cfg
         self.on_migration_commit = on_migration_commit or (lambda page, old, new: None)
 
-        self.hbm = HbmModel(f"gpu{node_id}.hbm", cfg.hbm_latency, cfg.hbm_bytes_per_cycle)
         self.tlbs = TlbHierarchy(f"gpu{node_id}", cfg.l1_tlb_entries, cfg.l2_tlb_entries)
         self.l2 = SetAssociativeCache(f"gpu{node_id}.l2", cfg.l2_size, cfg.l2_assoc)
         self.l1s: list[SetAssociativeCache] = []
@@ -92,8 +92,6 @@ class GpuDevice:
 
         self._remote_reads = Counter("remote_reads")
         self._remote_writes = Counter("remote_writes")
-
-        transport.register(node_id, self._on_message)
 
     # ------------------------------------------------------------------
     # Setup
@@ -234,7 +232,7 @@ class GpuDevice:
     def _local_access(
         self, lane: ComputeUnitLane, addr: int, write: int, slot_held: bool
     ) -> None:
-        done = self.hbm.access(self.sim.now, BLOCK_BYTES)
+        done = self.memory.access(self.sim.now, BLOCK_BYTES)
         if write:
             # Local writes retire without stalling the lane.
             self._finish_access(lane, slot_held)
@@ -280,7 +278,7 @@ class GpuDevice:
             kind=PacketKind.READ_REQ,
             src=self.node_id,
             dst=owner,
-            size_bytes=self.cfg_request_bytes(),
+            size_bytes=HEADER_BYTES,
             txn_id=txn,
             address=addr,
         )
@@ -300,14 +298,11 @@ class GpuDevice:
             kind=PacketKind.WRITE_REQ,
             src=self.node_id,
             dst=owner,
-            size_bytes=self.cfg_request_bytes() + BLOCK_BYTES,
+            size_bytes=HEADER_BYTES + BLOCK_BYTES,
             txn_id=txn,
             address=addr,
         )
         self.transport.send(packet, self.sim.now)
-
-    def cfg_request_bytes(self) -> int:
-        return 16  # request header; security metadata is added by the transport
 
     # ------------------------------------------------------------------
     # Page migration (requester side)
@@ -320,7 +315,7 @@ class GpuDevice:
             kind=PacketKind.MIGRATION_REQ,
             src=self.node_id,
             dst=owner,
-            size_bytes=self.cfg_request_bytes(),
+            size_bytes=HEADER_BYTES,
             txn_id=txn,
             address=page * PAGE_BYTES,
         )
@@ -353,66 +348,18 @@ class GpuDevice:
             l1.invalidate_page(base, PAGE_BYTES)
 
     # ------------------------------------------------------------------
-    # Message handling (both requester and server roles)
+    # Message handling (requester role; MemoryNode serves requests)
     # ------------------------------------------------------------------
     def _on_message(self, packet: Packet, now: int) -> None:
         kind = packet.kind
-        if kind is PacketKind.READ_REQ:
-            self._serve_read(packet)
-        elif kind is PacketKind.WRITE_REQ:
-            self._serve_write(packet)
-        elif kind is PacketKind.MIGRATION_REQ:
-            self._serve_migration(packet)
-        elif kind is PacketKind.DATA_RESP:
+        if kind is PacketKind.DATA_RESP:
             self._complete_read(packet, now)
         elif kind is PacketKind.WRITE_ACK:
             self._complete_write(packet)
         elif kind is PacketKind.MIGRATION_DATA:
             self._migration_block_arrived(page_of(packet.address))
         else:
-            raise ValueError(f"gpu{self.node_id}: unexpected packet kind {kind}")
-
-    def _serve_read(self, packet: Packet) -> None:
-        done = self.hbm.access(self.sim.now, BLOCK_BYTES)
-        response = Packet(
-            kind=PacketKind.DATA_RESP,
-            src=self.node_id,
-            dst=packet.src,
-            size_bytes=16 + BLOCK_BYTES,
-            txn_id=packet.txn_id,
-            address=packet.address,
-        )
-        self.sim.post_at(done, lambda p=response: self.transport.send(p, self.sim.now))
-
-    def _serve_write(self, packet: Packet) -> None:
-        done = self.hbm.access(self.sim.now, BLOCK_BYTES)
-        ack = Packet(
-            kind=PacketKind.WRITE_ACK,
-            src=self.node_id,
-            dst=packet.src,
-            size_bytes=16,
-            txn_id=packet.txn_id,
-            address=packet.address,
-        )
-        self.sim.post_at(done, lambda p=ack: self.transport.send(p, self.sim.now))
-
-    def _serve_migration(self, packet: Packet) -> None:
-        """Stream the whole page to the requester as 64 block packets."""
-        page_base = page_of(packet.address) * PAGE_BYTES
-        done = self.hbm.access(self.sim.now, PAGE_BYTES)
-
-        def stream(requester=packet.src, base=page_base):
-            for i in range(BLOCKS_PER_PAGE):
-                block_packet = Packet(
-                    kind=PacketKind.MIGRATION_DATA,
-                    src=self.node_id,
-                    dst=requester,
-                    size_bytes=16 + BLOCK_BYTES,
-                    address=base + i * BLOCK_BYTES,
-                )
-                self.transport.send(block_packet, self.sim.now)
-
-        self.sim.post_at(done, stream)
+            super()._on_message(packet, now)
 
     def _complete_read(self, packet: Packet, now: int) -> None:
         ctx = self._pending.pop(packet.txn_id, None)
@@ -437,12 +384,6 @@ class GpuDevice:
     @property
     def remote_requests(self) -> int:
         return int(self._remote_reads.value + self._remote_writes.value)
-
-    def rpki(self) -> float:
-        """Remote requests per kilo-instruction (Table IV's metric)."""
-        if not self.instructions:
-            return 0.0
-        return self.remote_requests / (self.instructions / 1000.0)
 
 
 __all__ = ["GpuDevice"]

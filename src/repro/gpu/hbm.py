@@ -1,4 +1,4 @@
-"""Stacked HBM model: fixed access latency plus bandwidth serialization.
+"""Memory model: fixed access latency plus bandwidth serialization.
 
 Table III gives 512 GB/s per GPU stack.  At the 1 GHz shader clock that is
 512 B/cycle, so a 64 B block occupies the stack for a fraction of a cycle;
@@ -8,17 +8,17 @@ bulk 4 KB migrations see realistic pipelining.
 
 Per the threat model (§II-B), HBM sits inside the trusted boundary, so no
 encryption cost applies to local accesses — only the interconnects pay.
+The host's DRAM runs on the same model at its own latency and bandwidth
+(:mod:`repro.gpu.cpu`).
 """
 
 from __future__ import annotations
 
 from math import ceil
 
-from repro.sim.stats import Counter
-
 
 class HbmModel:
-    """A GPU's local 3D-stacked memory."""
+    """A processor's local memory: a GPU's 3D-stacked HBM or the host DRAM."""
 
     def __init__(
         self,
@@ -32,8 +32,8 @@ class HbmModel:
         self.access_latency = access_latency
         self.bytes_per_cycle = bytes_per_cycle
         self._busy_until = 0
-        self._reads = Counter("reads")
-        self._bytes = Counter("bytes")
+        self.accesses = 0
+        self.total_bytes = 0
 
     def access(self, now: int, size_bytes: int) -> int:
         """Serve ``size_bytes`` starting at ``now``; returns completion cycle."""
@@ -42,17 +42,9 @@ class HbmModel:
         start = max(now, self._busy_until)
         occupancy = max(1, ceil(size_bytes / self.bytes_per_cycle))
         self._busy_until = start + occupancy
-        self._reads.add()
-        self._bytes.add(size_bytes)
+        self.accesses += 1
+        self.total_bytes += size_bytes
         return start + occupancy + self.access_latency
-
-    @property
-    def total_bytes(self) -> int:
-        return self._bytes.value
-
-    @property
-    def accesses(self) -> int:
-        return self._reads.value
 
 
 __all__ = ["HbmModel"]

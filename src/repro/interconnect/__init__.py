@@ -8,7 +8,7 @@ what turns security-metadata bytes into measurable slowdown.
 """
 
 from repro.interconnect.packet import Packet, PacketKind
-from repro.interconnect.link import Channel, Link
+from repro.interconnect.link import Channel
 from repro.interconnect.topology import Topology, NodeId, CPU_NODE
 from repro.interconnect.faults import FaultVerdict, LinkFailureError
 
@@ -16,7 +16,6 @@ __all__ = [
     "Packet",
     "PacketKind",
     "Channel",
-    "Link",
     "Topology",
     "NodeId",
     "CPU_NODE",

@@ -12,6 +12,10 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
+#: Header bytes of every request and reply; the secure transport adds its
+#: metadata on top.
+HEADER_BYTES = 16
+
 
 class PacketKind(Enum):
     """Message classes crossing the interconnect."""
@@ -91,4 +95,4 @@ class Packet:
         return self.size_bytes - self.meta_bytes
 
 
-__all__ = ["Packet", "PacketKind"]
+__all__ = ["HEADER_BYTES", "Packet", "PacketKind"]

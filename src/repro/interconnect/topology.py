@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.interconnect.link import Channel
 from repro.interconnect.packet import Packet
-from repro.sim.stats import Counter
 
 NodeId = int
 CPU_NODE: NodeId = 0
@@ -91,9 +90,9 @@ class Topology:
                 self._ring_ccw[g] = Channel(
                     f"ring:gpu{g}.ccw", nvlink_bytes_per_cycle, nvlink_latency
                 )
-        self._bytes = Counter("bytes")
-        self._base_bytes = Counter("base_bytes")
-        self._meta_bytes = Counter("meta_bytes")
+        self.total_bytes = 0
+        self.base_bytes = 0
+        self.meta_bytes = 0
         # The fabric is static after construction, so (src, dst) → stages is
         # memoized — path() runs once per pair instead of once per packet.
         # quarantine() is the one sanctioned mutation: it *replaces* a
@@ -254,29 +253,12 @@ class Topology:
         t = now
         for stage in self.path(packet.src, packet.dst):
             t = stage.send(packet, t)
-        # Inlined Counter.add and base_bytes: one message-level bump per
-        # counter, on the per-packet hot path.
         size = packet.size_bytes
         meta = packet.meta_bytes
-        self._bytes.value += size
-        self._base_bytes.value += size - meta
-        self._meta_bytes.value += meta
+        self.total_bytes += size
+        self.base_bytes += size - meta
+        self.meta_bytes += meta
         return t
-
-    # ------------------------------------------------------------------
-    # Traffic accounting (counted once per message)
-    # ------------------------------------------------------------------
-    @property
-    def total_bytes(self) -> int:
-        return self._bytes.value
-
-    @property
-    def meta_bytes(self) -> int:
-        return self._meta_bytes.value
-
-    @property
-    def base_bytes(self) -> int:
-        return self._base_bytes.value
 
 
 __all__ = ["Topology", "NodeId", "CPU_NODE", "FABRICS"]

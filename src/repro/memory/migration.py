@@ -5,7 +5,9 @@ served by direct block access until one remote accessor has touched it
 ``threshold`` times, at which point the driver migrates the page to that
 accessor.  Migration moves the whole 4 KB page (64 block-sized transfers on
 the wire) and charges a fixed driver + TLB-shootdown cost, which is why
-migration only pays off for high-locality pages (§II-A).
+migration only pays off for high-locality pages (§II-A).  The device
+charges that cost: it commits a pulled page ``MigrationConfig.
+driver_cycles + shootdown_cycles`` after the page's last block arrives.
 
 Pages can be pinned (e.g. CPU-resident input staged for streaming reads)
 to model `cudaMemAdvise`-style hints from the locality API.
@@ -13,7 +15,6 @@ to model `cudaMemAdvise`-style hints from the locality API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from repro.memory.page_table import PageTable
@@ -24,14 +25,6 @@ class MigrationDecision(Enum):
     MIGRATE = "migrate"  # move the page to the accessor
 
 
-@dataclass(frozen=True)
-class MigrationCost:
-    """Cycle costs charged when a migration is performed."""
-
-    driver_cycles: int = 2000  # driver processing / unmap / remap
-    shootdown_cycles: int = 800  # TLB shootdown across sharers
-
-
 class AccessCounterMigrationPolicy:
     """Decide direct access vs migration from per-(page, accessor) counters."""
 
@@ -39,7 +32,6 @@ class AccessCounterMigrationPolicy:
         self,
         page_table: PageTable,
         threshold: int = 8,
-        cost: MigrationCost | None = None,
         max_migrations_per_page: int = 3,
     ) -> None:
         if threshold < 1:
@@ -48,7 +40,6 @@ class AccessCounterMigrationPolicy:
             raise ValueError("max_migrations_per_page must be >= 1")
         self.page_table = page_table
         self.threshold = threshold
-        self.cost = cost or MigrationCost()
         # Anti-thrash hysteresis: after this many migrations a page is
         # pinned where it is, as real UM drivers do for ping-ponging pages.
         self.max_migrations_per_page = max_migrations_per_page
@@ -88,9 +79,5 @@ class AccessCounterMigrationPolicy:
             self.pin(page)  # thrashing page: stop bouncing it around
         return self.page_table.migrate(page, new_owner)
 
-    @property
-    def total_cost_cycles(self) -> int:
-        return self.cost.driver_cycles + self.cost.shootdown_cycles
 
-
-__all__ = ["AccessCounterMigrationPolicy", "MigrationDecision", "MigrationCost"]
+__all__ = ["AccessCounterMigrationPolicy", "MigrationDecision"]

@@ -170,7 +170,7 @@ class SecureTransport(_TransportBase):
             self.schemes[node] = build_scheme(sec.scheme, node, topology.peers_of(node), sec)
             self.guards[node] = ReplayGuard(node)
             if sec.batching:
-                self.batchers[node] = BatchingController(sec.batch_size, sec.batch_timeout)
+                self.batchers[node] = BatchingController(sec.batch_size)
                 self.mac_storage[node] = MsgMacStorage(capacity_per_pair=64)
         self._ctrs: dict[tuple[int, int], int] = {}
         # Crypto units are FIFO per directed pair: a pad stall blocks the
@@ -414,27 +414,6 @@ class SecureTransport(_TransportBase):
     def _acked(self, sender: int, receiver: int, counter: int | None, batch_id: int | None) -> None:
         """The ACK reached ``sender``: its replay table retires the entries."""
         self.guards[sender].on_ack(receiver, counter, batch_id=batch_id)
-
-    # ------------------------------------------------------------------
-    # Aggregated reporting
-    # ------------------------------------------------------------------
-    def otp_summary(self) -> dict[str, dict[str, float]]:
-        """Fleet-wide send/recv hit-partial-miss fractions (Figs 10/22)."""
-        send = {"hit": 0, "partial": 0, "miss": 0}
-        recv = {"hit": 0, "partial": 0, "miss": 0}
-        for scheme in self.schemes.values():
-            for key, val in scheme.send_outcomes.counts.items():
-                send[key] = send.get(key, 0) + val
-            for key, val in scheme.recv_outcomes.counts.items():
-                recv[key] = recv.get(key, 0) + val
-
-        def fractions(counts):
-            total = sum(counts.values())
-            if not total:
-                return {k: 0.0 for k in counts}
-            return {k: v / total for k, v in counts.items()}
-
-        return {"send": fractions(send), "recv": fractions(recv)}
 
 
 def build_transport(

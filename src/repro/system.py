@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.configs import SystemConfig
-from repro.gpu.cpu import HostCpu
+from repro.gpu.cpu import DRAM_BYTES_PER_CYCLE, MemoryNode
 from repro.gpu.gpu import GpuDevice
+from repro.gpu.hbm import HbmModel
 from repro.interconnect.topology import CPU_NODE, Topology
-from repro.memory.migration import AccessCounterMigrationPolicy, MigrationCost
+from repro.memory.migration import AccessCounterMigrationPolicy
 from repro.memory.page_table import PageTable
 from repro.obs import MetricsRegistry
 from repro.secure.adversary import AttackReport
@@ -31,6 +32,7 @@ from repro.secure.channel import SecureTransport, build_transport
 from repro.sim.engine import Simulator
 from repro.sim.stats import FaultStats
 from repro.workloads.compiled import CompiledTrace
+from repro.workloads.rpki import rpki_of
 
 
 @dataclass
@@ -110,7 +112,7 @@ class MultiGpuSystem:
             switch_factor=config.link.switch_factor,
         )
         self.transport = build_transport(self.sim, self.topology, config, self.metrics)
-        self.cpu: HostCpu | None = None
+        self.cpu: MemoryNode | None = None
         self.gpus: dict[int, GpuDevice] = {}
         self.page_table: PageTable | None = None
         self._ran = False
@@ -121,17 +123,12 @@ class MultiGpuSystem:
     def _build_devices(self, trace: CompiledTrace) -> None:
         cfg = self.config
         self.page_table = PageTable(trace.initial_owners)
-        policy = AccessCounterMigrationPolicy(
-            self.page_table,
-            threshold=cfg.migration.threshold,
-            cost=MigrationCost(cfg.migration.driver_cycles, cfg.migration.shootdown_cycles),
-        )
+        policy = AccessCounterMigrationPolicy(self.page_table, threshold=cfg.migration.threshold)
         for page in trace.pinned_pages:
             policy.pin(page)
 
-        self.cpu = HostCpu(
-            self.sim, self.transport, node_id=CPU_NODE, dram_latency=cfg.cpu_dram_latency
-        )
+        dram = HbmModel("cpu.dram", cfg.cpu_dram_latency, DRAM_BYTES_PER_CYCLE)
+        self.cpu = MemoryNode(CPU_NODE, self.sim, self.transport, dram)
         for node in self.topology.gpu_nodes():
             self.gpus[node] = GpuDevice(
                 node_id=node,
@@ -149,12 +146,11 @@ class MultiGpuSystem:
             self.gpus[node].load_trace(gpu_trace)
 
     def _on_migration_commit(self, page: int, old_owner: int, new_owner: int) -> None:
-        """Driver-side shootdown: every node drops its stale page state."""
+        """Driver-side shootdown: every other GPU drops its stale page state
+        (the host caches nothing GPU-visible)."""
         for gpu in self.gpus.values():
             if gpu.node_id != new_owner:
                 gpu.invalidate_page(page)
-        if self.cpu is not None:
-            self.cpu.invalidate_page(page)
 
     # ------------------------------------------------------------------
     # Execution
@@ -199,6 +195,7 @@ class MultiGpuSystem:
         scheme_name = self.config.security.scheme
         if self.config.security.batching:
             scheme_name = "batching"
+        remote = sum(g.remote_requests for g in self.gpus.values())
         report = SimulationReport(
             workload=trace.name,
             scheme=scheme_name,
@@ -207,24 +204,18 @@ class MultiGpuSystem:
             traffic_bytes=self.topology.total_bytes,
             base_traffic_bytes=self.topology.base_bytes,
             meta_traffic_bytes=self.topology.meta_bytes,
-            remote_requests=sum(g.remote_requests for g in self.gpus.values()),
+            remote_requests=remote,
             migrations=self.page_table.migrations if self.page_table else 0,
+            rpki=rpki_of(remote, sum(g.instructions for g in self.gpus.values())),
             per_gpu_finish=finishes,
             events_processed=self.sim.events_processed,
         )
-
-        instructions = sum(g.instructions for g in self.gpus.values())
-        if instructions:
-            report.rpki = report.remote_requests / (instructions / 1000.0)
 
         report.burst16_fractions = self.transport.burst16.fractions()
         report.burst32_fractions = self.transport.burst32.fractions()
         report.timelines = self.transport.timelines
 
         if isinstance(self.transport, SecureTransport):
-            summary = self.transport.otp_summary()
-            report.otp_send = OtpDistribution(**summary["send"])
-            report.otp_recv = OtpDistribution(**summary["recv"])
             report.acks_sent = self.transport.acks_sent
             report.batch_macs_sent = self.transport.batch_macs_sent
         if self.transport.fault_stats is not None:
@@ -246,7 +237,8 @@ class MultiGpuSystem:
         (``run.* traffic.* meta.* msg.* engine.* burst.*``); secure schemes
         add ``otp.*``/``ack.*``/``batch.*``, the dynamic allocator adds
         ``alloc.*``, and live ``fault.*`` counters were already recorded by
-        the transport during the run.  The resulting snapshot is a pure
+        the transport during the run.  The merged ``otp.*`` ratios also give
+        the report its OTP fractions.  The resulting snapshot is a pure
         function of the job description, so it survives the result cache
         and the process-pool boundary bit-identically.
         """
@@ -270,6 +262,8 @@ class MultiGpuSystem:
             for scheme in self.transport.schemes.values():
                 send.merge(scheme.send_outcomes)
                 recv.merge(scheme.recv_outcomes)
+            report.otp_send = OtpDistribution(**send.fractions())
+            report.otp_recv = OtpDistribution(**recv.fractions())
             m.counter("ack.sent").add(self.transport.acks_sent)
             m.counter("batch.macs_sent").add(self.transport.batch_macs_sent)
             # Conformance-oracle feed (docs/VERIFICATION.md): the message

@@ -218,8 +218,8 @@ class TestDynamicAllocator:
 
 
 class TestBatchingController:
-    def _controller(self, batch_size=4, timeout=100):
-        return BatchingController(batch_size, timeout)
+    def _controller(self, batch_size=4):
+        return BatchingController(batch_size)
 
     def test_first_block_opens_with_length_byte(self):
         c = self._controller()
@@ -312,8 +312,6 @@ class TestBatchingController:
     def test_validation(self):
         with pytest.raises(ValueError):
             self._controller(batch_size=0)
-        with pytest.raises(ValueError):
-            self._controller(timeout=0)
 
 
 class TestMsgMacStorage:

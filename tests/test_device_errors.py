@@ -3,12 +3,11 @@
 import pytest
 
 from repro.configs import SecurityConfig
-from repro.gpu.cpu import HostCpu
 from repro.interconnect.packet import Packet, PacketKind
 from repro.secure.schemes.ideal import IdealScheme
 from repro.workloads.compiled import CompiledGpuTrace
 
-from tests.test_gpu_device import make_gpu, reads
+from tests.test_gpu_device import host_cpu, make_gpu, reads
 
 
 class TestGpuErrorPaths:
@@ -45,25 +44,19 @@ class TestGpuErrorPaths:
 
 class TestHostCpu:
     def test_cpu_rejects_data_responses(self, sim, fake_transport):
-        cpu = HostCpu(sim, fake_transport)
+        cpu = host_cpu(sim, fake_transport)
         resp = Packet(kind=PacketKind.DATA_RESP, src=1, dst=0, size_bytes=80)
         with pytest.raises(ValueError):
             cpu._on_message(resp, 0)
 
     def test_cpu_serves_reads(self, sim, fake_transport):
-        cpu = HostCpu(sim, fake_transport)
+        cpu = host_cpu(sim, fake_transport)
         fake_transport.register(1, lambda p, t: None)
         req = Packet(kind=PacketKind.READ_REQ, src=1, dst=0, size_bytes=16, txn_id=1)
         cpu._on_message(req, 0)
         sim.run()
         kinds = [p.kind for p in fake_transport.sent]
         assert PacketKind.DATA_RESP in kinds
-
-    def test_cpu_dram_serializes_bulk(self, sim, fake_transport):
-        cpu = HostCpu(sim, fake_transport, dram_latency=10, dram_bytes_per_cycle=64)
-        done1 = cpu._dram_access(4096)
-        done2 = cpu._dram_access(4096)
-        assert done2 > done1  # bandwidth occupancy accumulates
 
 
 class TestIdealScheme:

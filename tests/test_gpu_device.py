@@ -2,22 +2,23 @@
 
 import pytest
 
-from repro.configs import GpuConfig, MigrationConfig
+from repro.configs import GpuConfig, MigrationConfig, SystemConfig
 from repro.gpu.compute_unit import ComputeUnitLane, LaneState
-from repro.gpu.cpu import HostCpu
+from repro.gpu.cpu import DRAM_BYTES_PER_CYCLE, MemoryNode
 from repro.gpu.gpu import GpuDevice
-from repro.interconnect.packet import PacketKind
-from repro.memory.address_space import BLOCK_BYTES, PAGE_BYTES
-from repro.memory.migration import AccessCounterMigrationPolicy, MigrationCost
+from repro.gpu.hbm import HbmModel
+from repro.interconnect.packet import Packet, PacketKind
+from repro.interconnect.topology import CPU_NODE
+from repro.memory.address_space import BLOCK_BYTES, BLOCKS_PER_PAGE, PAGE_BYTES
+from repro.memory.migration import AccessCounterMigrationPolicy
 from repro.memory.page_table import PageTable
 from repro.workloads.compiled import CompiledGpuTrace, CompiledLane
+from repro.workloads.rpki import rpki_of
 
 
 def make_gpu(sim, transport, owners, node=1, threshold=100, **gpu_overrides):
     pt = PageTable(owners)
-    policy = AccessCounterMigrationPolicy(
-        pt, threshold=threshold, cost=MigrationCost(driver_cycles=50, shootdown_cycles=20)
-    )
+    policy = AccessCounterMigrationPolicy(pt, threshold=threshold)
     cfg = GpuConfig(**gpu_overrides) if gpu_overrides else GpuConfig()
     gpu = GpuDevice(
         node_id=node,
@@ -29,6 +30,12 @@ def make_gpu(sim, transport, owners, node=1, threshold=100, **gpu_overrides):
         migration_cfg=MigrationConfig(driver_cycles=50, shootdown_cycles=20),
     )
     return gpu, pt
+
+
+def host_cpu(sim, transport):
+    """The host as the system builds it: a memory node over its DRAM."""
+    dram = HbmModel("cpu.dram", SystemConfig().cpu_dram_latency, DRAM_BYTES_PER_CYCLE)
+    return MemoryNode(CPU_NODE, sim, transport, dram)
 
 
 def reads(addresses, gap=1):
@@ -85,7 +92,7 @@ class TestGpuLocalExecution:
         sim.run()
         assert gpu.finish_cycle is not None
         assert gpu.remote_requests == 0
-        assert gpu.hbm.accesses == 8  # every local miss reads HBM
+        assert gpu.memory.accesses == 8  # every local miss reads HBM
         assert fake_transport.sent == []
 
     def test_cache_hits_filter_memory_traffic(self, sim, fake_transport):
@@ -97,7 +104,7 @@ class TestGpuLocalExecution:
         gpu.start()
         sim.run()
         assert cache_hits(gpu) == 9
-        assert gpu.hbm.accesses == 1
+        assert gpu.memory.accesses == 1
 
     def test_pump_grants_ready_lanes_round_robin(self, sim, fake_transport, monkeypatch):
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
@@ -126,14 +133,14 @@ class TestGpuLocalExecution:
         gpu.load_trace(CompiledGpuTrace((reads([PAGE_BYTES]),), instructions=2000))
         gpu.start()
         sim.run()
-        assert gpu.rpki() == 0.0
+        assert rpki_of(gpu.remote_requests, gpu.instructions) == 0.0
 
 
 class TestGpuRemoteExecution:
     def _run_remote(self, sim, fake_transport, n_blocks=4, **overrides):
         # GPU 1's accesses land on a page owned by the CPU (node 0).
         gpu, pt = make_gpu(sim, fake_transport, {0: 0}, **overrides)
-        HostCpu(sim, fake_transport)
+        host_cpu(sim, fake_transport)
         addrs = [i * BLOCK_BYTES for i in range(n_blocks)]
         gpu.load_trace(CompiledGpuTrace((reads(addrs),), instructions=1000))
         gpu.start()
@@ -147,11 +154,11 @@ class TestGpuRemoteExecution:
         assert kinds.count(PacketKind.READ_REQ) == 4
         assert kinds.count(PacketKind.DATA_RESP) == 4
         assert gpu.remote_requests == 4
-        assert gpu.rpki() == pytest.approx(4.0)
+        assert rpki_of(gpu.remote_requests, gpu.instructions) == pytest.approx(4.0)
 
     def test_duplicate_block_requests_merge(self, sim, fake_transport):
         gpu, _ = make_gpu(sim, fake_transport, {0: 0}, lane_outstanding=8)
-        HostCpu(sim, fake_transport)
+        host_cpu(sim, fake_transport)
         # two lanes read the same block at the same time: one fetch expected
         lanes = [reads([0], gap=0), reads([0], gap=0)]
         gpu.load_trace(CompiledGpuTrace(tuple(lanes), instructions=100))
@@ -164,7 +171,7 @@ class TestGpuRemoteExecution:
 
     def test_remote_write_completes_via_ack(self, sim, fake_transport):
         gpu, _ = make_gpu(sim, fake_transport, {0: 0})
-        HostCpu(sim, fake_transport)
+        host_cpu(sim, fake_transport)
         write = CompiledLane((1,), (0,), (1,))
         gpu.load_trace(CompiledGpuTrace((write,), instructions=100))
         gpu.start()
@@ -184,7 +191,7 @@ class TestGpuRemoteExecution:
         gpu, _ = make_gpu(
             sim, fake_transport, {0: 0}, max_outstanding=2, n_lanes=1, lane_outstanding=64
         )
-        HostCpu(sim, fake_transport)
+        host_cpu(sim, fake_transport)
         addrs = [i * BLOCK_BYTES for i in range(8)]
         gpu.load_trace(CompiledGpuTrace((reads(addrs, gap=0),), instructions=100))
         gpu.start()
@@ -203,7 +210,7 @@ class TestGpuRemoteExecution:
 class TestMigration:
     def test_threshold_triggers_page_pull(self, sim, fake_transport):
         gpu, pt = make_gpu(sim, fake_transport, {0: 0}, threshold=3)
-        HostCpu(sim, fake_transport)
+        host_cpu(sim, fake_transport)
         # 6 distinct blocks of the same CPU page, reads cross the threshold
         addrs = [i * BLOCK_BYTES for i in range(6)]
         gpu.load_trace(CompiledGpuTrace((reads(addrs, gap=2),), instructions=100))
@@ -218,7 +225,7 @@ class TestMigration:
     def test_pinned_page_never_migrates(self, sim, fake_transport):
         gpu, pt = make_gpu(sim, fake_transport, {0: 0}, threshold=2)
         gpu.migration_policy.pin(0)
-        HostCpu(sim, fake_transport)
+        host_cpu(sim, fake_transport)
         addrs = [i * BLOCK_BYTES for i in range(6)]
         gpu.load_trace(CompiledGpuTrace((reads(addrs, gap=2),), instructions=100))
         gpu.start()
@@ -230,11 +237,33 @@ class TestMigration:
         commits = []
         gpu, pt = make_gpu(sim, fake_transport, {0: 0}, threshold=1)
         gpu.on_migration_commit = lambda page, old, new: commits.append((page, old, new))
-        HostCpu(sim, fake_transport)
+        host_cpu(sim, fake_transport)
         gpu.load_trace(CompiledGpuTrace((reads([0, 64], gap=2),), instructions=100))
         gpu.start()
         sim.run()
         assert commits == [(0, 0, 1)]
+
+    def test_commit_waits_driver_and_shootdown_cycles(self, sim, fake_transport):
+        gpu, pt = make_gpu(sim, fake_transport, {0: 0}, threshold=1)
+        host_cpu(sim, fake_transport)
+        arrivals = []
+        deliver = fake_transport.handlers[gpu.node_id]
+
+        def record(packet, now):
+            if packet.kind is PacketKind.MIGRATION_DATA:
+                arrivals.append((now, pt.owner(0)))
+            deliver(packet, now)
+
+        fake_transport.handlers[gpu.node_id] = record
+        commits = []
+        gpu.on_migration_commit = lambda page, old, new: commits.append((sim.now, pt.owner(page)))
+        gpu.load_trace(CompiledGpuTrace((reads([0, 64], gap=2),), instructions=100))
+        gpu.start()
+        sim.run()
+        assert len(arrivals) == BLOCKS_PER_PAGE
+        assert {owner for _, owner in arrivals} == {0}
+        cost = gpu.migration_cfg.driver_cycles + gpu.migration_cfg.shootdown_cycles
+        assert commits == [(arrivals[-1][0] + cost, 1)]
 
     def test_invalidate_page_clears_state(self, sim, fake_transport):
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
@@ -244,3 +273,48 @@ class TestMigration:
         assert gpu.l2.contains(PAGE_BYTES)
         gpu.invalidate_page(1)
         assert not gpu.l2.contains(PAGE_BYTES)
+
+
+class TestMemoryNode:
+    """The one serve path, on the host CPU and on a GPU."""
+
+    @pytest.mark.parametrize("server", ["cpu", "gpu"])
+    @pytest.mark.parametrize(
+        "kind, served_bytes, replies",
+        [
+            (PacketKind.READ_REQ, BLOCK_BYTES, [(PacketKind.DATA_RESP, 80)]),
+            (PacketKind.WRITE_REQ, BLOCK_BYTES, [(PacketKind.WRITE_ACK, 16)]),
+            (
+                PacketKind.MIGRATION_REQ,
+                PAGE_BYTES,
+                [(PacketKind.MIGRATION_DATA, 80)] * BLOCKS_PER_PAGE,
+            ),
+        ],
+    )
+    def test_request_answered_when_memory_is_done(
+        self, sim, fake_transport, server, kind, served_bytes, replies
+    ):
+        if server == "cpu":
+            node = host_cpu(sim, fake_transport)
+        else:
+            node, _ = make_gpu(sim, fake_transport, {1: 2}, node=2)
+        sent = []
+        fake_transport.send = lambda packet, now: sent.append((packet, now))
+        memory = node.memory
+        twin = HbmModel("twin", memory.access_latency, memory.bytes_per_cycle)
+        done = twin.access(5, served_bytes)
+        address = PAGE_BYTES + 3 * BLOCK_BYTES
+        request = Packet(
+            kind=kind, src=1, dst=node.node_id, size_bytes=16, txn_id=7, address=address
+        )
+        sim.post_at(5, lambda: node._on_message(request, sim.now))
+        sim.run()
+        assert [(p.kind, p.size_bytes) for p, _ in sent] == replies
+        assert {(p.src, p.dst, now) for p, now in sent} == {(node.node_id, 1, done)}
+        if kind is PacketKind.MIGRATION_REQ:
+            assert [p.address for p, _ in sent] == [
+                PAGE_BYTES + i * BLOCK_BYTES for i in range(BLOCKS_PER_PAGE)
+            ]
+        else:
+            assert (sent[0][0].txn_id, sent[0][0].address) == (7, address)
+        assert (memory.accesses, memory.total_bytes) == (1, served_bytes)

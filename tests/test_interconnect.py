@@ -1,8 +1,8 @@
-"""Interconnect substrate tests: packets, links, topology."""
+"""Interconnect substrate tests: packets, channels, topology."""
 
 import pytest
 
-from repro.interconnect.link import Channel, Link
+from repro.interconnect.link import Channel
 from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.topology import CPU_NODE, Topology
 
@@ -38,9 +38,10 @@ class TestPacket:
 class TestChannel:
     def test_serialization_time(self):
         ch = Channel("c", bytes_per_cycle=32.0, latency=100)
-        assert ch.serialization_cycles(64) == 2
-        assert ch.serialization_cycles(65) == 3
-        assert ch.serialization_cycles(1) == 1
+        # an idle channel each time: arrival = now + serialization + latency
+        assert ch.send(mk_packet(size=64), now=0) == 0 + 2 + 100
+        assert ch.send(mk_packet(size=65), now=1000) == 1000 + 3 + 100
+        assert ch.send(mk_packet(size=1), now=2000) == 2000 + 1 + 100
 
     def test_send_arrival_includes_latency(self):
         ch = Channel("c", bytes_per_cycle=64.0, latency=10)
@@ -60,43 +61,11 @@ class TestChannel:
         arrival = ch.send(mk_packet(size=5), now=100)
         assert arrival == 105
 
-    def test_byte_accounting_splits_metadata(self):
-        ch = Channel("c", bytes_per_cycle=8.0, latency=0)
-        ch.send(mk_packet(size=97, meta=17), now=0)
-        assert ch.total_bytes == 97
-        assert ch.meta_bytes == 17
-        assert ch.base_bytes == 80
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             Channel("c", bytes_per_cycle=0, latency=0)
         with pytest.raises(ValueError):
             Channel("c", bytes_per_cycle=1, latency=-1)
-
-
-class TestLink:
-    def test_directions_are_independent(self):
-        link = Link(1, 2, bytes_per_cycle=1.0, latency=0)
-        a1 = link.send(mk_packet(src=1, dst=2, size=10), now=0)
-        a2 = link.send(mk_packet(src=2, dst=1, size=10), now=0)
-        assert a1 == 10 and a2 == 10  # full duplex: no interference
-
-    def test_rejects_foreign_traffic(self):
-        link = Link(1, 2, bytes_per_cycle=1.0, latency=0)
-        with pytest.raises(ValueError):
-            link.send(mk_packet(src=1, dst=3), now=0)
-
-    def test_rejects_self_link(self):
-        with pytest.raises(ValueError):
-            Link(1, 1, 1.0, 0)
-
-    def test_aggregate_bytes(self):
-        link = Link(1, 2, bytes_per_cycle=1.0, latency=0)
-        link.send(mk_packet(src=1, dst=2, size=30, meta=10), now=0)
-        link.send(mk_packet(src=2, dst=1, size=20, meta=5), now=0)
-        assert link.total_bytes == 50
-        assert link.meta_bytes == 15
-        assert link.base_bytes == 35
 
 
 class TestTopology:

@@ -11,11 +11,7 @@ from repro.memory.address_space import (
     page_of,
 )
 from repro.memory.directory import BlockDirectory
-from repro.memory.migration import (
-    AccessCounterMigrationPolicy,
-    MigrationCost,
-    MigrationDecision,
-)
+from repro.memory.migration import AccessCounterMigrationPolicy, MigrationDecision
 from repro.memory.page_table import PageTable
 
 
@@ -143,13 +139,6 @@ class TestMigrationPolicy:
         assert policy.on_remote_access(7, 2) is MigrationDecision.MIGRATE
         old = policy.commit_migration(7, 2)
         assert old == 1 and pt.owner(7) == 2
-
-    def test_cost_cycles(self):
-        pt = PageTable({1: 1})
-        policy = AccessCounterMigrationPolicy(
-            pt, threshold=1, cost=MigrationCost(driver_cycles=10, shootdown_cycles=5)
-        )
-        assert policy.total_cost_cycles == 15
 
     def test_threshold_validation(self):
         pt = PageTable({})

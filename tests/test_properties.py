@@ -6,6 +6,8 @@ FIFO monotonicity, batching byte accounting, EWMA convexity, and the
 functional crypto round-trip.
 """
 
+from math import ceil
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,7 +139,7 @@ def test_ewma_stays_within_sample_hull(rate, samples):
 def test_batched_meta_never_exceeds_conventional(batch_size, n_blocks):
     md = MetadataConfig()
     accountant = MetadataAccountant(md)
-    controller = BatchingController(batch_size=batch_size, timeout=100)
+    controller = BatchingController(batch_size=batch_size)
     grants = [controller.add_block(peer=2, now=i) for i in range(n_blocks)]
     total = sum(accountant.batched_block_meta(g.opens_batch, g.closes_batch) for g in grants)
     conventional = n_blocks * md.per_message_meta_bytes
@@ -148,7 +150,7 @@ def test_batched_meta_never_exceeds_conventional(batch_size, n_blocks):
 
 @given(batch_size=st.integers(2, 32), n_blocks=st.integers(1, 100))
 def test_batch_close_counting(batch_size, n_blocks):
-    controller = BatchingController(batch_size=batch_size, timeout=100)
+    controller = BatchingController(batch_size=batch_size)
     closes = sum(
         1 for i in range(n_blocks) if controller.add_block(2, i).closes_batch
     )
@@ -189,7 +191,7 @@ def test_channel_arrivals_are_fifo_monotonic(sizes, gaps):
     channel = Channel("c", bytes_per_cycle=32.0, latency=10)
     now = 0
     last_arrival = 0
-    total = 0
+    busy_cycles = 0
     for size, gap in zip(sizes, gaps):
         now += gap
         packet = Packet(kind=PacketKind.DATA_RESP, src=1, dst=2, size_bytes=size)
@@ -197,8 +199,8 @@ def test_channel_arrivals_are_fifo_monotonic(sizes, gaps):
         assert arrival >= last_arrival  # FIFO: no reordering
         assert arrival >= now + 10  # at least the wire latency
         last_arrival = arrival
-        total += size
-    assert channel.total_bytes == total
+        busy_cycles += max(1, ceil(size / 32))
+    assert channel.busy_until >= busy_cycles  # every byte held the wire
 
 
 # ---------------------------------------------------------------------------

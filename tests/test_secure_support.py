@@ -35,6 +35,8 @@ class TestEngineModel:
             SecurityConfig(ghash_latency=-1)
         with pytest.raises(ValueError, match="latencies must be non-negative"):
             SecurityConfig(xor_latency=-1)
+        with pytest.raises(ValueError, match="batch timeout must be >= 1"):
+            SecurityConfig(batch_timeout=0)
 
 
 class TestMetadataAccountant:

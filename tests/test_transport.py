@@ -1,5 +1,7 @@
 """Secure/unsecure transport integration tests on a tiny 2-GPU system."""
 
+from collections import Counter
+
 import pytest
 
 from repro.configs import default_config
@@ -7,6 +9,8 @@ from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.topology import Topology
 from repro.secure.channel import SecureTransport, UnsecureTransport, build_transport
 from repro.sim.engine import Simulator
+from repro.system import MultiGpuSystem, OtpDistribution
+from repro.workloads import get_workload
 
 
 def make_fabric(scheme="private", n_gpus=2, **security_overrides):
@@ -137,12 +141,17 @@ class TestSecureTransport:
         assert len(inboxes[2]) == 1
 
     def test_otp_summary_structure(self):
-        sim, _, transport, _ = make_fabric("private")
-        transport.send(data_packet(), now=0)
-        sim.run()
-        summary = transport.otp_summary()
-        assert set(summary) == {"send", "recv"}
-        assert sum(summary["send"].values()) == pytest.approx(1.0)
+        # the report's OTP fractions merge every node's pad outcomes
+        trace = get_workload("fir").generate(n_gpus=2, seed=1, scale=0.1)
+        system = MultiGpuSystem(default_config(n_gpus=2, scheme="private"))
+        report = system.run(trace)
+        for direction, dist in (("send", report.otp_send), ("recv", report.otp_recv)):
+            counts = Counter()
+            for scheme in system.transport.schemes.values():
+                counts.update(getattr(scheme, f"{direction}_outcomes").counts)
+            total = sum(counts.values())
+            assert total > 0
+            assert dist == OtpDistribution(**{k: n / total for k, n in counts.items()})
 
     def test_housekeeping_kinds_rejected_from_devices(self):
         _, _, transport, _ = make_fabric("private")
