@@ -207,6 +207,63 @@ class TestGpuRemoteExecution:
         assert gpu.remote_requests == 8
 
 
+class TestWakeup:
+    """The lane pump's wakeup timer fires when the earliest waiting lane's
+    gap expires, whatever else holds the other lanes back."""
+
+    def _run(self, sim, fake_transport, lanes, **overrides):
+        gpu, _ = make_gpu(sim, fake_transport, {0: 0}, **overrides)
+        host_cpu(sim, fake_transport)
+        gpu.tlbs.translate(0)  # a warm TLB: no IOMMU walk holds a lane
+        gpu.load_trace(CompiledGpuTrace(tuple(lanes), instructions=100))
+        wakeups, issues = [], []
+        schedule_at = sim.schedule_at
+
+        def record_wakeup(time, callback):
+            wakeups.append((sim.now, time))
+            return schedule_at(time, callback)
+
+        handle = gpu._handle_access
+
+        def record_issue(lane, now):
+            issues.append((now, lane.lane_id))
+            handle(lane, now)
+
+        sim.schedule_at = record_wakeup
+        gpu._handle_access = record_issue
+        gpu.start()
+        sim.run()
+        assert gpu.finish_cycle is not None
+        return wakeups, issues
+
+    def test_gap_expires_while_the_window_is_full(self, sim, fake_transport):
+        # lane 0's read fills the one-slot GPU-wide window at cycle 0;
+        # lane 1's gap still ends at 5, and the timer fires there even
+        # though the window keeps lane 1 waiting until the read returns
+        wakeups, issues = self._run(
+            sim,
+            fake_transport,
+            [reads([0], gap=0), reads([64], gap=5)],
+            max_outstanding=1,
+        )
+        assert wakeups == [(0, 5)]
+        assert issues == [(0, 0), (241, 1)]
+        assert (sim.pushes, sim.cancelled, sim.events_processed) == (8, 0, 8)
+
+    def test_gap_expires_while_other_lanes_sit_at_their_cap(self, sim, fake_transport):
+        # one slot per lane: lane 0 is at its cap from cycle 0 until its
+        # read returns, while lanes 1 and 2 wake at their own gaps
+        wakeups, issues = self._run(
+            sim,
+            fake_transport,
+            [reads([0, 128], gap=0), reads([64], gap=7), reads([192], gap=12)],
+            lane_outstanding=1,
+        )
+        assert wakeups == [(0, 7), (7, 12)]
+        assert issues == [(0, 0), (7, 1), (12, 2), (241, 0)]
+        assert (sim.pushes, sim.cancelled, sim.events_processed) == (15, 0, 15)
+
+
 class TestMigration:
     def test_threshold_triggers_page_pull(self, sim, fake_transport):
         gpu, pt = make_gpu(sim, fake_transport, {0: 0}, threshold=3)
