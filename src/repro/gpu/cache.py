@@ -5,8 +5,9 @@ Used for the L1 vector cache (16 KB, 4-way) and the shared L2 (2 MB,
 accesses reach memory or the interconnect; data contents are not stored
 (the simulator is timing-directed), only tags.
 
-LRU is implemented per set with an access stamp, which is O(associativity)
-per touch — small constants for 4/16-way sets and fast enough in Python.
+LRU is implemented per set with an access stamp: a touch is one dict
+store, and only a fill into a full set scans the set (O(associativity),
+small for 4/16-way sets) for its least-recently-used victim.
 """
 
 from __future__ import annotations
@@ -58,8 +59,11 @@ class SetAssociativeCache:
 
     def lookup(self, address: int) -> bool:
         """Touch ``address``; True on hit.  Misses do NOT allocate."""
-        set_idx, tag = self._locate(address)
-        cache_set = self._sets[set_idx]
+        # _locate, inlined: lookup and fill run on every access
+        block = address // self.line_bytes
+        n_sets = self.n_sets
+        cache_set = self._sets[block % n_sets]
+        tag = block // n_sets
         self._stamp += 1
         if tag in cache_set:
             cache_set[tag] = self._stamp
@@ -70,8 +74,11 @@ class SetAssociativeCache:
 
     def fill(self, address: int) -> int | None:
         """Allocate the line for ``address``; returns the evicted address."""
-        set_idx, tag = self._locate(address)
+        block = address // self.line_bytes
+        n_sets = self.n_sets
+        set_idx = block % n_sets
         cache_set = self._sets[set_idx]
+        tag = block // n_sets
         self._stamp += 1
         if tag in cache_set:
             cache_set[tag] = self._stamp
@@ -81,7 +88,7 @@ class SetAssociativeCache:
             victim_tag = min(cache_set, key=cache_set.get)
             del cache_set[victim_tag]
             self.stats.evictions += 1
-            victim_addr = (victim_tag * self.n_sets + set_idx) * self.line_bytes
+            victim_addr = (victim_tag * n_sets + set_idx) * self.line_bytes
         cache_set[tag] = self._stamp
         return victim_addr
 

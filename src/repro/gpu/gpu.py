@@ -18,14 +18,17 @@ readiness inlined (the :class:`~repro.gpu.compute_unit.LaneState` enum is
 for tests and diagnostics, not the issue loop).  An issue grant allocates
 nothing: the pump scans the lanes from a round-robin pointer and issues
 the first ready one.  Every one-shot completion callback goes through the
-engine's no-handle ``post``/``post_at`` path.  Only the wakeup timer, which is routinely
+engine's no-handle ``post``/``post_at`` path, as a ``functools.partial``
+over a bound method.  Only the wakeup timer, which is routinely
 cancelled and rescheduled, takes an :class:`~repro.sim.engine.Event`
-handle.
+handle; a scan that finds no ready lane has seen every lane, so it also
+yields the next wakeup without a second pass.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable
 
 from repro.configs import GpuConfig, MigrationConfig
@@ -128,28 +131,40 @@ class GpuDevice(MemoryNode):
             # Scan from the pointer and issue the first ready lane; the
             # pointer then moves past the winner.
             i = self._next_lane
+            next_time = None
             for _ in lanes:
                 lane = lanes[i]
                 i += 1
                 if i == n_lanes:
                     i = 0
-                # inline LaneState.READY: not exhausted, under its
-                # outstanding cap, and its gap has elapsed
-                if (
-                    lane.index < lane.n
-                    and lane.outstanding < lane.max_outstanding
-                    and now >= lane.ready_at
-                ):
-                    break
+                # inline LaneState: not exhausted and under its
+                # outstanding cap, then READY once its gap has elapsed
+                # and WAITING until then
+                if lane.index < lane.n and lane.outstanding < lane.max_outstanding:
+                    ready_at = lane.ready_at
+                    if now >= ready_at:
+                        break
+                    if next_time is None or ready_at < next_time:
+                        next_time = ready_at
             else:
+                # No lane is ready, and the scan saw every lane: the
+                # earliest gap it passed is the next wakeup.
+                if next_time is not None:
+                    self._schedule_wakeup(now, next_time)
                 break
             self._next_lane = i
             self._handle_access(lane, now)
-        self._schedule_wakeup(now)
+        else:
+            # the full window ended the loop, so the lanes past the last
+            # winner went unseen: rescan them all
+            next_time = self._next_gap_end(now)
+            if next_time is not None:
+                self._schedule_wakeup(now, next_time)
         if self.finish_cycle is None:
             self._check_finished(now)
 
-    def _schedule_wakeup(self, now: int) -> None:
+    def _next_gap_end(self, now: int) -> int | None:
+        """The earliest cycle a waiting lane's gap expires, if any lane waits."""
         next_time: int | None = None
         for l in self.lanes:
             # inline LaneState.WAITING: not exhausted, under its cap, gap
@@ -157,8 +172,10 @@ class GpuDevice(MemoryNode):
             if l.index < l.n and l.outstanding < l.max_outstanding and now < l.ready_at:
                 if next_time is None or l.ready_at < next_time:
                     next_time = l.ready_at
-        if next_time is None:
-            return
+        return next_time
+
+    def _schedule_wakeup(self, now: int, next_time: int) -> None:
+        """Pump at ``next_time`` unless a live wakeup comes no later."""
         # an existing wakeup only counts if it is still in the future
         wakeup = self._wakeup
         if wakeup is not None and not wakeup.cancelled and wakeup.time > now:
@@ -189,8 +206,7 @@ class GpuDevice(MemoryNode):
             # held so dependent work backs up behind the walk.
             lane.issue(now, consumes_slot=True)
             self.sim.post(
-                self.cfg.iommu_walk_cycles,
-                lambda l=lane, a=addr, w=write: self._access_memory(l, a, w, True),
+                self.cfg.iommu_walk_cycles, partial(self._access_memory, lane, addr, write, True)
             )
             return
         lane.issue(now, consumes_slot=False)
@@ -238,7 +254,7 @@ class GpuDevice(MemoryNode):
             self._finish_access(lane, slot_held)
             return
         self._hold_slot(lane, slot_held)
-        self.sim.post_at(done, lambda l=lane, a=addr: self._local_read_done(l, a))
+        self.sim.post_at(done, partial(self._local_read_done, lane, addr))
 
     def _local_read_done(self, lane: ComputeUnitLane, addr: int) -> None:
         self.l2.fill(addr)
@@ -266,7 +282,7 @@ class GpuDevice(MemoryNode):
     def _remote_read(self, lane: ComputeUnitLane, addr: int, owner: int) -> None:
         block = block_of(addr)
         must_issue = self.directory.request(
-            self.node_id, block, lambda _t, l=lane, a=addr: self._remote_read_done(l, a)
+            self.node_id, block, partial(self._remote_read_done, lane, addr)
         )
         if not must_issue:
             return  # merged into an in-flight fetch
@@ -284,7 +300,7 @@ class GpuDevice(MemoryNode):
         )
         self.transport.send(packet, self.sim.now)
 
-    def _remote_read_done(self, lane: ComputeUnitLane, addr: int) -> None:
+    def _remote_read_done(self, lane: ComputeUnitLane, addr: int, _finish_cycle: int) -> None:
         self.l1s[lane.lane_id].fill(addr)
         lane.complete()
         self._pump()
@@ -330,7 +346,7 @@ class GpuDevice(MemoryNode):
             commit_delay = (
                 self.migration_cfg.driver_cycles + self.migration_cfg.shootdown_cycles
             )
-            self.sim.post(commit_delay, lambda p=page: self._commit_migration(p))
+            self.sim.post(commit_delay, partial(self._commit_migration, page))
 
     def _commit_migration(self, page: int) -> None:
         state = self._migrating.pop(page, None)
@@ -367,8 +383,9 @@ class GpuDevice(MemoryNode):
             raise ValueError(f"gpu{self.node_id}: stray DATA_RESP txn {packet.txn_id}")
         self.outstanding -= 1
         self.l2.fill(packet.address)
+        # No pump here: every waiter's _remote_read_done pumps after its
+        # own lane completes, so the last one already saw this state.
         self.directory.complete(self.node_id, ctx[1], now)
-        self._pump()
 
     def _complete_write(self, packet: Packet) -> None:
         ctx = self._pending.pop(packet.txn_id, None)

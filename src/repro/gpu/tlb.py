@@ -8,7 +8,7 @@ cycles an access pays; shootdowns on migration invalidate entries.
 
 from __future__ import annotations
 
-from repro.memory.address_space import page_of
+from repro.memory.address_space import PAGE_BYTES
 
 
 class Tlb:
@@ -74,9 +74,16 @@ class TlbHierarchy:
 
     def translate(self, address: int) -> tuple[int, bool]:
         """Return ``(delay_cycles, needs_iommu_walk)`` for ``address``."""
-        page = page_of(address)
-        if self.l1.lookup(page):
+        page = address // PAGE_BYTES
+        # the L1 hit, inlined (Tlb.lookup): most translations end here
+        l1 = self.l1
+        l1._stamp += 1
+        entries = l1._entries
+        if page in entries:
+            entries[page] = l1._stamp
+            l1.hits += 1
             return self.l1_latency, False
+        l1.misses += 1
         if self.l2.lookup(page):
             self.l1.fill(page)
             return self.l1_latency + self.l2_latency, False

@@ -41,6 +41,11 @@ class PacketKind(Enum):
     #: protocol housekeeping the transport generates itself: replay ACKs,
     #: NACKs and standalone batch MACs (set per member below)
     housekeeping: bool
+    #: replay-protection ACKed / eligible for metadata batching: set per
+    #: member by :mod:`repro.secure.metadata` from its ``ACKED_KINDS`` and
+    #: ``BATCHABLE_KINDS``
+    acked: bool
+    batchable: bool
 
 
 # Plain per-member flags, read on every message; set once at import.
@@ -77,7 +82,7 @@ class Packet:
     meta_bytes: int = 0
     txn_id: int = -1
     address: int = -1
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    pid: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

@@ -250,8 +250,12 @@ class Topology:
     # ------------------------------------------------------------------
     def send(self, packet: Packet, now: int) -> int:
         """Move ``packet`` through its path; returns the arrival cycle."""
+        # the memoized path, read directly: path() runs once per pair
+        stages = self._path_cache.get((packet.src, packet.dst))
+        if stages is None:
+            stages = self.path(packet.src, packet.dst)
         t = now
-        for stage in self.path(packet.src, packet.dst):
+        for stage in stages:
             t = stage.send(packet, t)
         size = packet.size_bytes
         meta = packet.meta_bytes

@@ -19,9 +19,17 @@ run's link is hostile.
 Both transports also collect the paper's motivation measurements: per-node
 send/receive timelines (Figs 13/14) and per-pair data-block burstiness
 histograms (Figs 15/16).
+
+Every secured message walks this pipeline, so the per-message path is
+kept flat: the stages chain through ``functools.partial`` over bound
+methods (the hostile overrides still apply), the per-kind ACK and
+batching decisions are plain :class:`~repro.interconnect.packet.PacketKind`
+flags, and the timeline and burst bookkeeping is done in place.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.configs import SystemConfig
 from repro.core.batching import BatchingController, MsgMacStorage
@@ -33,7 +41,7 @@ from repro.secure.metadata import MetadataAccountant
 from repro.secure.replay import ReplayGuard
 from repro.secure.schemes import build_scheme
 from repro.sim.engine import Simulator
-from repro.sim.stats import Histogram, IntervalSeries
+from repro.sim.stats import Counter, Histogram, IntervalSeries
 from repro.transport import DeliveryHandler
 
 #: Histogram bin edges of Figs 15/16.
@@ -65,11 +73,14 @@ class _TransportBase:
             node: IntervalSeries(f"node{node}", cfg.timeline_interval)
             for node in topology.nodes()
         }
+        self._interval = cfg.timeline_interval
         #: per-destination timeline channel names, built once
         self._to_channel = {node: f"to{node}" for node in topology.nodes()}
         self.burst16 = Histogram("burst16", BURST_EDGES)
         self.burst32 = Histogram("burst32", BURST_EDGES)
         self._burst_state: dict[tuple[int, int], list[int]] = {}
+        #: ``fault.*`` counters by event name, looked up on first use
+        self._fault_counters: dict[str, Counter] = {}
         self.messages_sent = 0
         self.data_blocks = 0
 
@@ -89,9 +100,12 @@ class _TransportBase:
 
     def _deliver_at(self, packet: Packet, arrival: int) -> None:
         """Hand ``packet`` to its device when it arrives, unprocessed."""
-        self.sim.post_at(
-            arrival, lambda p=packet: (self._note_arrival(p, self.sim.now), self._deliver(p, self.sim.now))
-        )
+        self.sim.post_at(arrival, partial(self._land, packet))
+
+    def _land(self, packet: Packet) -> None:
+        now = self.sim.now
+        self._note_arrival(packet, now)
+        self._deliver(packet, now)
 
     # ------------------------------------------------------------------
     # Instrumentation
@@ -103,28 +117,54 @@ class _TransportBase:
         creates no ``fault.*`` metrics at all — absence of the namespace is
         the metrics-level statement that the link stayed clean.
         """
-        self.metrics.counter(f"fault.{event.replace('-', '_')}").add()
+        counter = self._fault_counters.get(event)
+        if counter is None:
+            counter = self.metrics.counter(f"fault.{event.replace('-', '_')}")
+            self._fault_counters[event] = counter
+        counter.value += 1
+
+    # The two notes below do IntervalSeries.record in place: one bucket per
+    # channel, and a channel's dict made on its first record, so a channel
+    # that never saw a message stays out of the report.  They stay methods:
+    # repro.tracing.MessageTracer wraps them per instance.
 
     def _note_send(self, packet: Packet, now: int) -> None:
         self.messages_sent += 1
         # housekeeping kinds stay out of the request timelines
         if packet.kind.housekeeping:
             return
-        timeline = self.timelines[packet.src]
-        timeline.record(now, "send")
-        timeline.record(now, self._to_channel[packet.dst])
+        channels = self.timelines[packet.src]._channels
+        bucket = now // self._interval
+        sent = channels.get("send")
+        if sent is None:
+            sent = channels["send"] = {}
+        sent[bucket] = sent.get(bucket, 0.0) + 1.0
+        name = self._to_channel[packet.dst]
+        to_dst = channels.get(name)
+        if to_dst is None:
+            to_dst = channels[name] = {}
+        to_dst[bucket] = to_dst.get(bucket, 0.0) + 1.0
 
     def _note_arrival(self, packet: Packet, now: int) -> None:
-        if packet.kind.housekeeping:
+        kind = packet.kind
+        if kind.housekeeping:
             return
-        self.timelines[packet.dst].record(now, "recv")
-        if packet.kind.carries_data:
-            self.data_blocks += 1
-            self._track_burst(packet.src, packet.dst, now)
-
-    def _track_burst(self, src: int, dst: int, now: int) -> None:
+        channels = self.timelines[packet.dst]._channels
+        bucket = now // self._interval
+        received = channels.get("recv")
+        if received is None:
+            received = channels["recv"] = {}
+        received[bucket] = received.get(bucket, 0.0) + 1.0
+        if not kind.carries_data:
+            return
+        self.data_blocks += 1
+        # Burstiness (Figs 15/16): the cycles each pair's next 16 and next
+        # 32 data blocks take to arrive.
         # state: [count16, start16, count32, start32]
-        state = self._burst_state.setdefault((src, dst), [0, 0, 0, 0])
+        pair = (packet.src, packet.dst)
+        state = self._burst_state.get(pair)
+        if state is None:
+            state = self._burst_state[pair] = [0, 0, 0, 0]
         if state[0] == 0:
             state[1] = now
         state[0] += 1
@@ -172,6 +212,12 @@ class SecureTransport(_TransportBase):
             if sec.batching:
                 self.batchers[node] = BatchingController(sec.batch_size)
                 self.mac_storage[node] = MsgMacStorage(capacity_per_pair=64)
+        # the security settings every message reads, as plain attributes
+        self._batching = sec.batching
+        self._count_metadata = sec.count_metadata
+        self._xor = sec.xor_latency
+        self._ghash = sec.ghash_latency
+        self._ack_bytes = self.accountant.ack_packet_size()
         self._ctrs: dict[tuple[int, int], int] = {}
         # Crypto units are FIFO per directed pair: a pad stall blocks the
         # messages queued behind it (head-of-line), while the XOR/GHASH
@@ -196,11 +242,12 @@ class SecureTransport(_TransportBase):
     # Send path
     # ------------------------------------------------------------------
     def send(self, packet: Packet, now: int) -> None:
-        if packet.kind.housekeeping:
+        kind = packet.kind
+        if kind.housekeeping:
             raise ValueError("ACK/batch-MAC packets are generated by the transport itself")
         self._note_send(packet, now)
 
-        if not packet.kind.carries_data and not self.cfg.security.protect_requests:
+        if not kind.carries_data and not self.cfg.security.protect_requests:
             # Control messages (read requests, write acks, migration
             # requests) carry addresses, not data; the paper's protocol
             # authenticated-encrypts *data* transfers (Figs 5/19) and
@@ -210,11 +257,10 @@ class SecureTransport(_TransportBase):
             self._deliver_at(packet, self.topology.send(packet, now))
             return
 
-        sec = self.cfg.security
-        src, dst = packet.src, packet.dst
         counter, synced, ready = self._acquire_pads(packet, now)
         batch_ctx = None
-        if sec.batching and self.accountant.batchable(packet.kind):
+        if self._batching and kind.batchable:
+            src, dst = packet.src, packet.dst
             batch_ctx = self.batchers[src].add_block(dst, now)
             meta = self.accountant.batched_block_meta(
                 batch_ctx.opens_batch, batch_ctx.closes_batch
@@ -222,8 +268,8 @@ class SecureTransport(_TransportBase):
             self.batched_blocks += 1
             if batch_ctx.opens_batch:
                 self.sim.post(
-                    sec.batch_timeout,
-                    lambda s=src, d=dst, b=batch_ctx.batch_id: self._batch_timeout(s, d, b),
+                    self.cfg.security.batch_timeout,
+                    partial(self._batch_timeout, src, dst, batch_ctx.batch_id),
                 )
         else:
             meta = self.accountant.conventional_meta(packet)
@@ -234,8 +280,8 @@ class SecureTransport(_TransportBase):
         if self.audit_log is not None:
             self.audit_log.append(
                 AuditEntry(
-                    src=src,
-                    dst=dst,
+                    src=packet.src,
+                    dst=packet.dst,
                     counter=counter,
                     in_batch=batch_ctx is not None,
                     closes_batch=bool(batch_ctx and batch_ctx.closes_batch),
@@ -252,57 +298,48 @@ class SecureTransport(_TransportBase):
         stream is in sync, and the cycle the pad is in hand.
         """
         src, dst = packet.src, packet.dst
+        pair = (src, dst)
         scheme = self.schemes[src]
         demand = packet.kind is not PacketKind.MIGRATION_DATA
         # monitoring observes the message as it enqueues, before any stall
-        scheme.note_send(dst, now, demand=demand)
+        scheme.note_send(dst, now, demand)
         # head-of-line: the pad acquisition happens when this message
         # reaches the front of the pair's crypto queue
-        start = max(now, self._send_crypto_busy.get((src, dst), 0))
-        send_grant = scheme.acquire_send(dst, start, demand=demand)
+        busy = self._send_crypto_busy.get(pair, 0)
+        start = busy if busy > now else now
+        send_grant = scheme.acquire_send(dst, start, demand)
         ready = start + send_grant.grant.wait
-        self._send_crypto_busy[(src, dst)] = ready
-        counter = self._ctrs.get((src, dst), 0)
-        self._ctrs[(src, dst)] = counter + 1
+        self._send_crypto_busy[pair] = ready
+        counter = self._ctrs.get(pair, 0)
+        self._ctrs[pair] = counter + 1
         return counter, send_grant.receiver_synced, ready
 
     def _post_launch(self, packet: Packet, synced: bool, batch_ctx, counter: int, ready: int) -> int:
         """Register the copy with the replay guard, MAC and encrypt it on the
         pipelined fast paths, and schedule its launch; returns the launch cycle."""
-        src, dst = packet.src, packet.dst
-        if self.accountant.needs_ack(packet.kind):
+        if packet.kind.acked:
             # Batched blocks are ACKed once per batch: tag the entry so
             # the guard retires it on *that* batch's ACK, not blindly
             # from the FIFO head (conventional ACKs overtake batch ACKs
             # by design — the batch waits for its close).
             batch_id = batch_ctx.batch_id if batch_ctx is not None else None
-            self.guards[src].on_send(dst, counter, batch_id=batch_id)
+            self.guards[packet.src].on_send(packet.dst, counter, batch_id)
         # with the pad in hand, MAC (one GHASH) and encrypt (one XOR), Fig. 6
-        sec = self.cfg.security
-        launch_at = ready + sec.ghash_latency + sec.xor_latency
-        self.sim.post_at(
-            launch_at,
-            lambda p=packet, s=synced, b=batch_ctx, c=counter: self._launch(p, s, b, c),
-        )
+        launch_at = ready + self._ghash + self._xor
+        self.sim.post_at(launch_at, partial(self._launch, packet, synced, batch_ctx, counter))
         return launch_at
 
     def _launch(self, packet: Packet, synced: bool, batch_ctx, counter: int) -> None:
         arrival = self.topology.send(packet, self.sim.now)
-        self.sim.post_at(
-            arrival,
-            lambda p=packet, s=synced, b=batch_ctx, c=counter: self._arrive(p, s, b, c),
-        )
+        self.sim.post_at(arrival, partial(self._arrive, packet, synced, batch_ctx, counter))
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
     def _arrive(self, packet: Packet, synced: bool, batch_ctx, counter: int) -> None:
-        lazy = self.cfg.security.batching and self.accountant.batchable(packet.kind)
+        lazy = self._batching and packet.kind.batchable
         deliver_at = self._decrypt(packet, synced, lazy)
-        self.sim.post_at(
-            deliver_at,
-            lambda p=packet, b=batch_ctx, c=counter: self._delivered(p, b, c),
-        )
+        self.sim.post_at(deliver_at, partial(self._delivered, packet, batch_ctx, counter))
 
     def _decrypt(self, packet: Packet, synced: bool, lazy: bool) -> int:
         """Take the receive pad, decrypt, and verify the MsgMAC unless
@@ -310,26 +347,28 @@ class SecureTransport(_TransportBase):
         the plaintext is ready."""
         now = self.sim.now
         src, dst = packet.src, packet.dst
-        sec = self.cfg.security
+        pair = (src, dst)
+        scheme = self.schemes[dst]
         demand = packet.kind is not PacketKind.MIGRATION_DATA
-        self.schemes[dst].note_recv(src, now, demand=demand)
-        start = max(now, self._recv_crypto_busy.get((src, dst), 0))
-        recv_grant = self.schemes[dst].acquire_recv(src, start, synced=synced, demand=demand)
-        self._recv_crypto_busy[(src, dst)] = start + recv_grant.wait
-        verify = 0 if lazy else sec.ghash_latency
-        return start + recv_grant.wait + sec.xor_latency + verify
+        scheme.note_recv(src, now, demand)
+        busy = self._recv_crypto_busy.get(pair, 0)
+        start = busy if busy > now else now
+        ready = start + scheme.acquire_recv(src, start, synced, demand).wait
+        self._recv_crypto_busy[pair] = ready
+        return ready + self._xor + (0 if lazy else self._ghash)
 
     def _delivered(self, packet: Packet, batch_ctx, counter: int) -> None:
         now = self.sim.now
         src, dst = packet.src, packet.dst
         self._note_arrival(packet, now)
 
-        if self.cfg.security.batching and self.accountant.batchable(packet.kind):
+        kind = packet.kind
+        if self._batching and kind.batchable:
             self.mac_storage[dst].store(src)
             expected = batch_ctx.batch_size if batch_ctx.closes_batch else None
             self._batch_progress(src, dst, batch_ctx.batch_id, 1, expected)
-        elif self.accountant.needs_ack(packet.kind):
-            self._send_ack(dst, src, counter=counter)
+        elif kind.acked:
+            self._send_ack(dst, src, counter)
 
         self._deliver(packet, now)
 
@@ -343,7 +382,9 @@ class SecureTransport(_TransportBase):
         once known (closing block or standalone batch MAC); verify the
         batched MAC and ACK the batch when every block is in."""
         key = (src, dst, batch_id)
-        state = self._batch_arrivals.setdefault(key, [0, None])
+        state = self._batch_arrivals.get(key)
+        if state is None:
+            state = self._batch_arrivals[key] = [0, None]
         state[0] += blocks
         if expected is not None:
             state[1] = expected
@@ -375,7 +416,7 @@ class SecureTransport(_TransportBase):
             src,
             dst,
             self.accountant.standalone_batch_mac_size(),
-            lambda s=src, d=dst, b=batch_id, n=closed: self._batch_progress(s, d, b, 0, n),
+            partial(self._batch_progress, src, dst, batch_id, 0, closed),
         )
 
     # ------------------------------------------------------------------
@@ -383,11 +424,10 @@ class SecureTransport(_TransportBase):
     # ------------------------------------------------------------------
     def _send_control(self, kind: PacketKind, src: int, dst: int, size: int, on_arrival) -> None:
         """Send one housekeeping packet; ``on_arrival()`` runs when it lands."""
-        packet = Packet(kind=kind, src=src, dst=dst, size_bytes=size)
-        packet.meta_bytes = size if self.cfg.security.count_metadata else 0
-        self._note_send(packet, self.sim.now)
-        arrival = self.topology.send(packet, self.sim.now)
-        self.sim.post_at(arrival, on_arrival)
+        packet = Packet(kind, src, dst, size, size if self._count_metadata else 0)
+        now = self.sim.now
+        self._note_send(packet, now)
+        self.sim.post_at(self.topology.send(packet, now), on_arrival)
 
     def _send_ack(
         self,
@@ -398,22 +438,17 @@ class SecureTransport(_TransportBase):
     ) -> None:
         """ACK one message (``counter``) or one whole batch (``batch_id``)
         back to its sender ``to_node``."""
-
-        def acked() -> None:
-            self._acked(to_node, from_node, counter, batch_id)
-
-        if not self.cfg.security.count_metadata:
+        acked = partial(self._acked, to_node, from_node, counter, batch_id)
+        if not self._count_metadata:
             # +SecureCommu mode: account the protocol without its bandwidth.
             acked()
             return
         self.acks_sent += 1
-        self._send_control(
-            PacketKind.SEC_ACK, from_node, to_node, self.accountant.ack_packet_size(), acked
-        )
+        self._send_control(PacketKind.SEC_ACK, from_node, to_node, self._ack_bytes, acked)
 
     def _acked(self, sender: int, receiver: int, counter: int | None, batch_id: int | None) -> None:
         """The ACK reached ``sender``: its replay table retires the entries."""
-        self.guards[sender].on_ack(receiver, counter, batch_id=batch_id)
+        self.guards[sender].on_ack(receiver, counter, batch_id)
 
 
 def build_transport(

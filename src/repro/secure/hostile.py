@@ -37,7 +37,7 @@ from repro.secure.adversary import (
 from repro.secure.channel import SecureTransport, UnsecureTransport
 from repro.secure.invariants import InvariantMonitor
 from repro.sim.engine import Simulator
-from repro.sim.stats import FaultStats
+from repro.sim.stats import Counter, FaultStats
 
 #: The :class:`FaultStats` counter each injected fault verdict bumps.
 _INJECTED = {
@@ -92,6 +92,8 @@ class _HostileLink:
         self.perturb = LinkPerturbation(cfg, topology)
         self.fault_stats = FaultStats() if cfg.fault.enabled else None
         self.attack_report = AttackReport() if cfg.adversary.enabled else None
+        #: ``adv.*`` counters by event name, looked up on first use
+        self._adv_counters: dict[str, Counter] = {}
 
     def _hostile_wire(self, packet: Packet, now: int) -> tuple:
         """Put one data-block wire copy on the hostile link and decide its fate.
@@ -165,7 +167,11 @@ class _HostileLink:
         Only ever invoked under an active adversary, so attack-free runs
         create no ``adv.*`` metrics — mirroring the ``fault.*`` contract.
         """
-        self.metrics.counter(f"adv.{event.replace('-', '_')}").add()
+        counter = self._adv_counters.get(event)
+        if counter is None:
+            counter = self.metrics.counter(f"adv.{event.replace('-', '_')}")
+            self._adv_counters[event] = counter
+        counter.value += 1
 
 
 class HostileUnsecureTransport(_HostileLink, UnsecureTransport):

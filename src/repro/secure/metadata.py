@@ -1,7 +1,8 @@
 """Security-metadata wire accounting.
 
 Single place that decides how many metadata bytes ride on each message and
-which messages trigger replay-protection ACKs, for both the conventional
+which messages trigger replay-protection ACKs (``PacketKind.acked``) or
+may be batched (``PacketKind.batchable``), for both the conventional
 per-message protocol (§II-C) and the batched protocol (§IV-C).  The
 ``count_metadata`` switch supports Fig. 11's "+SecureCommu" configuration:
 security latencies apply but metadata occupies no link bandwidth.
@@ -22,6 +23,13 @@ ACKED_KINDS = frozenset(
 #: Data kinds eligible for metadata batching (the paper batches data
 #: responses and page-migration streams; writes stay conventional).
 BATCHABLE_KINDS = frozenset({PacketKind.DATA_RESP, PacketKind.MIGRATION_DATA})
+
+# The secure channel reads both per secured message, as plain member
+# flags; the two sets above stay their one definition.
+for _kind in PacketKind:
+    _kind.acked = _kind in ACKED_KINDS
+    _kind.batchable = _kind in BATCHABLE_KINDS
+del _kind
 
 
 class MetadataAccountant:
@@ -71,14 +79,6 @@ class MetadataAccountant:
                 self.metadata.msg_mac_bytes + self.metadata.sender_id_bytes + 1
             ),
         )
-
-    @staticmethod
-    def needs_ack(kind: PacketKind) -> bool:
-        return kind in ACKED_KINDS
-
-    @staticmethod
-    def batchable(kind: PacketKind) -> bool:
-        return kind in BATCHABLE_KINDS
 
 
 __all__ = ["MetadataAccountant", "ACKED_KINDS", "BATCHABLE_KINDS"]

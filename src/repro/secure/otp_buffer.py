@@ -37,13 +37,24 @@ class PadOutcome(Enum):
     PARTIAL = "partial"
     MISS = "miss"
 
+    #: ``value`` as a plain attribute (set per member below): the outcome
+    #: stats count under it on every acquisition, and reading ``value``
+    #: goes through Enum's Python-level descriptor
+    key: str
+
+
+for _outcome in PadOutcome:
+    _outcome.key = _outcome.value
+del _outcome
+
 
 @dataclass(frozen=True, slots=True)
 class PadGrant:
     """Result of acquiring a pad: how long the message waited and why.
 
-    One grant is allocated per secured message; ``slots=True`` keeps that
-    per-message cost minimal.
+    Grants are frozen, so a stream hands out one shared grant for every
+    hit and one for every full-latency miss; only a partial wait builds a
+    new one.
     """
 
     wait: int
@@ -54,10 +65,14 @@ class PadGrant:
         return self.outcome is PadOutcome.HIT
 
 
+#: The grant of every hit: the pad was ready, nothing waited.
+HIT_GRANT = PadGrant(wait=0, outcome=PadOutcome.HIT)
+
+
 class PadStream:
     """Pre-generated pads for one (direction, peer) stream."""
 
-    __slots__ = ("latency", "_ready", "last_use", "consumed")
+    __slots__ = ("latency", "miss_grant", "_ready", "last_use", "consumed")
 
     def __init__(self, latency: int, capacity: int, now: int = 0, prefilled: bool = True) -> None:
         if latency < 1:
@@ -65,6 +80,8 @@ class PadStream:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.latency = latency
+        #: the grant of every full-latency miss of this stream
+        self.miss_grant = PadGrant(wait=latency, outcome=PadOutcome.MISS)
         # min-heap of cycle times at which each buffered pad becomes ready
         self._ready: list[int] = [now if prefilled else now + latency] * capacity
         heapq.heapify(self._ready)
@@ -87,15 +104,19 @@ class PadStream:
         self.consumed += 1
         if not self._ready:
             # No buffer entry at all: generate on demand, nothing to refill.
-            return PadGrant(wait=self.latency, outcome=PadOutcome.MISS)
+            return self.miss_grant
         # Take the earliest pad; the freed entry immediately begins
         # pre-generating a future one (one heapreplace: pop, then push).
         ready = heapq.heapreplace(self._ready, now + self.latency)
+        if ready <= now:
+            return HIT_GRANT
         # Pipelined engine: even if the pre-generation pipeline is behind,
         # on-demand generation for this message starts *now*, so the wait
         # never exceeds one generation latency.
-        wait = min(max(0, ready - now), self.latency)
-        return PadGrant(wait=wait, outcome=self._classify(wait))
+        wait = ready - now
+        if wait < self.latency:
+            return PadGrant(wait=wait, outcome=PadOutcome.PARTIAL)
+        return self.miss_grant
 
     def consume_desync(self, now: int) -> PadGrant:
         """Take a pad whose buffered pre-generations were all wrong.
@@ -108,14 +129,7 @@ class PadStream:
         self.consumed += 1
         if self._ready:
             heapq.heapreplace(self._ready, now + self.latency)
-        return PadGrant(wait=self.latency, outcome=PadOutcome.MISS)
-
-    def _classify(self, wait: int) -> PadOutcome:
-        if wait <= 0:
-            return PadOutcome.HIT
-        if wait < self.latency:
-            return PadOutcome.PARTIAL
-        return PadOutcome.MISS  # wait == latency: generated on demand
+        return self.miss_grant
 
     # ------------------------------------------------------------------
     # Capacity management (Dynamic / Cached reallocate entries at runtime)
@@ -152,4 +166,4 @@ class PadStream:
             self.shrink(-delta)
 
 
-__all__ = ["PadOutcome", "PadGrant", "PadStream"]
+__all__ = ["HIT_GRANT", "PadOutcome", "PadGrant", "PadStream"]

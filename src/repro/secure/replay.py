@@ -5,8 +5,9 @@ receiver's ACK echoes it back; a mismatch or an unexpected ACK indicates a
 replayed or dropped message.  Links deliver in FIFO order in this model, so
 ACKs retire entries oldest-first per directed pair.
 
-The guard is pure bookkeeping — it adds no cycles — but its high-water mark
-reports how much sender-side retention storage the protocol needs, and the
+The guard is pure bookkeeping — it adds no cycles.  Its ledger (entries
+ACKed, violations, entries dropped as lost, and the entries still
+outstanding at the end of a run) feeds the ``ack.guard_*`` metrics, and the
 batched protocol's single-ACK-per-batch behaviour shows up directly as a
 lower entry turnover.
 
@@ -53,7 +54,6 @@ class ReplayGuard:
         self._batch_members: dict[tuple[int, int], list[int]] = {}
         #: peer -> counters currently tagged as batch-pending
         self._tagged: dict[int, set[int]] = {}
-        self.max_outstanding = 0
         self.acked = 0
         self.violations = 0
         self.dropped = 0  # entries retired as lost-in-flight, never ACKed
@@ -61,7 +61,10 @@ class ReplayGuard:
         self.max_reorder_depth = 0  # deepest accepted out-of-order position
 
     def _pair(self, peer: int) -> deque:
-        return self._outstanding.setdefault(peer, deque())
+        queue = self._outstanding.get(peer)
+        if queue is None:
+            queue = self._outstanding[peer] = deque()
+        return queue
 
     def on_send(self, peer: int, counter: int, batch_id: int | None = None) -> None:
         """Retain ``counter`` until the matching ACK returns.
@@ -74,8 +77,6 @@ class ReplayGuard:
         if batch_id is not None:
             self._batch_members.setdefault((peer, batch_id), []).append(counter)
             self._tagged.setdefault(peer, set()).add(counter)
-        total = sum(len(q) for q in self._outstanding.values())
-        self.max_outstanding = max(self.max_outstanding, total)
 
     def on_ack(self, peer: int, counter: int | None = None, batch_id: int | None = None) -> bool:
         """Retire entries for ``peer`` on ACK receipt.

@@ -9,7 +9,8 @@ A scheme instance lives on one processor and answers two questions:
   pad acquisition take, given the sender-declared sync state?
 
 Every acquisition is recorded into per-direction hit/partial/miss ratio
-stats (the Figs 10/22 decomposition).
+stats (the Figs 10/22 decomposition), counted straight into each ratio's
+dict under the outcome's plain ``key``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ from repro.secure.otp_buffer import PadGrant
 from repro.sim.stats import RatioStat
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendGrant:
-    """Sender-side pad grant plus the receiver-sync declaration."""
+    """Sender-side pad grant plus the receiver-sync declaration.
+
+    Built once per secured message: slotted and not frozen, so building it
+    is two plain stores.
+    """
 
     grant: PadGrant
     receiver_synced: bool
@@ -50,6 +55,8 @@ class OtpScheme(ABC):
         self.security = security
         self._send_outcomes = RatioStat("send_otp")
         self._recv_outcomes = RatioStat("recv_otp")
+        self._send_counts = self._send_outcomes.counts
+        self._recv_counts = self._recv_outcomes.counts
 
     # ------------------------------------------------------------------
     # Interface
@@ -89,10 +96,14 @@ class OtpScheme(ABC):
     # Shared bookkeeping
     # ------------------------------------------------------------------
     def _record_send(self, grant: PadGrant) -> None:
-        self._send_outcomes.record(grant.outcome.value)
+        counts = self._send_counts
+        key = grant.outcome.key
+        counts[key] = counts.get(key, 0) + 1
 
     def _record_recv(self, grant: PadGrant) -> None:
-        self._recv_outcomes.record(grant.outcome.value)
+        counts = self._recv_counts
+        key = grant.outcome.key
+        counts[key] = counts.get(key, 0) + 1
 
     @property
     def send_outcomes(self) -> RatioStat:

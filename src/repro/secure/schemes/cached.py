@@ -12,7 +12,7 @@ miss, per §II-C: "otherwise, it adopts Shared using the maximum MsgCTR").
 from __future__ import annotations
 
 from repro.configs import SecurityConfig
-from repro.secure.otp_buffer import PadGrant, PadOutcome, PadStream
+from repro.secure.otp_buffer import PadGrant, PadStream
 from repro.secure.schemes.base import OtpScheme, SendGrant
 
 _SEND, _RECV = 0, 1
@@ -70,7 +70,7 @@ class CachedScheme(OtpScheme):
             self._steal_entry(key, now)
             stream.last_use = now
             stream.consumed += 1
-            return PadGrant(wait=self.security.aes_gcm_latency, outcome=PadOutcome.MISS)
+            return stream.miss_grant
         if not synced:
             return stream.consume_desync(now)
         grant = stream.consume(now)

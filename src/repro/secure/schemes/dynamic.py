@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from repro.configs import SecurityConfig
 from repro.core.dynamic_allocator import AllocationPlan, DynamicOtpAllocator
+from repro.secure.otp_buffer import PadGrant
+from repro.secure.schemes.base import SendGrant
 from repro.secure.schemes.private import PrivateScheme
 
 
@@ -60,6 +62,20 @@ class DynamicScheme(PrivateScheme):
         for peer, capacity in plan.recv_per_peer.items():
             self._recv_streams[peer].set_capacity(now, capacity)
         self.plans_applied += 1
+
+    # ------------------------------------------------------------------
+    # Acquisition: an interval boundary may pass between a message's
+    # enqueue and its turn at the crypto unit
+    # ------------------------------------------------------------------
+    def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
+        self._tick(now)
+        return super().acquire_send(peer, now, demand)
+
+    def acquire_recv(
+        self, peer: int, now: int, synced: bool = True, demand: bool = True
+    ) -> PadGrant:
+        self._tick(now)
+        return super().acquire_recv(peer, now, synced, demand)
 
     # ------------------------------------------------------------------
     # Monitoring

@@ -10,10 +10,8 @@ the paper attacks.
 
 from __future__ import annotations
 
-from repro.secure.otp_buffer import PadGrant, PadOutcome
+from repro.secure.otp_buffer import HIT_GRANT, PadGrant
 from repro.secure.schemes.base import OtpScheme, SendGrant
-
-_ALWAYS_HIT = PadGrant(wait=0, outcome=PadOutcome.HIT)
 
 
 class IdealScheme(OtpScheme):
@@ -21,16 +19,16 @@ class IdealScheme(OtpScheme):
 
     def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
         self._check_peer(peer)
-        self._record_send(_ALWAYS_HIT)
-        return SendGrant(grant=_ALWAYS_HIT, receiver_synced=True)
+        self._record_send(HIT_GRANT)
+        return SendGrant(grant=HIT_GRANT, receiver_synced=True)
 
     def acquire_recv(
         self, peer: int, now: int, synced: bool = True, demand: bool = True
     ) -> PadGrant:
         self._check_peer(peer)
         # even a desync cannot miss with unbounded lookahead
-        self._record_recv(_ALWAYS_HIT)
-        return _ALWAYS_HIT
+        self._record_recv(HIT_GRANT)
+        return HIT_GRANT
 
     def pool_size(self) -> int:
         return 0  # unbounded: no finite provisioning to report

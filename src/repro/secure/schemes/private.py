@@ -25,21 +25,16 @@ class PrivateScheme(OtpScheme):
         self._send_streams = {p: PadStream(latency, k) for p in peers}
         self._recv_streams = {p: PadStream(latency, k) for p in peers}
 
-    def _tick(self, now: int) -> None:
-        """Hook run before every acquisition; Private's streams never change."""
-
     def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
         self._check_peer(peer)
-        self._tick(now)
         grant = self._send_streams[peer].consume(now)
         self._record_send(grant)
-        return SendGrant(grant=grant, receiver_synced=True)
+        return SendGrant(grant, True)
 
     def acquire_recv(
         self, peer: int, now: int, synced: bool = True, demand: bool = True
     ) -> PadGrant:
         self._check_peer(peer)
-        self._tick(now)
         stream = self._recv_streams[peer]
         grant = stream.consume(now) if synced else stream.consume_desync(now)
         self._record_recv(grant)

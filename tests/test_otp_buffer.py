@@ -1,8 +1,10 @@
 """PadStream semantics: the hit/partial/miss timing model."""
 
+import dataclasses
+
 import pytest
 
-from repro.secure.otp_buffer import PadOutcome, PadStream
+from repro.secure.otp_buffer import HIT_GRANT, PadOutcome, PadStream
 
 L = 40  # generation latency used throughout
 
@@ -63,6 +65,57 @@ class TestConsume:
         s = PadStream(L, capacity=1)
         assert s.consume(0).hidden
         assert not s.consume(0).hidden
+
+
+class TestConsumeBoundaries:
+    """Each outcome at its edge, and the grants a stream shares."""
+
+    def test_pad_ready_at_now_is_a_hit_with_no_wait(self):
+        s = PadStream(L, capacity=1)
+        s.consume(0)  # the refill is ready at L
+        g = s.consume(L)
+        assert (g.outcome, g.wait) == (PadOutcome.HIT, 0)
+        assert g is HIT_GRANT
+
+    def test_one_cycle_short_of_the_latency_is_partial(self):
+        s = PadStream(L, capacity=1)
+        s.consume(0)  # the refill is ready at L: asked at 1, it is L - 1 late
+        g = s.consume(1)
+        assert (g.outcome, g.wait) == (PadOutcome.PARTIAL, L - 1)
+
+    @pytest.mark.parametrize("late", [L, L + 1, 2 * L])
+    def test_latency_or_more_late_is_a_full_latency_miss(self, late):
+        s = PadStream(L, capacity=1, now=100, prefilled=False)  # ready at 100 + L
+        g = s.consume(100 + L - late)
+        assert (g.outcome, g.wait) == (PadOutcome.MISS, L)
+        assert g is s.miss_grant
+
+    def test_empty_stream_misses_with_the_shared_grant(self):
+        s = PadStream(L, capacity=0)
+        assert s.consume(5) is s.consume(7) is s.miss_grant
+        assert (s.miss_grant.outcome, s.miss_grant.wait) == (PadOutcome.MISS, L)
+
+    def test_desync_takes_the_full_latency_and_refills(self):
+        s = PadStream(L, capacity=1)
+        assert s.consume_desync(10) is s.miss_grant
+        assert s.earliest_ready() == 10 + L
+        assert s.consume_desync(11) is s.miss_grant  # the refill is stale too
+        assert s.consumed == 2
+
+    def test_desync_on_an_empty_stream_still_misses(self):
+        s = PadStream(L, capacity=0)
+        assert s.consume_desync(3) is s.miss_grant
+        assert s.capacity == 0
+
+    def test_shared_grants_are_frozen(self):
+        s = PadStream(L, capacity=0)
+        for grant in (HIT_GRANT, s.miss_grant):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                grant.wait = 1
+
+    def test_outcome_keys_are_the_enum_values(self):
+        assert [o.key for o in PadOutcome] == ["hit", "partial", "miss"]
+        assert all(o.key == o.value for o in PadOutcome)
 
 
 class TestCapacityManagement:

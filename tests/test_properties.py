@@ -218,7 +218,7 @@ def test_replay_guard_conservation(n, retire_chunks):
         assert all(guard.on_ack(2, counter=c) for c in range(retired, retired + chunk))
         retired += chunk
     assert guard.outstanding(2) == n - retired
-    assert guard.max_outstanding == n
+    assert guard.acked == retired
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.configs import MetadataConfig, SecurityConfig
 from repro.interconnect.packet import Packet, PacketKind
-from repro.secure.metadata import MetadataAccountant
+from repro.secure.metadata import ACKED_KINDS, BATCHABLE_KINDS, MetadataAccountant
 from repro.secure.replay import ReplayGuard
 
 from tests.test_transport import data_packet, make_fabric
@@ -68,16 +68,21 @@ class TestMetadataAccountant:
         assert acc.standalone_batch_mac_size() == 8 + 1 + 1
 
     def test_ack_policy(self):
-        assert MetadataAccountant.needs_ack(PacketKind.DATA_RESP)
-        assert MetadataAccountant.needs_ack(PacketKind.WRITE_REQ)
-        assert MetadataAccountant.needs_ack(PacketKind.MIGRATION_DATA)
-        assert not MetadataAccountant.needs_ack(PacketKind.READ_REQ)
-        assert not MetadataAccountant.needs_ack(PacketKind.SEC_ACK)
+        assert PacketKind.DATA_RESP.acked
+        assert PacketKind.WRITE_REQ.acked
+        assert PacketKind.MIGRATION_DATA.acked
+        assert not PacketKind.READ_REQ.acked
+        assert not PacketKind.SEC_ACK.acked
 
     def test_batchable_policy(self):
-        assert MetadataAccountant.batchable(PacketKind.DATA_RESP)
-        assert MetadataAccountant.batchable(PacketKind.MIGRATION_DATA)
-        assert not MetadataAccountant.batchable(PacketKind.WRITE_REQ)
+        assert PacketKind.DATA_RESP.batchable
+        assert PacketKind.MIGRATION_DATA.batchable
+        assert not PacketKind.WRITE_REQ.batchable
+
+    @pytest.mark.parametrize("kind", list(PacketKind))
+    def test_kind_flags_follow_the_kind_sets(self, kind):
+        assert kind.acked is (kind in ACKED_KINDS)
+        assert kind.batchable is (kind in BATCHABLE_KINDS)
 
 
 class TestReplayGuard:
@@ -100,14 +105,15 @@ class TestReplayGuard:
         assert not g.on_ack(2)
         assert g.violations == 1
 
-    def test_max_outstanding_high_water(self):
+    def test_outstanding_drains_on_acks(self):
         g = ReplayGuard(1)
         for c in range(5):
             g.on_send(2, c)
+        assert g.outstanding() == 5
         for c in range(5):
             g.on_ack(2, counter=c)
-        assert g.max_outstanding == 5
         assert g.outstanding() == 0
+        assert g.acked == 5
 
     def test_outstanding_per_peer(self):
         g = ReplayGuard(1)
