@@ -7,12 +7,12 @@ Two mechanisms reduce the cost of secure multi-GPU communication:
   pad streams using EWMA-smoothed request counts (Formulas 1–4).
 * :class:`BatchingController` (§IV-C) — amortize security metadata over
   batches of data blocks: one batched MsgMAC and one ACK per ``n`` blocks,
-  with receiver-side MsgMAC storage and lazy integrity verification.
+  with lazy integrity verification at the receiver.
 """
 
 from repro.core.ewma import Ewma
 from repro.core.dynamic_allocator import AllocationPlan, DynamicOtpAllocator
-from repro.core.batching import BatchingController, BlockGrant, MsgMacStorage
+from repro.core.batching import BatchingController, BlockGrant
 
 __all__ = [
     "Ewma",
@@ -20,5 +20,4 @@ __all__ = [
     "DynamicOtpAllocator",
     "BatchingController",
     "BlockGrant",
-    "MsgMacStorage",
 ]

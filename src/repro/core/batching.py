@@ -12,9 +12,11 @@ and triggers its own ACK.  The batching controller instead groups up to
   closes a partial batch;
 * the receiver returns a single ACK per batch for replay protection.
 
-The receiver accumulates per-block MsgMACs in :class:`MsgMacStorage` until
-the batch completes (tolerating out-of-order arrival); §IV-D sizes this
-storage at ``max(16, 64) × peers × 8 B`` per processor.
+The receiver holds a batch's per-block MsgMACs until the batched MsgMAC
+verifies (tolerating out-of-order arrival).  The secure channel keeps that
+record per in-flight batch (``SecureTransport._batch_arrivals``); §IV-D
+sizes the hardware storage at ``max(16, 64) × peers × 8 B`` per processor,
+which :mod:`repro.experiments.hw_overhead` computes analytically.
 """
 
 from __future__ import annotations
@@ -113,41 +115,4 @@ class BatchingController:
         return batch.batch_id, batch.count
 
 
-class MsgMacStorage:
-    """Receiver-side per-pair MsgMAC accumulation (Fig. 20).
-
-    Stores the per-block MACs of in-flight batches so out-of-order blocks
-    can be verified once the batched MsgMAC arrives.  Tracks the high-water
-    mark to validate the paper's 2 KB-per-GPU provisioning claim (§IV-D).
-    """
-
-    def __init__(self, capacity_per_pair: int = 64) -> None:
-        if capacity_per_pair < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity_per_pair = capacity_per_pair
-        self._stored: dict[int, int] = {}  # sender -> MACs currently held
-        self.max_occupancy = 0
-        self.overflows = 0
-
-    def store(self, sender: int) -> None:
-        count = self._stored.get(sender, 0) + 1
-        if count > self.capacity_per_pair:
-            # An overflow would force eager verification in hardware; the
-            # model counts it so provisioning claims are checkable.
-            self.overflows += 1
-        self._stored[sender] = count
-        self.max_occupancy = max(self.max_occupancy, count)
-
-    def release_batch(self, sender: int, n_blocks: int) -> None:
-        count = self._stored.get(sender, 0)
-        if n_blocks > count:
-            raise ValueError(
-                f"releasing {n_blocks} MACs but only {count} stored for sender {sender}"
-            )
-        self._stored[sender] = count - n_blocks
-
-    def occupancy(self, sender: int) -> int:
-        return self._stored.get(sender, 0)
-
-
-__all__ = ["BatchingController", "BlockGrant", "MsgMacStorage"]
+__all__ = ["BatchingController", "BlockGrant"]

@@ -136,48 +136,6 @@ class ExperimentRunner:
         return results
 
 
-def multi_seed_slowdowns(
-    configs: dict[str, SystemConfig],
-    seeds: tuple[int, ...] = (1, 2, 3),
-    n_gpus: int = 4,
-    scale: float = 1.0,
-    workloads: list[WorkloadSpec] | None = None,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool | None = None,
-) -> dict[str, float]:
-    """Average slowdown per configuration across seeds and workloads.
-
-    Structural workloads are seed-deterministic, but the randomized ones
-    (pagerank, spmv) and the lane-jitter offsets vary; averaging across
-    seeds tightens the comparison of close configurations.  The full
-    seeds × workloads × configs grid is one sweep batch, so every cell —
-    across seeds too — can run in parallel.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if workloads is None:
-        workloads = all_workloads()
-    unsecure = scheme_config("unsecure", n_gpus=n_gpus)
-    sweeper = SweepRunner(jobs=jobs, cache=default_cache(cache_dir, use_cache))
-
-    grid: list[SweepJob] = []
-    for seed in seeds:
-        for spec in workloads:
-            grid.append(SweepJob(spec=spec, config=unsecure, seed=seed, scale=scale))
-            for config in configs.values():
-                grid.append(SweepJob(spec=spec, config=config, seed=seed, scale=scale))
-    reports = iter(sweeper.run_jobs(grid))
-
-    values: dict[str, list[float]] = {key: [] for key in configs}
-    for _seed in seeds:
-        for _spec in workloads:
-            baseline = next(reports)
-            for key in configs:
-                values[key].append(next(reports).slowdown_vs(baseline))
-    return {key: geometric_mean(vals) for key, vals in values.items()}
-
-
 # ---------------------------------------------------------------------------
 # Text-table rendering
 # ---------------------------------------------------------------------------
@@ -206,7 +164,6 @@ def fmt(value: float, digits: int = 3) -> str:
 
 __all__ = [
     "ExperimentRunner",
-    "multi_seed_slowdowns",
     "WorkloadResult",
     "geometric_mean",
     "format_table",

@@ -18,6 +18,8 @@ latency is charged on the GPU (see ``GpuConfig.iommu_walk_cycles``).
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.gpu.hbm import HbmModel
 from repro.interconnect.packet import HEADER_BYTES, Packet, PacketKind
 from repro.memory.address_space import BLOCK_BYTES, BLOCKS_PER_PAGE, PAGE_BYTES, page_of
@@ -46,7 +48,7 @@ class MemoryNode:
         if kind is PacketKind.MIGRATION_REQ:
             base = page_of(packet.address) * PAGE_BYTES
             done = self.memory.access(self.sim.now, PAGE_BYTES)
-            self.sim.post_at(done, lambda r=packet.src, b=base: self._stream_page(r, b))
+            self.sim.post_at(done, partial(self._stream_page, packet.src, base))
             return
         if kind is PacketKind.READ_REQ:
             reply, size = PacketKind.DATA_RESP, HEADER_BYTES + BLOCK_BYTES
@@ -63,7 +65,8 @@ class MemoryNode:
             txn_id=packet.txn_id,
             address=packet.address,
         )
-        self.sim.post_at(done, lambda p=response: self.transport.send(p, self.sim.now))
+        # the reply leaves at ``done``, the cycle the callback runs
+        self.sim.post_at(done, partial(self.transport.send, response, done))
 
     def _stream_page(self, requester: int, base: int) -> None:
         """Send a pulled page to ``requester`` as 64 block packets."""

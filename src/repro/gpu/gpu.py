@@ -38,18 +38,11 @@ from repro.gpu.cpu import MemoryNode
 from repro.gpu.hbm import HbmModel
 from repro.gpu.tlb import TlbHierarchy
 from repro.interconnect.packet import HEADER_BYTES, Packet, PacketKind
-from repro.memory.address_space import (
-    BLOCK_BYTES,
-    BLOCKS_PER_PAGE,
-    PAGE_BYTES,
-    block_of,
-    page_of,
-)
+from repro.memory.address_space import BLOCK_BYTES, BLOCKS_PER_PAGE, PAGE_BYTES, page_of
 from repro.memory.directory import BlockDirectory
 from repro.memory.migration import AccessCounterMigrationPolicy, MigrationDecision
 from repro.memory.page_table import PageTable
 from repro.sim.engine import Simulator
-from repro.sim.stats import Counter
 from repro.transport import MessageTransport
 from repro.workloads.compiled import CompiledGpuTrace
 
@@ -87,14 +80,14 @@ class GpuDevice(MemoryNode):
 
         self.outstanding = 0  # GPU-wide remote window occupancy
         self._next_lane = 0  # round-robin issue pointer
-        self._pending: dict[int, tuple] = {}  # txn id -> (kind, payload)
-        self._migrating: dict[int, dict] = {}  # page -> in-flight migration state
+        # In-flight remote reads live in ``directory`` only, keyed by block.
+        self._pending: dict[int, ComputeUnitLane] = {}  # write txn id -> lane
+        self._migrating: dict[int, int] = {}  # page -> blocks received
         self._wakeup = None
         self.finish_cycle: int | None = None
         self.instructions = 0
-
-        self._remote_reads = Counter("remote_reads")
-        self._remote_writes = Counter("remote_writes")
+        #: remote reads issued (merged ones excluded) plus remote writes
+        self.remote_requests = 0
 
     # ------------------------------------------------------------------
     # Setup
@@ -280,22 +273,18 @@ class GpuDevice(MemoryNode):
             self._remote_read(lane, addr, owner)
 
     def _remote_read(self, lane: ComputeUnitLane, addr: int, owner: int) -> None:
-        block = block_of(addr)
         must_issue = self.directory.request(
-            self.node_id, block, partial(self._remote_read_done, lane, addr)
+            addr // BLOCK_BYTES, partial(self._remote_read_done, lane, addr)
         )
         if not must_issue:
             return  # merged into an in-flight fetch
-        self._remote_reads.add()
+        self.remote_requests += 1
         self.outstanding += 1
-        txn = next(_txn_ids)
-        self._pending[txn] = ("read", block)
         packet = Packet(
             kind=PacketKind.READ_REQ,
             src=self.node_id,
             dst=owner,
             size_bytes=HEADER_BYTES,
-            txn_id=txn,
             address=addr,
         )
         self.transport.send(packet, self.sim.now)
@@ -306,10 +295,10 @@ class GpuDevice(MemoryNode):
         self._pump()
 
     def _remote_write(self, lane: ComputeUnitLane, addr: int, owner: int) -> None:
-        self._remote_writes.add()
+        self.remote_requests += 1
         self.outstanding += 1
         txn = next(_txn_ids)
-        self._pending[txn] = ("write", lane)
+        self._pending[txn] = lane
         packet = Packet(
             kind=PacketKind.WRITE_REQ,
             src=self.node_id,
@@ -324,33 +313,30 @@ class GpuDevice(MemoryNode):
     # Page migration (requester side)
     # ------------------------------------------------------------------
     def _start_migration(self, page: int, owner: int) -> None:
-        self._migrating[page] = {"received": 0, "owner": owner}
-        txn = next(_txn_ids)
-        self._pending[txn] = ("migration_req", page)
+        self._migrating[page] = 0
         packet = Packet(
             kind=PacketKind.MIGRATION_REQ,
             src=self.node_id,
             dst=owner,
             size_bytes=HEADER_BYTES,
-            txn_id=txn,
             address=page * PAGE_BYTES,
         )
         self.transport.send(packet, self.sim.now)
 
     def _migration_block_arrived(self, page: int) -> None:
-        state = self._migrating.get(page)
-        if state is None:
+        received = self._migrating.get(page)
+        if received is None:
             return
-        state["received"] += 1
-        if state["received"] >= BLOCKS_PER_PAGE:
+        received += 1
+        self._migrating[page] = received
+        if received >= BLOCKS_PER_PAGE:
             commit_delay = (
                 self.migration_cfg.driver_cycles + self.migration_cfg.shootdown_cycles
             )
             self.sim.post(commit_delay, partial(self._commit_migration, page))
 
     def _commit_migration(self, page: int) -> None:
-        state = self._migrating.pop(page, None)
-        if state is None:
+        if self._migrating.pop(page, None) is None:
             return
         old_owner = self.migration_policy.commit_migration(page, self.node_id)
         self.on_migration_commit(page, old_owner, self.node_id)
@@ -378,29 +364,22 @@ class GpuDevice(MemoryNode):
             super()._on_message(packet, now)
 
     def _complete_read(self, packet: Packet, now: int) -> None:
-        ctx = self._pending.pop(packet.txn_id, None)
-        if ctx is None or ctx[0] != "read":
-            raise ValueError(f"gpu{self.node_id}: stray DATA_RESP txn {packet.txn_id}")
+        block = packet.address // BLOCK_BYTES  # the directory's key
+        if not self.directory.in_flight(block):
+            raise ValueError(f"gpu{self.node_id}: stray DATA_RESP for block {block}")
         self.outstanding -= 1
         self.l2.fill(packet.address)
         # No pump here: every waiter's _remote_read_done pumps after its
         # own lane completes, so the last one already saw this state.
-        self.directory.complete(self.node_id, ctx[1], now)
+        self.directory.complete(block, now)
 
     def _complete_write(self, packet: Packet) -> None:
-        ctx = self._pending.pop(packet.txn_id, None)
-        if ctx is None or ctx[0] != "write":
+        lane = self._pending.pop(packet.txn_id, None)
+        if lane is None:
             raise ValueError(f"gpu{self.node_id}: stray WRITE_ACK txn {packet.txn_id}")
         self.outstanding -= 1
-        ctx[1].complete()
+        lane.complete()
         self._pump()
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def remote_requests(self) -> int:
-        return int(self._remote_reads.value + self._remote_writes.value)
 
 
 __all__ = ["GpuDevice"]

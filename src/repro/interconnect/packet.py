@@ -29,7 +29,6 @@ class PacketKind(Enum):
     BATCH_MAC = "batch_mac"  # standalone batched MsgMAC (timeout close)
     MIGRATION_REQ = "migration_req"  # ask a page's owner to migrate it
     MIGRATION_DATA = "migration_data"  # one block of a 4 KB page migration
-    TLB_WALK = "tlb_walk"  # IOMMU page-walk request/response
 
     # Members are singletons, so identity hashing is exact, and it runs in
     # C instead of Enum's Python-level ``hash(self._name_)``.  Nothing

@@ -6,6 +6,10 @@ existing MSHR entry instead of issuing duplicate interconnect requests.
 This directory provides that merging, which matters for traffic fidelity:
 without it, bursty lanes would multiply remote traffic that real GPUs
 coalesce.
+
+Each GPU owns one directory, and it is that GPU's only record of an
+in-flight remote read: the read's response is matched to its fetch by
+block alone.
 """
 
 from __future__ import annotations
@@ -14,49 +18,44 @@ from typing import Callable
 
 
 class BlockDirectory:
-    """Tracks in-flight block fetches per requesting node."""
+    """Tracks one node's in-flight block fetches."""
 
     def __init__(self) -> None:
-        # (node, block) -> list of completion callbacks
-        self._pending: dict[tuple[int, int], list[Callable[[int], None]]] = {}
+        # block -> list of completion callbacks
+        self._pending: dict[int, list[Callable[[int], None]]] = {}
         self.merged = 0
         self.issued = 0
 
-    def request(
-        self, node: int, block: int, on_complete: Callable[[int], None]
-    ) -> bool:
+    def request(self, block: int, on_complete: Callable[[int], None]) -> bool:
         """Register interest in ``block``.
 
         Returns True if the caller must issue a new fetch, False if it was
         merged into an in-flight one.  ``on_complete(finish_cycle)`` fires
         when the data arrives either way.
         """
-        key = (node, block)
-        waiters = self._pending.get(key)
+        waiters = self._pending.get(block)
         if waiters is not None:
             waiters.append(on_complete)
             self.merged += 1
             return False
-        self._pending[key] = [on_complete]
+        self._pending[block] = [on_complete]
         self.issued += 1
         return True
 
-    def complete(self, node: int, block: int, finish_cycle: int) -> int:
+    def complete(self, block: int, finish_cycle: int) -> int:
         """Fire all waiters for ``block``; returns how many were woken."""
-        waiters = self._pending.pop((node, block), None)
+        waiters = self._pending.pop(block, None)
         if waiters is None:
-            raise KeyError(f"no pending fetch for node {node} block {block}")
+            raise KeyError(f"no pending fetch for block {block}")
         for callback in waiters:
             callback(finish_cycle)
         return len(waiters)
 
-    def in_flight(self, node: int, block: int) -> bool:
-        return (node, block) in self._pending
+    def in_flight(self, block: int) -> bool:
+        return block in self._pending
 
-    def pending_count(self, node: int | None = None) -> int:
-        if node is None:
-            return len(self._pending)
-        return sum(1 for key in self._pending if key[0] == node)
+    def pending_count(self) -> int:
+        return len(self._pending)
 
 
 __all__ = ["BlockDirectory"]

@@ -8,8 +8,6 @@ commits.  Per-(page, accessor) access counters feed the migration policy.
 
 from __future__ import annotations
 
-from repro.sim.stats import Counter
-
 
 class PageTable:
     """Ownership map plus remote-access counters."""
@@ -18,7 +16,7 @@ class PageTable:
         self._owner = dict(initial_owners)
         # page -> accessor -> count; nested so a migration clears in O(1)
         self._access_counts: dict[int, dict[int, int]] = {}
-        self._migrations = Counter("migrations")
+        self.migrations = 0
 
     def owner(self, page: int) -> int:
         try:
@@ -42,13 +40,9 @@ class PageTable:
         if old == new_owner:
             raise ValueError(f"page {page} already owned by node {new_owner}")
         self._owner[page] = new_owner
-        self._migrations.add()
+        self.migrations += 1
         self._access_counts.pop(page, None)
         return old
-
-    @property
-    def migrations(self) -> int:
-        return self._migrations.value
 
     def pages_owned_by(self, node: int) -> list[int]:
         return [p for p, o in self._owner.items() if o == node]

@@ -6,13 +6,11 @@ replays of a sweep cell export byte-identical metrics files).
 """
 
 from repro.obs.export import (
-    EXPORT_SCHEMA,
     diff_metrics,
     metrics_to_jsonl,
     read_metrics,
     validate_metrics,
     validate_metrics_file,
-    write_metrics_json,
     write_metrics_jsonl,
 )
 from repro.obs.metrics import (
@@ -24,7 +22,6 @@ from repro.obs.metrics import (
 )
 
 __all__ = [
-    "EXPORT_SCHEMA",
     "KNOWN_NAMESPACES",
     "METRIC_TYPES",
     "MetricsRegistry",
@@ -35,6 +32,5 @@ __all__ = [
     "validate_metrics",
     "validate_metrics_file",
     "validate_name",
-    "write_metrics_json",
     "write_metrics_jsonl",
 ]

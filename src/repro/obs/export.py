@@ -1,18 +1,14 @@
 """Metrics export, import, diff, and schema validation.
 
-Two interchangeable on-disk formats carry a metrics snapshot (the dict
-produced by :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, as stored
-on ``SimulationReport.metrics``):
+A metrics snapshot (the dict produced by
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, as stored on
+``SimulationReport.metrics``) goes to disk as **JSONL**: one
+``{"name": ..., "type": ..., ...}`` object per line, sorted by metric
+name, ``sort_keys`` within each line.  Streamable and greppable; what
+``repro-sim run --metrics`` writes and the CI smoke job validates.
 
-* **JSONL** — one ``{"name": ..., "type": ..., ...}`` object per line,
-  sorted by metric name, ``sort_keys`` within each line.  Streamable and
-  greppable; what ``repro-sim run --metrics`` writes and the CI smoke job
-  validates.
-* **JSON** — a single ``{"schema": ..., "meta": ..., "metrics": ...}``
-  document for consumers that want the whole table at once.
-
-Both renderings are byte-deterministic functions of the snapshot dict, so
-a cache-hit replay of a sweep cell exports the identical file a live run
+The rendering is a byte-deterministic function of the snapshot dict, so a
+cache-hit replay of a sweep cell exports the identical file a live run
 would have — the determinism contract the sweep tests pin down.
 
 :func:`validate_metrics` is the drift lint: every name must parse, sit in
@@ -27,9 +23,6 @@ import json
 from pathlib import Path
 
 from repro.obs.metrics import KNOWN_NAMESPACES, METRIC_TYPES, _NAME_RE
-
-#: Bump when the export layout changes.
-EXPORT_SCHEMA = 1
 
 
 # ---------------------------------------------------------------------------
@@ -50,40 +43,14 @@ def write_metrics_jsonl(metrics: dict[str, dict], path: str | Path) -> int:
     return len(metrics)
 
 
-def write_metrics_json(
-    metrics: dict[str, dict], path: str | Path, meta: dict | None = None
-) -> int:
-    """Write the single-document JSON rendering; returns the metric count."""
-    document = {
-        "schema": EXPORT_SCHEMA,
-        "meta": meta or {},
-        "metrics": {name: metrics[name] for name in sorted(metrics)},
-    }
-    Path(path).write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
-    return len(metrics)
-
-
 # ---------------------------------------------------------------------------
 # Reading
 # ---------------------------------------------------------------------------
 def read_metrics(path: str | Path) -> dict[str, dict]:
-    """Load either export format back into a snapshot dict.
-
-    A document starting with ``{`` and parsing as one object is the JSON
-    format; anything else is treated as JSONL.
-    """
+    """Load a JSONL export back into a snapshot dict."""
     path = Path(path)
-    text = path.read_text()
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError:
-        document = None
-    if isinstance(document, dict) and "metrics" in document:
-        if document.get("schema") != EXPORT_SCHEMA:
-            raise ValueError(f"{path}: unsupported metrics schema {document.get('schema')!r}")
-        return dict(document["metrics"])
     metrics: dict[str, dict] = {}
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -124,15 +91,6 @@ def _payload_errors(name: str, payload: dict) -> list[str]:
             for k, v in counts.items()
         ):
             errors.append(f"{name}: ratio counts must map category -> int")
-    elif kind == "series":
-        interval = payload.get("interval")
-        channels = payload.get("channels")
-        if not isinstance(interval, int) or interval <= 0:
-            errors.append(f"{name}: series interval must be a positive int")
-        if not isinstance(channels, dict) or not all(
-            isinstance(buckets, dict) for buckets in channels.values()
-        ):
-            errors.append(f"{name}: series channels must map name -> bucket dict")
     return errors
 
 
@@ -187,19 +145,14 @@ def _summarize(payload: dict) -> str:
         return f"hist(total={payload.get('total')}, counts={payload.get('counts')})"
     if kind == "ratio":
         return f"ratio({payload.get('counts')})"
-    if kind == "series":
-        channels = payload.get("channels") or {}
-        return f"series({len(channels)} channels)"
     return repr(payload)
 
 
 __all__ = [
-    "EXPORT_SCHEMA",
     "diff_metrics",
     "metrics_to_jsonl",
     "read_metrics",
     "validate_metrics",
     "validate_metrics_file",
-    "write_metrics_json",
     "write_metrics_jsonl",
 ]

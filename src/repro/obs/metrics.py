@@ -11,18 +11,17 @@ into component internals.
 
 The registry stores the *same* primitive objects the components update —
 :class:`~repro.sim.stats.Counter`, :class:`~repro.sim.stats.Gauge`,
-:class:`~repro.sim.stats.Histogram`, :class:`~repro.sim.stats.
-IntervalSeries`, :class:`~repro.sim.stats.RatioStat` — and
-:meth:`MetricsRegistry.snapshot` renders them to a deterministic JSON-safe
-dict (sorted names, typed payloads) that round-trips losslessly through
-the result cache and the process-pool boundary.
+:class:`~repro.sim.stats.Histogram`, :class:`~repro.sim.stats.RatioStat` —
+and :meth:`MetricsRegistry.snapshot` renders them to a deterministic
+JSON-safe dict (sorted names, typed payloads) that round-trips losslessly
+through the result cache and the process-pool boundary.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.sim.stats import Counter, Gauge, Histogram, IntervalSeries, RatioStat
+from repro.sim.stats import Counter, Gauge, Histogram, RatioStat
 
 #: Every legal first segment of a metric name.  ``repro-sim metrics check``
 #: fails on anything else, which keeps the namespace from drifting as new
@@ -48,7 +47,7 @@ KNOWN_NAMESPACES = frozenset(
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 
 #: Snapshot payload types, keyed by primitive class.
-METRIC_TYPES = ("counter", "gauge", "histogram", "ratio", "series")
+METRIC_TYPES = ("counter", "gauge", "histogram", "ratio")
 
 
 def validate_name(name: str) -> None:
@@ -81,27 +80,18 @@ def encode_metric(stat: object) -> dict:
         }
     if isinstance(stat, RatioStat):
         return {"type": "ratio", "counts": {k: stat.counts[k] for k in sorted(stat.counts)}}
-    if isinstance(stat, IntervalSeries):
-        return {
-            "type": "series",
-            "interval": stat.interval,
-            "channels": {
-                chan: {str(bucket): stat._channels[chan][bucket] for bucket in sorted(stat._channels[chan])}
-                for chan in sorted(stat._channels)
-            },
-        }
     raise TypeError(f"unsupported metric primitive {type(stat).__name__}")
 
 
 class MetricsRegistry:
     """A flat, validated namespace of metric primitives.
 
-    ``counter``/``gauge``/``histogram``/``series``/``ratio`` are
-    get-or-create: the first call under a name builds the primitive, later
-    calls return the same object, and a call under a name already holding a
-    *different* primitive type raises.  :meth:`register` adopts an existing
-    component-owned primitive (e.g. the transport's burst histograms) so
-    one object serves both the component and the export.
+    ``counter``/``gauge``/``ratio`` are get-or-create: the first call under
+    a name builds the primitive, later calls return the same object, and a
+    call under a name already holding a *different* primitive type raises.
+    :meth:`register` adopts an existing component-owned primitive (the
+    transport's burst histograms) so one object serves both the component
+    and the export.
     """
 
     def __init__(self) -> None:
@@ -115,12 +105,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge, lambda: Gauge(name))
-
-    def histogram(self, name: str, edges: list[int | float]) -> Histogram:
-        return self._get_or_create(name, Histogram, lambda: Histogram(name, edges))
-
-    def series(self, name: str, interval: int) -> IntervalSeries:
-        return self._get_or_create(name, IntervalSeries, lambda: IntervalSeries(name, interval))
 
     def ratio(self, name: str) -> RatioStat:
         return self._get_or_create(name, RatioStat, lambda: RatioStat(name))

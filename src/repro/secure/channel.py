@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.configs import SystemConfig
-from repro.core.batching import BatchingController, MsgMacStorage
+from repro.core.batching import BatchingController
 from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.topology import Topology
 from repro.obs import MetricsRegistry
@@ -205,13 +205,11 @@ class SecureTransport(_TransportBase):
         self.schemes = {}
         self.guards: dict[int, ReplayGuard] = {}
         self.batchers: dict[int, BatchingController] = {}
-        self.mac_storage: dict[int, MsgMacStorage] = {}
         for node in topology.nodes():
             self.schemes[node] = build_scheme(sec.scheme, node, topology.peers_of(node), sec)
             self.guards[node] = ReplayGuard(node)
             if sec.batching:
                 self.batchers[node] = BatchingController(sec.batch_size)
-                self.mac_storage[node] = MsgMacStorage(capacity_per_pair=64)
         # the security settings every message reads, as plain attributes
         self._batching = sec.batching
         self._count_metadata = sec.count_metadata
@@ -224,7 +222,8 @@ class SecureTransport(_TransportBase):
         # fast paths are fully pipelined and add latency only.
         self._send_crypto_busy: dict[tuple[int, int], int] = {}
         self._recv_crypto_busy: dict[tuple[int, int], int] = {}
-        # receiver-side batch completion tracking:
+        # The receiver's record of each in-flight batch, whose per-block
+        # MsgMACs it holds until the batched MAC verifies (Fig. 20):
         # (src, dst, batch_id) -> [blocks_arrived, expected_or_None]
         self._batch_arrivals: dict[tuple[int, int, int], list] = {}
         self.acks_sent = 0
@@ -300,14 +299,16 @@ class SecureTransport(_TransportBase):
         src, dst = packet.src, packet.dst
         pair = (src, dst)
         scheme = self.schemes[src]
-        demand = packet.kind is not PacketKind.MIGRATION_DATA
-        # monitoring observes the message as it enqueues, before any stall
-        scheme.note_send(dst, now, demand)
+        note_send = scheme.note_send
+        if note_send is not None:
+            # monitoring observes the message as it enqueues, before any
+            # stall; bulk migration blocks are not demand
+            note_send(dst, now, packet.kind is not PacketKind.MIGRATION_DATA)
         # head-of-line: the pad acquisition happens when this message
         # reaches the front of the pair's crypto queue
         busy = self._send_crypto_busy.get(pair, 0)
         start = busy if busy > now else now
-        send_grant = scheme.acquire_send(dst, start, demand)
+        send_grant = scheme.acquire_send(dst, start)
         ready = start + send_grant.grant.wait
         self._send_crypto_busy[pair] = ready
         counter = self._ctrs.get(pair, 0)
@@ -349,11 +350,12 @@ class SecureTransport(_TransportBase):
         src, dst = packet.src, packet.dst
         pair = (src, dst)
         scheme = self.schemes[dst]
-        demand = packet.kind is not PacketKind.MIGRATION_DATA
-        scheme.note_recv(src, now, demand)
+        note_recv = scheme.note_recv
+        if note_recv is not None:
+            note_recv(src, now, packet.kind is not PacketKind.MIGRATION_DATA)
         busy = self._recv_crypto_busy.get(pair, 0)
         start = busy if busy > now else now
-        ready = start + scheme.acquire_recv(src, start, synced, demand).wait
+        ready = start + scheme.acquire_recv(src, start, synced).wait
         self._recv_crypto_busy[pair] = ready
         return ready + self._xor + (0 if lazy else self._ghash)
 
@@ -364,7 +366,6 @@ class SecureTransport(_TransportBase):
 
         kind = packet.kind
         if self._batching and kind.batchable:
-            self.mac_storage[dst].store(src)
             expected = batch_ctx.batch_size if batch_ctx.closes_batch else None
             self._batch_progress(src, dst, batch_ctx.batch_id, 1, expected)
         elif kind.acked:
@@ -391,7 +392,6 @@ class SecureTransport(_TransportBase):
         if state[1] is None or state[0] < state[1]:
             return
         del self._batch_arrivals[key]
-        self.mac_storage[dst].release_batch(src, state[1])
         self._send_ack(dst, src, batch_id=batch_id)
 
     def _batch_timeout(self, src: int, dst: int, batch_id: int) -> None:

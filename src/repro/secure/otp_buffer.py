@@ -72,7 +72,7 @@ HIT_GRANT = PadGrant(wait=0, outcome=PadOutcome.HIT)
 class PadStream:
     """Pre-generated pads for one (direction, peer) stream."""
 
-    __slots__ = ("latency", "miss_grant", "_ready", "last_use", "consumed")
+    __slots__ = ("latency", "miss_grant", "_ready", "last_use")
 
     def __init__(self, latency: int, capacity: int, now: int = 0, prefilled: bool = True) -> None:
         if latency < 1:
@@ -85,8 +85,8 @@ class PadStream:
         # min-heap of cycle times at which each buffered pad becomes ready
         self._ready: list[int] = [now if prefilled else now + latency] * capacity
         heapq.heapify(self._ready)
+        #: cycle of the latest acquisition; Cached's LRU victim choice reads it
         self.last_use = now
-        self.consumed = 0
 
     @property
     def capacity(self) -> int:
@@ -101,7 +101,6 @@ class PadStream:
     def consume(self, now: int) -> PadGrant:
         """Take a pad for the next counter value at cycle ``now``."""
         self.last_use = now
-        self.consumed += 1
         if not self._ready:
             # No buffer entry at all: generate on demand, nothing to refill.
             return self.miss_grant
@@ -126,7 +125,6 @@ class PadStream:
         expected counter so a back-to-back follow-up can hit.
         """
         self.last_use = now
-        self.consumed += 1
         if self._ready:
             heapq.heapreplace(self._ready, now + self.latency)
         return self.miss_grant

@@ -8,6 +8,9 @@ A scheme instance lives on one processor and answers two questions:
 * ``acquire_recv(peer, now, synced)`` — how long does the incoming-side
   pad acquisition take, given the sender-declared sync state?
 
+An adaptive scheme also defines the monitoring hooks ``note_send`` and
+``note_recv``; the others leave them ``None`` and the channel skips them.
+
 Every acquisition is recorded into per-direction hit/partial/miss ratio
 stats (the Figs 10/22 decomposition), counted straight into each ratio's
 dict under the outcome's plain ``key``.
@@ -62,35 +65,20 @@ class OtpScheme(ABC):
     # Interface
     # ------------------------------------------------------------------
     @abstractmethod
-    def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
-        """Acquire the send-direction pads for a message to ``peer``.
-
-        ``demand`` distinguishes latency-critical demand messages from bulk
-        background transfers (page-migration blocks); adaptive schemes may
-        weight their monitoring by it, but every message consumes a pad.
-        """
+    def acquire_send(self, peer: int, now: int) -> SendGrant:
+        """Acquire the send-direction pads for a message to ``peer``."""
 
     @abstractmethod
-    def acquire_recv(
-        self, peer: int, now: int, synced: bool = True, demand: bool = True
-    ) -> PadGrant:
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
         """Acquire the receive-direction pads for a message from ``peer``."""
 
     @abstractmethod
     def pool_size(self) -> int:
         """Total OTP buffer entries this scheme holds on this processor."""
 
-    def note_send(self, peer: int, now: int, demand: bool = True) -> None:
-        """Observe a message entering the send path at its *enqueue* time.
-
-        Monitoring must sample offered load, not served load: counting at
-        pad consumption lets a starved stream mask its own demand.  The
-        base implementation ignores the observation; adaptive schemes use
-        it to drive their monitoring phase.
-        """
-
-    def note_recv(self, peer: int, now: int, demand: bool = True) -> None:
-        """Observe a message entering the receive path (see note_send)."""
+    #: Monitoring hooks ``(peer, now, demand)``; only DynamicScheme defines them.
+    note_send = None
+    note_recv = None
 
     # ------------------------------------------------------------------
     # Shared bookkeeping
@@ -112,10 +100,6 @@ class OtpScheme(ABC):
     @property
     def recv_outcomes(self) -> RatioStat:
         return self._recv_outcomes
-
-    def _check_peer(self, peer: int) -> None:
-        if peer == self.node:
-            raise ValueError(f"node {self.node} cannot message itself")
 
 
 __all__ = ["OtpScheme", "SendGrant"]

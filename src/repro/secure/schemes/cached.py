@@ -69,7 +69,6 @@ class CachedScheme(OtpScheme):
             self.table_misses += 1
             self._steal_entry(key, now)
             stream.last_use = now
-            stream.consumed += 1
             return stream.miss_grant
         if not synced:
             return stream.consume_desync(now)
@@ -84,8 +83,7 @@ class CachedScheme(OtpScheme):
     # ------------------------------------------------------------------
     # Scheme interface
     # ------------------------------------------------------------------
-    def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
-        self._check_peer(peer)
+    def acquire_send(self, peer: int, now: int) -> SendGrant:
         # A send-side table miss falls back to Shared semantics with the
         # maximum MsgCTR (§II-C) — a counter the receiver cannot have
         # pre-generated, so the receiver desynchronizes too.
@@ -94,10 +92,7 @@ class CachedScheme(OtpScheme):
         self._record_send(grant)
         return SendGrant(grant=grant, receiver_synced=not table_miss)
 
-    def acquire_recv(
-        self, peer: int, now: int, synced: bool = True, demand: bool = True
-    ) -> PadGrant:
-        self._check_peer(peer)
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
         grant = self._acquire((_RECV, peer), now, synced)
         self._record_recv(grant)
         return grant

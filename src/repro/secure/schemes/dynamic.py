@@ -67,22 +67,23 @@ class DynamicScheme(PrivateScheme):
     # Acquisition: an interval boundary may pass between a message's
     # enqueue and its turn at the crypto unit
     # ------------------------------------------------------------------
-    def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
+    def acquire_send(self, peer: int, now: int) -> SendGrant:
         self._tick(now)
-        return super().acquire_send(peer, now, demand)
+        return super().acquire_send(peer, now)
 
-    def acquire_recv(
-        self, peer: int, now: int, synced: bool = True, demand: bool = True
-    ) -> PadGrant:
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
         self._tick(now)
-        return super().acquire_recv(peer, now, synced, demand)
+        return super().acquire_recv(peer, now, synced)
 
     # ------------------------------------------------------------------
     # Monitoring
     # ------------------------------------------------------------------
     def note_send(self, peer: int, now: int, demand: bool = True) -> None:
-        """Monitoring phase: sample offered send load at enqueue time."""
-        self._check_peer(peer)
+        """Monitoring phase: sample offered send load at *enqueue* time.
+
+        Monitoring must sample offered load, not served load: counting at
+        pad consumption lets a starved stream mask its own demand.
+        """
         self._tick(now)
         if demand:
             # bulk migration blocks consume pads but do not steer the
@@ -90,7 +91,7 @@ class DynamicScheme(PrivateScheme):
             self.allocator.record_send(peer)
 
     def note_recv(self, peer: int, now: int, demand: bool = True) -> None:
-        self._check_peer(peer)
+        """Monitoring phase: sample offered receive load (see note_send)."""
         self._tick(now)
         if demand:
             self.allocator.record_recv(peer)

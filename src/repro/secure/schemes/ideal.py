@@ -17,15 +17,11 @@ from repro.secure.schemes.base import OtpScheme, SendGrant
 class IdealScheme(OtpScheme):
     name = "ideal"
 
-    def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
-        self._check_peer(peer)
+    def acquire_send(self, peer: int, now: int) -> SendGrant:
         self._record_send(HIT_GRANT)
         return SendGrant(grant=HIT_GRANT, receiver_synced=True)
 
-    def acquire_recv(
-        self, peer: int, now: int, synced: bool = True, demand: bool = True
-    ) -> PadGrant:
-        self._check_peer(peer)
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
         # even a desync cannot miss with unbounded lookahead
         self._record_recv(HIT_GRANT)
         return HIT_GRANT

@@ -25,16 +25,12 @@ class PrivateScheme(OtpScheme):
         self._send_streams = {p: PadStream(latency, k) for p in peers}
         self._recv_streams = {p: PadStream(latency, k) for p in peers}
 
-    def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
-        self._check_peer(peer)
+    def acquire_send(self, peer: int, now: int) -> SendGrant:
         grant = self._send_streams[peer].consume(now)
         self._record_send(grant)
         return SendGrant(grant, True)
 
-    def acquire_recv(
-        self, peer: int, now: int, synced: bool = True, demand: bool = True
-    ) -> PadGrant:
-        self._check_peer(peer)
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
         stream = self._recv_streams[peer]
         grant = stream.consume(now) if synced else stream.consume_desync(now)
         self._record_recv(grant)

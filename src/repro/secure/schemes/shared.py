@@ -30,8 +30,7 @@ class SharedScheme(OtpScheme):
         self._last_dst: int | None = None
         self.destination_switches = 0
 
-    def acquire_send(self, peer: int, now: int, demand: bool = True) -> SendGrant:
-        self._check_peer(peer)
+    def acquire_send(self, peer: int, now: int) -> SendGrant:
         grant = self._send_stream.consume(now)
         self._record_send(grant)
         # The receiver's pre-generated pad is only for the shared counter's
@@ -42,10 +41,7 @@ class SharedScheme(OtpScheme):
         self._last_dst = peer
         return SendGrant(grant=grant, receiver_synced=synced)
 
-    def acquire_recv(
-        self, peer: int, now: int, synced: bool = True, demand: bool = True
-    ) -> PadGrant:
-        self._check_peer(peer)
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
         stream = self._recv_streams[peer]
         grant = stream.consume(now) if synced else stream.consume_desync(now)
         self._record_recv(grant)

@@ -33,9 +33,12 @@ def test_compare_command(capsys):
         assert scheme in out
 
 
-def test_experiment_command_analytic(capsys):
+def test_experiment_command_analytic(capsys, tmp_path, monkeypatch):
+    # the CLI archives the table under ./results, so run it outside the tree
+    monkeypatch.chdir(tmp_path)
     assert main(["experiment", "table1"]) == 0
     assert "Table I" in capsys.readouterr().out
+    assert (tmp_path / "results" / "table1.txt").read_text().startswith("Table I")
 
 
 def test_unknown_workload_fails():

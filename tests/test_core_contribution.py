@@ -4,7 +4,7 @@
 import pytest
 
 from repro.configs import MetadataConfig
-from repro.core.batching import BatchingController, MsgMacStorage
+from repro.core.batching import BatchingController
 from repro.core.dynamic_allocator import DynamicOtpAllocator, largest_remainder
 from repro.core.ewma import Ewma
 from repro.secure.metadata import MetadataAccountant
@@ -312,30 +312,3 @@ class TestBatchingController:
     def test_validation(self):
         with pytest.raises(ValueError):
             self._controller(batch_size=0)
-
-
-class TestMsgMacStorage:
-    def test_store_and_release(self):
-        s = MsgMacStorage(capacity_per_pair=4)
-        for _ in range(3):
-            s.store(sender=1)
-        assert s.occupancy(1) == 3
-        s.release_batch(1, 3)
-        assert s.occupancy(1) == 0
-        assert s.max_occupancy == 3
-
-    def test_overflow_counted_not_fatal(self):
-        s = MsgMacStorage(capacity_per_pair=2)
-        for _ in range(3):
-            s.store(1)
-        assert s.overflows == 1
-
-    def test_release_more_than_stored_raises(self):
-        s = MsgMacStorage()
-        s.store(1)
-        with pytest.raises(ValueError):
-            s.release_batch(1, 2)
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            MsgMacStorage(0)

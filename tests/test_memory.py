@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.interconnect.packet import PacketKind
 from repro.memory.address_space import (
     AddressSpace,
     BLOCKS_PER_PAGE,
@@ -13,6 +14,8 @@ from repro.memory.address_space import (
 from repro.memory.directory import BlockDirectory
 from repro.memory.migration import AccessCounterMigrationPolicy, MigrationDecision
 from repro.memory.page_table import PageTable
+from repro.workloads.compiled import CompiledGpuTrace
+from tests.test_gpu_device import host_cpu, make_gpu, reads
 
 
 class TestAddressSpace:
@@ -150,29 +153,36 @@ class TestBlockDirectory:
     def test_first_request_issues_later_merge(self):
         d = BlockDirectory()
         seen = []
-        assert d.request(1, 100, lambda t: seen.append(("a", t))) is True
-        assert d.request(1, 100, lambda t: seen.append(("b", t))) is False
-        assert d.in_flight(1, 100)
-        assert d.complete(1, 100, 55) == 2
+        assert d.request(100, lambda t: seen.append(("a", t))) is True
+        assert d.request(100, lambda t: seen.append(("b", t))) is False
+        assert d.in_flight(100)
+        assert d.complete(100, 55) == 2
         assert seen == [("a", 55), ("b", 55)]
-        assert not d.in_flight(1, 100)
+        assert not d.in_flight(100)
 
-    def test_distinct_nodes_do_not_merge(self):
-        d = BlockDirectory()
-        assert d.request(1, 100, lambda t: None) is True
-        assert d.request(2, 100, lambda t: None) is True
-        assert d.pending_count() == 2
-        assert d.pending_count(1) == 1
+    def test_distinct_nodes_do_not_merge(self, sim, fake_transport):
+        # Each GPU owns its directory: two GPUs missing on the same remote
+        # block at the same cycle each issue their own fetch.
+        gpus = [make_gpu(sim, fake_transport, {0: 0}, node=n)[0] for n in (1, 2)]
+        host_cpu(sim, fake_transport)
+        for gpu in gpus:
+            gpu.load_trace(CompiledGpuTrace((reads([0], gap=0),), instructions=10))
+            gpu.start()
+        sim.run()
+        requests = [p.src for p in fake_transport.sent if p.kind is PacketKind.READ_REQ]
+        assert sorted(requests) == [1, 2]
+        assert [(g.directory.issued, g.directory.merged) for g in gpus] == [(1, 0), (1, 0)]
+        assert all(g.directory.pending_count() == 0 for g in gpus)
 
     def test_complete_without_request_raises(self):
         d = BlockDirectory()
         with pytest.raises(KeyError):
-            d.complete(1, 5, 0)
+            d.complete(5, 0)
 
     def test_counters(self):
         d = BlockDirectory()
-        d.request(1, 1, lambda t: None)
-        d.request(1, 1, lambda t: None)
-        d.request(1, 2, lambda t: None)
+        d.request(1, lambda t: None)
+        d.request(1, lambda t: None)
+        d.request(2, lambda t: None)
         assert d.issued == 2
         assert d.merged == 1

@@ -23,7 +23,6 @@ from repro.obs import (
     read_metrics,
     validate_metrics,
     validate_name,
-    write_metrics_json,
     write_metrics_jsonl,
 )
 from repro.runner import ResultCache, SweepJob, SweepRunner, execute_job
@@ -137,12 +136,6 @@ class TestExport:
         snap = self._snapshot()
         path = tmp_path / "m.jsonl"
         assert write_metrics_jsonl(snap, path) == len(snap)
-        assert read_metrics(path) == snap
-
-    def test_json_round_trip(self, tmp_path):
-        snap = self._snapshot()
-        path = tmp_path / "m.json"
-        write_metrics_json(snap, path, meta={"workload": "fir"})
         assert read_metrics(path) == snap
 
     def test_jsonl_rendering_is_deterministic(self):

@@ -100,7 +100,6 @@ class TestConsumeBoundaries:
         assert s.consume_desync(10) is s.miss_grant
         assert s.earliest_ready() == 10 + L
         assert s.consume_desync(11) is s.miss_grant  # the refill is stale too
-        assert s.consumed == 2
 
     def test_desync_on_an_empty_stream_still_misses(self):
         s = PadStream(L, capacity=0)
@@ -160,12 +159,6 @@ class TestCapacityManagement:
 
 
 class TestAccounting:
-    def test_consumed_counter(self):
-        s = PadStream(L, capacity=1)
-        s.consume(0)
-        s.consume_desync(1)
-        assert s.consumed == 2
-
     def test_earliest_ready_reporting(self):
         s = PadStream(L, capacity=1)
         assert s.earliest_ready() == 0

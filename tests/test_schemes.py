@@ -68,8 +68,11 @@ class TestPrivate:
         assert s.recv_outcomes.total == 1
 
     def test_self_peer_rejected(self):
+        # a scheme never lists its own node as a peer; a packet to itself
+        # is rejected by Packet (test_interconnect)
+        sec = SecurityConfig(scheme="private")
         with pytest.raises(ValueError):
-            make("private").acquire_send(1, 0)
+            build_scheme("private", node=1, peers=[0, 1, 2], security=sec)
 
 
 class TestShared:

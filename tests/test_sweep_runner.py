@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.configs import scheme_config
-from repro.experiments.common import ExperimentRunner, multi_seed_slowdowns
+from repro.experiments.common import ExperimentRunner
 from repro.runner import (
     ResultCache,
     SweepJob,
@@ -80,14 +80,6 @@ class TestDeterminism:
         ).sweep(configs)
         assert r_serial[0].slowdown("private") == r_par[0].slowdown("private")
         assert report_to_dict(r_serial[0].baseline) == report_to_dict(r_par[0].baseline)
-
-    def test_multi_seed_slowdowns_parallel_matches_serial(self):
-        workloads = [get_workload("fir")]
-        configs = {"private": scheme_config("private")}
-        kwargs = dict(seeds=(1, 2), scale=SCALE, workloads=workloads, use_cache=False)
-        assert multi_seed_slowdowns(configs, jobs=1, **kwargs) == multi_seed_slowdowns(
-            configs, jobs=3, **kwargs
-        )
 
 
 class TestCache:

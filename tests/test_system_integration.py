@@ -173,6 +173,21 @@ class TestMachineLifetime:
         MultiGpuSystem(LIFETIME_CELLS[cell]).run(fir_trace)
         assert gc.collect() == 0
 
+    def test_finished_run_leaves_no_request_in_flight(self):
+        # fft at this size makes remote reads, remote writes and migrations
+        trace = get_workload("fft").generate(n_gpus=4, seed=1, scale=0.1)
+        system = MultiGpuSystem(scheme_config("private", n_gpus=4))
+        report = system.run(trace)
+        gpus = system.gpus.values()
+        reads = sum(g.directory.issued for g in gpus)
+        writes = sum(g.remote_requests for g in gpus) - reads
+        assert reads > 0 and writes > 0 and report.migrations > 0
+        for node, gpu in system.gpus.items():
+            assert gpu.directory.pending_count() == 0, f"gpu{node} has reads in flight"
+            assert gpu._pending == {}, f"gpu{node} has writes in flight"
+            assert gpu._migrating == {}, f"gpu{node} has migrations in flight"
+            assert gpu.outstanding == 0
+
 
 class TestTracedEntryPoints:
     """The benchmark tracer counts cache hits, TLB walks and messages by
