@@ -35,12 +35,11 @@ class BlockGrant:
 
 
 class _PairBatch:
-    __slots__ = ("batch_id", "count", "opened_at")
+    __slots__ = ("batch_id", "count")
 
-    def __init__(self, batch_id: int, now: int) -> None:
+    def __init__(self, batch_id: int) -> None:
         self.batch_id = batch_id
         self.count = 0
-        self.opened_at = now
 
 
 class BatchingController:
@@ -66,12 +65,12 @@ class BatchingController:
         #: the size-close vs. timeout-close race resolves as a counted no-op
         self.stale_timeouts = 0
 
-    def add_block(self, peer: int, now: int) -> BlockGrant:
+    def add_block(self, peer: int) -> BlockGrant:
         """Account one outgoing data block to ``peer``."""
         batch = self._open.get(peer)
         opens = batch is None
         if opens:
-            batch = _PairBatch(self._next_batch_id, now)
+            batch = _PairBatch(self._next_batch_id)
             self._next_batch_id += 1
             self._open[peer] = batch
             self.batches_opened += 1

@@ -152,9 +152,6 @@ class DynamicOtpAllocator:
     # ------------------------------------------------------------------
     # Adjustment phase
     # ------------------------------------------------------------------
-    def due(self, now: int) -> bool:
-        return now >= self.interval_start + self.interval
-
     def maybe_adjust(self, now: int) -> AllocationPlan | None:
         """Run the adjustment phase if at least one interval has elapsed.
 
@@ -173,7 +170,7 @@ class DynamicOtpAllocator:
         the boundary containing ``now``.  Regression-tested with a
         >2-interval gap in ``tests/test_core_contribution.py``.
         """
-        if not self.due(now):
+        if now < self.interval_start + self.interval:
             return None
         elapsed = (now - self.interval_start) // self.interval
         plan = self.adjust()
@@ -226,20 +223,6 @@ class DynamicOtpAllocator:
             for peer in counts:
                 counts[peer] = 0
         self.adjustments += 1
-        return plan
-
-    def even_plan(self) -> AllocationPlan:
-        """The launch-time allocation: even split, like Private."""
-        send_total, recv_total = largest_remainder(self.total_pool, [1.0, 1.0])
-        send_shares = largest_remainder(send_total, [1.0] * len(self.peers))
-        recv_shares = largest_remainder(recv_total, [1.0] * len(self.peers))
-        plan = AllocationPlan(
-            send_total=send_total,
-            recv_total=recv_total,
-            send_per_peer=dict(zip(self.peers, send_shares)),
-            recv_per_peer=dict(zip(self.peers, recv_shares)),
-        )
-        plan.validate(self.total_pool)
         return plan
 
 

@@ -17,17 +17,11 @@ class Ewma:
             raise ValueError(f"EWMA rate must be in [0, 1], got {rate}")
         self.rate = rate
         self.value = float(initial)
-        self.samples = 0
 
     def update(self, sample: float) -> float:
         """Fold one interval's sample in; returns the new value."""
         self.value = (1.0 - self.rate) * self.value + self.rate * sample
-        self.samples += 1
         return self.value
-
-    def reset(self, value: float = 0.0) -> None:
-        self.value = float(value)
-        self.samples = 0
 
     def __repr__(self) -> str:
         return f"Ewma(rate={self.rate}, value={self.value:.4f})"

@@ -13,7 +13,7 @@ inter-access gap cycles.
 from repro.gpu.cache import CacheStats, SetAssociativeCache
 from repro.gpu.tlb import Tlb, TlbHierarchy
 from repro.gpu.hbm import HbmModel
-from repro.gpu.compute_unit import ComputeUnitLane, LaneState
+from repro.gpu.compute_unit import ComputeUnitLane
 from repro.gpu.gpu import GpuDevice
 from repro.gpu.cpu import MemoryNode
 
@@ -24,7 +24,6 @@ __all__ = [
     "TlbHierarchy",
     "HbmModel",
     "ComputeUnitLane",
-    "LaneState",
     "GpuDevice",
     "MemoryNode",
 ]

@@ -10,21 +10,15 @@ global window bound how far it can run ahead.
 The replay state is flat: three parallel integer tuples (``gaps``,
 ``addrs``, ``writes`` — the :class:`~repro.workloads.compiled.CompiledLane`
 layout) and an index.  The device pump reads the arrays directly; no
-per-access object ever exists on the replay path.
+per-access object ever exists on the replay path.  A lane is *ready* when
+its stream is not exhausted, it is under its outstanding cap, and its gap
+has elapsed: the pump applies that rule inline, and :meth:`~ComputeUnitLane.
+issue` refuses a lane that breaks it.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 from repro.workloads.compiled import CompiledLane
-
-
-class LaneState(Enum):
-    READY = "ready"  # next access eligible now
-    WAITING = "waiting"  # gap not yet elapsed
-    BLOCKED = "blocked"  # at its outstanding-request cap
-    DONE = "done"  # trace exhausted
 
 
 class ComputeUnitLane:
@@ -61,27 +55,6 @@ class ComputeUnitLane:
         self.outstanding = 0
 
     # ------------------------------------------------------------------
-    # State queries
-    # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self.index >= self.n
-
-    @property
-    def drained(self) -> bool:
-        """Trace exhausted and every issued request completed."""
-        return self.index >= self.n and self.outstanding == 0
-
-    def state(self, now: int) -> LaneState:
-        if self.index >= self.n:
-            return LaneState.DONE
-        if self.outstanding >= self.max_outstanding:
-            return LaneState.BLOCKED
-        if now < self.ready_at:
-            return LaneState.WAITING
-        return LaneState.READY
-
-    # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
     def issue(self, now: int, consumes_slot: bool) -> None:
@@ -91,7 +64,7 @@ class ComputeUnitLane:
         (remote misses); cache hits and local accesses complete immediately
         from the lane's point of view.
         """
-        # state() is READY, inlined: the enum stays off the issue path
+        # ready: not exhausted, under its outstanding cap, gap elapsed
         if (
             self.index >= self.n
             or self.outstanding >= self.max_outstanding
@@ -112,4 +85,4 @@ class ComputeUnitLane:
         self.outstanding -= 1
 
 
-__all__ = ["ComputeUnitLane", "LaneState"]
+__all__ = ["ComputeUnitLane"]

@@ -14,10 +14,9 @@ outstanding-request window (MSHR capacity).
 
 Hot-path notes: the pump replays :class:`~repro.workloads.compiled.
 CompiledLane` integer arrays directly — no per-access objects — with lane
-readiness inlined (the :class:`~repro.gpu.compute_unit.LaneState` enum is
-for tests and diagnostics, not the issue loop).  An issue grant allocates
-nothing: the pump scans the lanes from a round-robin pointer and issues
-the first ready one.  Every one-shot completion callback goes through the
+readiness inlined (the rule :meth:`~repro.gpu.compute_unit.ComputeUnitLane.
+issue` enforces).  An issue grant allocates nothing: the pump scans the
+lanes from a round-robin pointer and issues the first ready one.  Every one-shot completion callback goes through the
 engine's no-handle ``post``/``post_at`` path, as a ``functools.partial``
 over a bound method.  Only the wakeup timer, which is routinely
 cancelled and rescheduled, takes an :class:`~repro.sim.engine.Event`
@@ -130,9 +129,9 @@ class GpuDevice(MemoryNode):
                 i += 1
                 if i == n_lanes:
                     i = 0
-                # inline LaneState: not exhausted and under its
-                # outstanding cap, then READY once its gap has elapsed
-                # and WAITING until then
+                # lane readiness, inline: not exhausted and under its
+                # outstanding cap, then ready once its gap has elapsed
+                # and waiting until then
                 if lane.index < lane.n and lane.outstanding < lane.max_outstanding:
                     ready_at = lane.ready_at
                     if now >= ready_at:
@@ -160,7 +159,7 @@ class GpuDevice(MemoryNode):
         """The earliest cycle a waiting lane's gap expires, if any lane waits."""
         next_time: int | None = None
         for l in self.lanes:
-            # inline LaneState.WAITING: not exhausted, under its cap, gap
+            # a waiting lane, inline: not exhausted, under its cap, gap
             # still running
             if l.index < l.n and l.outstanding < l.max_outstanding and now < l.ready_at:
                 if next_time is None or l.ready_at < next_time:

@@ -2,8 +2,12 @@
 
 Table III's organization: each CU has a private L1 TLB, a shared L2 TLB per
 GPU, and misses walk to the CPU-side IOMMU (over PCIe).  The model is
-fully-associative LRU on page numbers and returns the extra translation
-cycles an access pays; shootdowns on migration invalidate entries.
+fully-associative LRU on page numbers; shootdowns on migration invalidate
+entries.  :meth:`TlbHierarchy.translate` returns the L1/L2 lookup delay of
+an access and whether it needs an IOMMU walk, but the device model
+(``GpuDevice._handle_access``) discards that delay: an access is charged
+``GpuConfig.iommu_walk_cycles`` when it walks and no translation cycles
+otherwise.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ buffer-management schemes, and the :class:`SecureTransport` that routes
 device messages over the interconnect with all security costs applied.
 """
 
-from repro.secure.otp_buffer import PadOutcome, PadGrant, PadStream
+from repro.secure.otp_buffer import PadStream
 from repro.secure.adversary import AttackKind, AttackReport, LinkPerturbation
 from repro.secure.invariants import InvariantMonitor, InvariantViolationError
 from repro.secure.metadata import MetadataAccountant
@@ -15,8 +15,6 @@ from repro.secure.channel import SecureTransport, UnsecureTransport, build_trans
 from repro.secure.schemes import build_scheme
 
 __all__ = [
-    "PadOutcome",
-    "PadGrant",
     "PadStream",
     "AttackKind",
     "AttackReport",

@@ -260,7 +260,7 @@ class SecureTransport(_TransportBase):
         batch_ctx = None
         if self._batching and kind.batchable:
             src, dst = packet.src, packet.dst
-            batch_ctx = self.batchers[src].add_block(dst, now)
+            batch_ctx = self.batchers[src].add_block(dst)
             meta = self.accountant.batched_block_meta(
                 batch_ctx.opens_batch, batch_ctx.closes_batch
             )
@@ -308,12 +308,12 @@ class SecureTransport(_TransportBase):
         # reaches the front of the pair's crypto queue
         busy = self._send_crypto_busy.get(pair, 0)
         start = busy if busy > now else now
-        send_grant = scheme.acquire_send(dst, start)
-        ready = start + send_grant.grant.wait
+        wait, synced = scheme.acquire_send(dst, start)
+        ready = start + wait
         self._send_crypto_busy[pair] = ready
         counter = self._ctrs.get(pair, 0)
         self._ctrs[pair] = counter + 1
-        return counter, send_grant.receiver_synced, ready
+        return counter, synced, ready
 
     def _post_launch(self, packet: Packet, synced: bool, batch_ctx, counter: int, ready: int) -> int:
         """Register the copy with the replay guard, MAC and encrypt it on the
@@ -355,7 +355,7 @@ class SecureTransport(_TransportBase):
             note_recv(src, now, packet.kind is not PacketKind.MIGRATION_DATA)
         busy = self._recv_crypto_busy.get(pair, 0)
         start = busy if busy > now else now
-        ready = start + scheme.acquire_recv(src, start, synced).wait
+        ready = start + scheme.acquire_recv(src, start, synced)
         self._recv_crypto_busy[pair] = ready
         return ready + self._xor + (0 if lazy else self._ghash)
 

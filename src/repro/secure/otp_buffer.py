@@ -6,7 +6,8 @@ A :class:`PadStream` holds the pre-generated one-time pads for one
 ready ``latency`` cycles later; what bounds pre-generation is the *number
 of buffer entries* the stream owns.
 
-A message acquiring a pad observes a wait ``w``:
+A message acquiring a pad observes a wait ``w``, which is all that
+:meth:`PadStream.consume` and :meth:`PadStream.consume_desync` return:
 
 * ``w == 0``            → **OTP_Hit** — latency fully hidden,
 * ``0 < w < latency``   → **OTP_Partial** — a refill was in flight,
@@ -14,8 +15,13 @@ A message acquiring a pad observes a wait ``w``:
   stored pads were for the wrong counters: a *desync*, which always costs
   the full generation latency and discards the stale pad).
 
-This is exactly the decomposition of Figs 10/22.  Because the engine is
-fully pipelined, a message never waits more than one generation latency:
+This is exactly the decomposition of Figs 10/22.  The stream does not
+classify its waits: the scheme that asked for the pad sorts each wait into
+its bucket, in one place (``OtpScheme._record`` in
+:mod:`repro.secure.schemes.base`).
+
+Because the engine is fully pipelined, a message never waits more than one
+generation latency:
 when its counter's pad was not even being pre-generated, the engine starts
 it on demand the moment the message appears and streams the result straight
 into the datapath.  Buffer capacity therefore bounds how much *hiding* is
@@ -28,106 +34,58 @@ pile-up).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from enum import Enum
-
-
-class PadOutcome(Enum):
-    HIT = "hit"
-    PARTIAL = "partial"
-    MISS = "miss"
-
-    #: ``value`` as a plain attribute (set per member below): the outcome
-    #: stats count under it on every acquisition, and reading ``value``
-    #: goes through Enum's Python-level descriptor
-    key: str
-
-
-for _outcome in PadOutcome:
-    _outcome.key = _outcome.value
-del _outcome
-
-
-@dataclass(frozen=True, slots=True)
-class PadGrant:
-    """Result of acquiring a pad: how long the message waited and why.
-
-    Grants are frozen, so a stream hands out one shared grant for every
-    hit and one for every full-latency miss; only a partial wait builds a
-    new one.
-    """
-
-    wait: int
-    outcome: PadOutcome
-
-    @property
-    def hidden(self) -> bool:
-        return self.outcome is PadOutcome.HIT
-
-
-#: The grant of every hit: the pad was ready, nothing waited.
-HIT_GRANT = PadGrant(wait=0, outcome=PadOutcome.HIT)
 
 
 class PadStream:
     """Pre-generated pads for one (direction, peer) stream."""
 
-    __slots__ = ("latency", "miss_grant", "_ready", "last_use")
+    __slots__ = ("latency", "_ready")
 
-    def __init__(self, latency: int, capacity: int, now: int = 0, prefilled: bool = True) -> None:
+    def __init__(self, latency: int, capacity: int) -> None:
         if latency < 1:
             raise ValueError("pad generation latency must be >= 1")
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.latency = latency
-        #: the grant of every full-latency miss of this stream
-        self.miss_grant = PadGrant(wait=latency, outcome=PadOutcome.MISS)
-        # min-heap of cycle times at which each buffered pad becomes ready
-        self._ready: list[int] = [now if prefilled else now + latency] * capacity
-        heapq.heapify(self._ready)
-        #: cycle of the latest acquisition; Cached's LRU victim choice reads it
-        self.last_use = now
+        # min-heap of cycle times at which each buffered pad becomes ready;
+        # every pad is ready at launch
+        self._ready: list[int] = [0] * capacity
 
     @property
     def capacity(self) -> int:
         return len(self._ready)
 
-    def earliest_ready(self) -> int | None:
-        return self._ready[0] if self._ready else None
-
     # ------------------------------------------------------------------
     # Consumption
     # ------------------------------------------------------------------
-    def consume(self, now: int) -> PadGrant:
-        """Take a pad for the next counter value at cycle ``now``."""
-        self.last_use = now
+    def consume(self, now: int) -> int:
+        """Take a pad for the next counter value at cycle ``now``; returns
+        the cycles the message waits for it."""
         if not self._ready:
             # No buffer entry at all: generate on demand, nothing to refill.
-            return self.miss_grant
+            return self.latency
         # Take the earliest pad; the freed entry immediately begins
         # pre-generating a future one (one heapreplace: pop, then push).
         ready = heapq.heapreplace(self._ready, now + self.latency)
         if ready <= now:
-            return HIT_GRANT
+            return 0
         # Pipelined engine: even if the pre-generation pipeline is behind,
         # on-demand generation for this message starts *now*, so the wait
         # never exceeds one generation latency.
         wait = ready - now
-        if wait < self.latency:
-            return PadGrant(wait=wait, outcome=PadOutcome.PARTIAL)
-        return self.miss_grant
+        return wait if wait < self.latency else self.latency
 
-    def consume_desync(self, now: int) -> PadGrant:
-        """Take a pad whose buffered pre-generations were all wrong.
+    def consume_desync(self, now: int) -> int:
+        """Take a pad whose buffered pre-generations were all wrong; the
+        wait is always the full generation latency.
 
         The stale pad is discarded and the correct one is generated on
-        demand (full latency); its slot starts regenerating for the next
-        expected counter so a back-to-back follow-up can hit.
+        demand; its slot starts regenerating for the next expected counter
+        so a back-to-back follow-up can hit.
         """
-        self.last_use = now
         if self._ready:
             heapq.heapreplace(self._ready, now + self.latency)
-        return self.miss_grant
+        return self.latency
 
     # ------------------------------------------------------------------
     # Capacity management (Dynamic / Cached reallocate entries at runtime)
@@ -164,4 +122,4 @@ class PadStream:
             self.shrink(-delta)
 
 
-__all__ = ["HIT_GRANT", "PadOutcome", "PadGrant", "PadStream"]
+__all__ = ["PadStream"]

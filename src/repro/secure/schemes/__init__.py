@@ -8,7 +8,7 @@ Four managed schemes from the paper plus the unsecured baseline:
 * ``dynamic`` — the paper's contribution: EWMA-repartitioned Private
 """
 
-from repro.secure.schemes.base import OtpScheme, SendGrant
+from repro.secure.schemes.base import OtpScheme
 from repro.secure.schemes.private import PrivateScheme
 from repro.secure.schemes.shared import SharedScheme
 from repro.secure.schemes.cached import CachedScheme
@@ -41,7 +41,6 @@ def build_scheme(name, node, peers, security):
 
 __all__ = [
     "OtpScheme",
-    "SendGrant",
     "PrivateScheme",
     "SharedScheme",
     "CachedScheme",

@@ -5,37 +5,27 @@ A scheme instance lives on one processor and answers two questions:
 * ``acquire_send(peer, now)`` — how long must an outgoing message to
   ``peer`` wait for its encryption/authentication pads, and will the
   receiver's pre-generated pad be *synced* (usable) for this message?
+  Returns ``(wait, receiver_synced)``.
 * ``acquire_recv(peer, now, synced)`` — how long does the incoming-side
-  pad acquisition take, given the sender-declared sync state?
+  pad acquisition take, given the sender-declared sync state?  Returns
+  the wait.
 
 An adaptive scheme also defines the monitoring hooks ``note_send`` and
 ``note_recv``; the others leave them ``None`` and the channel skips them.
 
-Every acquisition is recorded into per-direction hit/partial/miss ratio
-stats (the Figs 10/22 decomposition), counted straight into each ratio's
-dict under the outcome's plain ``key``.
+Every acquisition is recorded into the per-direction hit/partial/miss
+ratio stats ``send_outcomes``/``recv_outcomes`` (the Figs 10/22
+decomposition).  :meth:`OtpScheme._record` is the one place a wait is
+sorted into its bucket: a wait of 0 is a hit, a wait below the AES-GCM
+latency is partial, and a wait of the full latency is a miss.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.configs import SecurityConfig
-from repro.secure.otp_buffer import PadGrant
 from repro.sim.stats import RatioStat
-
-
-@dataclass(slots=True)
-class SendGrant:
-    """Sender-side pad grant plus the receiver-sync declaration.
-
-    Built once per secured message: slotted and not frozen, so building it
-    is two plain stores.
-    """
-
-    grant: PadGrant
-    receiver_synced: bool
 
 
 class OtpScheme(ABC):
@@ -56,21 +46,22 @@ class OtpScheme(ABC):
         self.node = node
         self.peers = list(peers)
         self.security = security
-        self._send_outcomes = RatioStat("send_otp")
-        self._recv_outcomes = RatioStat("recv_otp")
-        self._send_counts = self._send_outcomes.counts
-        self._recv_counts = self._recv_outcomes.counts
+        self._latency = security.aes_gcm_latency
+        self.send_outcomes = RatioStat("send_otp")
+        self.recv_outcomes = RatioStat("recv_otp")
 
     # ------------------------------------------------------------------
     # Interface
     # ------------------------------------------------------------------
     @abstractmethod
-    def acquire_send(self, peer: int, now: int) -> SendGrant:
-        """Acquire the send-direction pads for a message to ``peer``."""
+    def acquire_send(self, peer: int, now: int) -> tuple[int, bool]:
+        """Acquire the send-direction pads for a message to ``peer``;
+        returns ``(wait, receiver_synced)``."""
 
     @abstractmethod
-    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
-        """Acquire the receive-direction pads for a message from ``peer``."""
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> int:
+        """Acquire the receive-direction pads for a message from ``peer``;
+        returns the wait."""
 
     @abstractmethod
     def pool_size(self) -> int:
@@ -83,23 +74,13 @@ class OtpScheme(ABC):
     # ------------------------------------------------------------------
     # Shared bookkeeping
     # ------------------------------------------------------------------
-    def _record_send(self, grant: PadGrant) -> None:
-        counts = self._send_counts
-        key = grant.outcome.key
+    def _record(self, outcomes: RatioStat, wait: int) -> int:
+        """Count one acquisition's wait in its Figs 10/22 bucket of
+        ``outcomes``; returns ``wait``."""
+        key = "hit" if not wait else "partial" if wait < self._latency else "miss"
+        counts = outcomes.counts
         counts[key] = counts.get(key, 0) + 1
-
-    def _record_recv(self, grant: PadGrant) -> None:
-        counts = self._recv_counts
-        key = grant.outcome.key
-        counts[key] = counts.get(key, 0) + 1
-
-    @property
-    def send_outcomes(self) -> RatioStat:
-        return self._send_outcomes
-
-    @property
-    def recv_outcomes(self) -> RatioStat:
-        return self._recv_outcomes
+        return wait
 
 
-__all__ = ["OtpScheme", "SendGrant"]
+__all__ = ["OtpScheme"]

@@ -12,8 +12,8 @@ miss, per §II-C: "otherwise, it adopts Shared using the maximum MsgCTR").
 from __future__ import annotations
 
 from repro.configs import SecurityConfig
-from repro.secure.otp_buffer import PadGrant, PadStream
-from repro.secure.schemes.base import OtpScheme, SendGrant
+from repro.secure.otp_buffer import PadStream
+from repro.secure.schemes.base import OtpScheme
 
 _SEND, _RECV = 0, 1
 
@@ -28,7 +28,6 @@ class CachedScheme(OtpScheme):
         # one pair's residency is bounded by the way count — modeled as
         # twice Private's per-stream share.
         self.max_per_stream = 2 * security.otp_multiplier
-        latency = security.aes_gcm_latency
         # Start like Private: entries spread evenly over all stream keys.
         per_stream, leftover = divmod(self.total_entries, 2 * len(peers))
         self._streams: dict[tuple[int, int], PadStream] = {}
@@ -36,7 +35,9 @@ class CachedScheme(OtpScheme):
             for peer in peers:
                 extra = 1 if leftover > 0 else 0
                 leftover -= extra
-                self._streams[(direction, peer)] = PadStream(latency, per_stream + extra)
+                self._streams[(direction, peer)] = PadStream(self._latency, per_stream + extra)
+        #: cycle of each stream's latest acquisition, for the LRU victim choice
+        self._last_use = dict.fromkeys(self._streams, 0)
         self.evictions = 0
         self.table_misses = 0
 
@@ -52,8 +53,9 @@ class CachedScheme(OtpScheme):
         for key, stream in self._streams.items():
             if key == needy or stream.capacity == 0:
                 continue
-            if victim_last is None or stream.last_use < victim_last:
-                victim_key, victim_last = key, stream.last_use
+            last_use = self._last_use[key]
+            if victim_last is None or last_use < victim_last:
+                victim_key, victim_last = key, last_use
         if victim_key is None:
             return False
         self._streams[victim_key].shrink(1)
@@ -61,41 +63,39 @@ class CachedScheme(OtpScheme):
         self.evictions += 1
         return True
 
-    def _acquire(self, key: tuple[int, int], now: int, synced: bool) -> PadGrant:
+    def _acquire(self, key: tuple[int, int], now: int, synced: bool) -> int:
+        """The wait of one acquisition on stream ``key``."""
         stream = self._streams[key]
+        self._last_use[key] = now
         if stream.capacity == 0:
             # Not resident: behave like Shared (full-latency generation)
             # and bring the stream into the table by stealing an entry.
             self.table_misses += 1
             self._steal_entry(key, now)
-            stream.last_use = now
-            return stream.miss_grant
+            return self._latency
         if not synced:
             return stream.consume_desync(now)
-        grant = stream.consume(now)
-        if grant.wait * 2 >= self.security.aes_gcm_latency:
+        wait = stream.consume(now)
+        if wait * 2 >= self._latency:
             # Under pressure the hot stream grows its residency, which is
             # how Cached concentrates entries on active pairs.  Shallow
             # partials do not steal: the refill pipeline is merely behind.
             self._steal_entry(key, now)
-        return grant
+        return wait
 
     # ------------------------------------------------------------------
     # Scheme interface
     # ------------------------------------------------------------------
-    def acquire_send(self, peer: int, now: int) -> SendGrant:
+    def acquire_send(self, peer: int, now: int) -> tuple[int, bool]:
         # A send-side table miss falls back to Shared semantics with the
         # maximum MsgCTR (§II-C) — a counter the receiver cannot have
         # pre-generated, so the receiver desynchronizes too.
         table_miss = self._streams[(_SEND, peer)].capacity == 0
-        grant = self._acquire((_SEND, peer), now, synced=True)
-        self._record_send(grant)
-        return SendGrant(grant=grant, receiver_synced=not table_miss)
+        wait = self._acquire((_SEND, peer), now, synced=True)
+        return self._record(self.send_outcomes, wait), not table_miss
 
-    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
-        grant = self._acquire((_RECV, peer), now, synced)
-        self._record_recv(grant)
-        return grant
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> int:
+        return self._record(self.recv_outcomes, self._acquire((_RECV, peer), now, synced))
 
     def pool_size(self) -> int:
         return sum(s.capacity for s in self._streams.values())

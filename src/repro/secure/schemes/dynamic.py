@@ -5,22 +5,22 @@ the per-stream capacities are repartitioned every interval ``T`` by the
 EWMA-based :class:`~repro.core.dynamic_allocator.DynamicOtpAllocator`.
 Directions and peers that carry more traffic receive more pad entries out
 of the same fixed pool, so the storage cost stays at Private's while the
-hit rate approaches that of a much larger table.  The allocator's launch
-plan is Private's even split (``otp_multiplier`` entries per stream), so
-the scheme starts from Private's streams.
+hit rate approaches that of a much larger table.  The allocator's initial
+weights are an even split, so the scheme starts from Private's streams
+(``otp_multiplier`` entries each).
 
-The adjustment is applied lazily: the first pad acquisition past an
-interval boundary triggers the monitoring rollover and capacity changes —
-equivalent to a hardware timer firing at the boundary, without keeping the
-event queue alive when the workload has drained.
+The adjustment is applied lazily: the first monitoring sample or pad
+acquisition at or past an interval boundary triggers the monitoring
+rollover and capacity changes — equivalent to a hardware timer firing at
+the boundary, without keeping the event queue alive when the workload has
+drained.  Between boundaries a tick is one comparison against the cached
+end of the interval; the allocator is called only once that end passes.
 """
 
 from __future__ import annotations
 
 from repro.configs import SecurityConfig
 from repro.core.dynamic_allocator import AllocationPlan, DynamicOtpAllocator
-from repro.secure.otp_buffer import PadGrant
-from repro.secure.schemes.base import SendGrant
 from repro.secure.schemes.private import PrivateScheme
 
 
@@ -36,15 +36,19 @@ class DynamicScheme(PrivateScheme):
             beta=security.beta,
             interval=security.interval,
         )
+        #: the cycle the allocator's current interval ends
+        self._interval_end = self.allocator.interval_start + self.allocator.interval
         self.plans_applied = 0
 
     # ------------------------------------------------------------------
     # Interval machinery
     # ------------------------------------------------------------------
     def _tick(self, now: int) -> None:
-        plan = self.allocator.maybe_adjust(now)
-        if plan is not None:
-            self._apply(plan, now)
+        if now < self._interval_end:
+            return
+        allocator = self.allocator
+        self._apply(allocator.maybe_adjust(now), now)
+        self._interval_end = allocator.interval_start + allocator.interval
 
     def _apply(self, plan: AllocationPlan, now: int) -> None:
         # Hysteresis: repartitioning discards warmed pads, so +-1 jitter
@@ -67,11 +71,11 @@ class DynamicScheme(PrivateScheme):
     # Acquisition: an interval boundary may pass between a message's
     # enqueue and its turn at the crypto unit
     # ------------------------------------------------------------------
-    def acquire_send(self, peer: int, now: int) -> SendGrant:
+    def acquire_send(self, peer: int, now: int) -> tuple[int, bool]:
         self._tick(now)
         return super().acquire_send(peer, now)
 
-    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> int:
         self._tick(now)
         return super().acquire_recv(peer, now, synced)
 

@@ -10,21 +10,18 @@ the paper attacks.
 
 from __future__ import annotations
 
-from repro.secure.otp_buffer import HIT_GRANT, PadGrant
-from repro.secure.schemes.base import OtpScheme, SendGrant
+from repro.secure.schemes.base import OtpScheme
 
 
 class IdealScheme(OtpScheme):
     name = "ideal"
 
-    def acquire_send(self, peer: int, now: int) -> SendGrant:
-        self._record_send(HIT_GRANT)
-        return SendGrant(grant=HIT_GRANT, receiver_synced=True)
+    def acquire_send(self, peer: int, now: int) -> tuple[int, bool]:
+        return self._record(self.send_outcomes, 0), True
 
-    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> int:
         # even a desync cannot miss with unbounded lookahead
-        self._record_recv(HIT_GRANT)
-        return HIT_GRANT
+        return self._record(self.recv_outcomes, 0)
 
     def pool_size(self) -> int:
         return 0  # unbounded: no finite provisioning to report

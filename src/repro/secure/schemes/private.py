@@ -11,8 +11,8 @@ exactly the problem the Dynamic scheme addresses with the same pool size.
 from __future__ import annotations
 
 from repro.configs import SecurityConfig
-from repro.secure.otp_buffer import PadGrant, PadStream
-from repro.secure.schemes.base import OtpScheme, SendGrant
+from repro.secure.otp_buffer import PadStream
+from repro.secure.schemes.base import OtpScheme
 
 
 class PrivateScheme(OtpScheme):
@@ -21,20 +21,16 @@ class PrivateScheme(OtpScheme):
     def __init__(self, node: int, peers: list[int], security: SecurityConfig) -> None:
         super().__init__(node, peers, security)
         k = security.otp_multiplier
-        latency = security.aes_gcm_latency
-        self._send_streams = {p: PadStream(latency, k) for p in peers}
-        self._recv_streams = {p: PadStream(latency, k) for p in peers}
+        self._send_streams = {p: PadStream(self._latency, k) for p in peers}
+        self._recv_streams = {p: PadStream(self._latency, k) for p in peers}
 
-    def acquire_send(self, peer: int, now: int) -> SendGrant:
-        grant = self._send_streams[peer].consume(now)
-        self._record_send(grant)
-        return SendGrant(grant, True)
+    def acquire_send(self, peer: int, now: int) -> tuple[int, bool]:
+        return self._record(self.send_outcomes, self._send_streams[peer].consume(now)), True
 
-    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> int:
         stream = self._recv_streams[peer]
-        grant = stream.consume(now) if synced else stream.consume_desync(now)
-        self._record_recv(grant)
-        return grant
+        wait = stream.consume(now) if synced else stream.consume_desync(now)
+        return self._record(self.recv_outcomes, wait)
 
     def pool_size(self) -> int:
         return sum(s.capacity for s in self._send_streams.values()) + sum(

@@ -15,8 +15,8 @@ entry instead of peers × multiplier) but pre-generation barely helps:
 from __future__ import annotations
 
 from repro.configs import SecurityConfig
-from repro.secure.otp_buffer import PadGrant, PadStream
-from repro.secure.schemes.base import OtpScheme, SendGrant
+from repro.secure.otp_buffer import PadStream
+from repro.secure.schemes.base import OtpScheme
 
 
 class SharedScheme(OtpScheme):
@@ -24,28 +24,25 @@ class SharedScheme(OtpScheme):
 
     def __init__(self, node: int, peers: list[int], security: SecurityConfig) -> None:
         super().__init__(node, peers, security)
-        latency = security.aes_gcm_latency
-        self._send_stream = PadStream(latency, capacity=1)
-        self._recv_streams = {p: PadStream(latency, capacity=1) for p in peers}
+        self._send_stream = PadStream(self._latency, capacity=1)
+        self._recv_streams = {p: PadStream(self._latency, capacity=1) for p in peers}
         self._last_dst: int | None = None
         self.destination_switches = 0
 
-    def acquire_send(self, peer: int, now: int) -> SendGrant:
-        grant = self._send_stream.consume(now)
-        self._record_send(grant)
+    def acquire_send(self, peer: int, now: int) -> tuple[int, bool]:
+        wait = self._record(self.send_outcomes, self._send_stream.consume(now))
         # The receiver's pre-generated pad is only for the shared counter's
         # next value if the previous send also went to this peer.
         synced = self._last_dst == peer
         if not synced:
             self.destination_switches += 1
         self._last_dst = peer
-        return SendGrant(grant=grant, receiver_synced=synced)
+        return wait, synced
 
-    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> PadGrant:
+    def acquire_recv(self, peer: int, now: int, synced: bool = True) -> int:
         stream = self._recv_streams[peer]
-        grant = stream.consume(now) if synced else stream.consume_desync(now)
-        self._record_recv(grant)
-        return grant
+        wait = stream.consume(now) if synced else stream.consume_desync(now)
+        return self._record(self.recv_outcomes, wait)
 
     def pool_size(self) -> int:
         return self._send_stream.capacity + sum(

@@ -66,8 +66,8 @@ class TestIdealScheme:
     def test_always_hits(self):
         s = self._scheme()
         for t in (0, 0, 0, 1000):
-            assert s.acquire_send(2, t).grant.wait == 0
-            assert s.acquire_recv(0, t, synced=False).wait == 0
+            assert s.acquire_send(2, t) == (0, True)
+            assert s.acquire_recv(0, t, synced=False) == 0
 
     def test_stats_recorded(self):
         s = self._scheme()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.configs import GpuConfig, MigrationConfig, SystemConfig
-from repro.gpu.compute_unit import ComputeUnitLane, LaneState
+from repro.gpu.compute_unit import ComputeUnitLane
 from repro.gpu.cpu import DRAM_BYTES_PER_CYCLE, MemoryNode
 from repro.gpu.gpu import GpuDevice
 from repro.gpu.hbm import HbmModel
@@ -51,16 +51,20 @@ def cache_hits(gpu):
 
 class TestComputeUnitLane:
     def test_state_progression(self):
+        # waiting, ready, blocked at its cap, ready again, then done: a lane
+        # that is not ready refuses to issue and keeps its state
         lane = ComputeUnitLane(0, reads([0, 64], gap=5), max_outstanding=1)
-        assert lane.state(0) is LaneState.WAITING
-        assert lane.state(5) is LaneState.READY
+        with pytest.raises(RuntimeError):
+            lane.issue(4, consumes_slot=False)  # its gap runs until 5
         lane.issue(5, consumes_slot=True)
-        assert lane.state(10) is LaneState.BLOCKED
+        assert (lane.index, lane.outstanding, lane.ready_at) == (1, 1, 10)
+        with pytest.raises(RuntimeError):
+            lane.issue(10, consumes_slot=False)  # at its outstanding cap
         lane.complete()
-        assert lane.state(10) is LaneState.READY
         lane.issue(10, consumes_slot=False)
-        assert lane.state(10) is LaneState.DONE
-        assert lane.drained
+        assert (lane.index, lane.outstanding) == (2, 0)
+        with pytest.raises(RuntimeError):
+            lane.issue(100, consumes_slot=False)  # trace exhausted
 
     def test_gap_measured_from_issue(self):
         lane = ComputeUnitLane(0, reads([0, 64], gap=3))
@@ -77,9 +81,16 @@ class TestComputeUnitLane:
         with pytest.raises(RuntimeError):
             lane.complete()
 
-    def test_empty_trace_is_drained(self):
+    def test_empty_trace_is_drained(self, sim, fake_transport):
         lane = ComputeUnitLane(0, reads([]))
-        assert lane.drained and lane.finished
+        with pytest.raises(RuntimeError):
+            lane.issue(0, consumes_slot=False)
+        # a GPU whose only lane has nothing to replay finishes at once
+        gpu, _ = make_gpu(sim, fake_transport, {1: 1})
+        gpu.load_trace(CompiledGpuTrace((reads([]),), instructions=0))
+        gpu.start()
+        sim.run()
+        assert gpu.finish_cycle == 0
 
 
 class TestGpuLocalExecution:
