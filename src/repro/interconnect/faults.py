@@ -26,6 +26,12 @@ class FaultVerdict(Enum):
     DUPLICATE = "duplicate"
     DELAY = "delay"
 
+    # Identity hashing, as for PacketKind: members are singletons, and it
+    # runs in C instead of Enum's Python-level ``hash(self._name_)``.
+    # Nothing iterates a set of verdicts, so set order cannot leak into a
+    # report.
+    __hash__ = object.__hash__
+
 
 class LinkFailureError(RuntimeError):
     """A message exhausted its retransmission budget.

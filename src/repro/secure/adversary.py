@@ -51,6 +51,12 @@ class AttackKind(Enum):
     SPLICE = "splice"  # redirected onto another directed link
     FORGE = "forge"  # fabricated from scratch, no captured material
 
+    # Identity hashing, as for PacketKind: members are singletons, and it
+    # runs in C instead of Enum's Python-level ``hash(self._name_)``.  The
+    # kind sets below are only tested for membership, never iterated, so
+    # set order cannot leak into a report.
+    __hash__ = object.__hash__
+
 
 #: Attacks that mutate the authenticated material of an existing block —
 #: a secure receiver must reject every one of them at MsgMAC verification.

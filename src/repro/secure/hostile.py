@@ -18,9 +18,18 @@ budget bounds how long any block keeps the link busy — exhausting it
 raises a structured :class:`~repro.interconnect.faults.LinkFailureError`.
 Every retransmitted block burns a fresh counter/pad, so recovery cost
 feeds straight back into the OTP allocator the paper studies.
+
+Every wire copy walks the recovery path, so it is kept as flat as the
+clean channel's: stages chain through ``functools.partial`` over bound
+methods, per-pair state is fetched or created without a throwaway default,
+event names are built once, and the receiver's replay record is a
+:class:`~repro.secure.invariants.CounterLedger` per pair, at one byte per
+counter.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.configs import SystemConfig
 from repro.interconnect.faults import FaultVerdict, LinkFailureError
@@ -35,17 +44,25 @@ from repro.secure.adversary import (
     LinkPerturbation,
 )
 from repro.secure.channel import SecureTransport, UnsecureTransport
-from repro.secure.invariants import InvariantMonitor
+from repro.secure.invariants import CounterLedger, InvariantMonitor
 from repro.sim.engine import Simulator
 from repro.sim.stats import Counter, FaultStats
 
-#: The :class:`FaultStats` counter each injected fault verdict bumps.
+#: The :class:`FaultStats` counter each injected fault verdict bumps, and
+#: its ``fault.*`` event name.
 _INJECTED = {
-    FaultVerdict.DROP: "drops_injected",
-    FaultVerdict.CORRUPT: "corruptions_injected",
-    FaultVerdict.DUPLICATE: "duplicates_injected",
-    FaultVerdict.DELAY: "delays_injected",
+    verdict: (name, verdict.value)
+    for verdict, name in (
+        (FaultVerdict.DROP, "drops_injected"),
+        (FaultVerdict.CORRUPT, "corruptions_injected"),
+        (FaultVerdict.DUPLICATE, "duplicates_injected"),
+        (FaultVerdict.DELAY, "delays_injected"),
+    )
 }
+
+#: ``adv.*`` event names per attack, built once.
+_INJECTED_EVENT = {kind: f"{kind.value}_injected" for kind in AttackKind}
+_ABSORBED_EVENT = {kind: f"{kind.value}_absorbed" for kind in AttackKind}
 
 #: Attacks that leave the original wire copy untouched and add a copy of
 #: their own; every other attack works on the original in place.
@@ -113,15 +130,15 @@ class _HostileLink:
         verdict, attack = self.perturb.decide(src, dst)
         arrival = self.topology.send(packet, now)
         if verdict is not FaultVerdict.OK:
-            name = _INJECTED[verdict]
+            name, event = _INJECTED[verdict]
             setattr(self.fault_stats, name, getattr(self.fault_stats, name) + 1)
-            self._note_fault(packet, verdict.value)
+            self._note_fault(packet, event)
         if verdict is FaultVerdict.DELAY:
             arrival += self.cfg.fault.delay_cycles
         extras = []
         if attack is not None:
             self.attack_report.note_injected(attack)
-            self._note_adv(f"{attack.value}_injected")
+            self._note_adv(_INJECTED_EVENT[attack])
             if attack is AttackKind.REPLAY:
                 # A captured copy re-injected later, burning real bandwidth.
                 extras.append((packet, arrival + self.cfg.adversary.replay_lag, attack))
@@ -153,13 +170,12 @@ class _HostileLink:
         time, so sending now with a future start would hold the link until
         ``at`` and queue every packet sent in between behind the copy.
         """
+        self.sim.post_at(at, partial(self._launch_at, packet, on_arrival))
 
-        def launch() -> None:
-            arrival = self.topology.send(packet, self.sim.now)
-            if on_arrival is not None:
-                self.sim.post_at(arrival, on_arrival)
-
-        self.sim.post_at(at, launch)
+    def _launch_at(self, packet: Packet, on_arrival) -> None:
+        arrival = self.topology.send(packet, self.sim.now)
+        if on_arrival is not None:
+            self.sim.post_at(arrival, on_arrival)
 
     def _note_adv(self, event: str) -> None:
         """Observation hook for adversary/defense events.
@@ -246,12 +262,12 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
         # Recovery state: in-flight blocks awaiting their ACK
         # (insertion-ordered per pair), an alias from any live wire counter
         # to the logical block it carries, the receiver's already-seen
-        # counter sets (wire-replay rejection), and the set of block pids
-        # already handed to a device (late original vs. retransmit races
-        # deliver exactly once).
+        # counters (wire-replay rejection; one byte per counter), and the
+        # set of block pids already handed to a device (late original vs.
+        # retransmit races deliver exactly once).
         self._pending: dict[tuple[int, int], dict[int, _PendingMessage]] = {}
         self._counter_owner: dict[tuple[int, int, int], int] = {}
-        self._recv_seen: dict[tuple[int, int], set[int]] = {}
+        self._recv_seen: dict[tuple[int, int], CounterLedger] = {}
         self._delivered_pids: dict[tuple[int, int], set[int]] = {}
         # Adversary state: per-pair detection counts feeding quarantine,
         # and the fabricated-counter sequence forged blocks arrive under
@@ -272,7 +288,9 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             self.monitor.on_counter(src, dst, counter)
             self.monitor.on_send_pad(src, dst, counter)
         if packet.kind.carries_data:
-            pair = self._pending.setdefault((src, dst), {})
+            pair = self._pending.get((src, dst))
+            if pair is None:
+                pair = self._pending[src, dst] = {}
             pending = pair.get(packet.pid)
             if pending is None:
                 # Batched blocks are ACKed at batch close, which may lag by
@@ -308,9 +326,7 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             corrupted = verdict is FaultVerdict.CORRUPT
             self.sim.post_at(
                 arrival,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter, x=corrupted, a=own: self._arrive(
-                    p, s, b, c, corrupted=x, attack=a
-                ),
+                partial(self._arrive, packet, synced, batch_ctx, counter, corrupted, own),
             )
         for copy, at, kind in extras:
             ctr, ctx = counter, batch_ctx
@@ -327,11 +343,10 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             self._send_at(
                 copy,
                 at,
-                lambda p=copy, s=synced, b=ctx, c=ctr, a=kind, o=(src, dst): self._arrive(
-                    p, s, b, c, attack=a, origin=o
-                ),
+                partial(self._arrive, copy, synced, ctx, ctr, False, kind, (src, dst)),
             )
-        pending = self._pending.get((src, dst), {}).get(packet.pid)
+        # _post_launch opened the pair's entry before scheduling this launch
+        pending = self._pending[src, dst].get(packet.pid)
         if pending is not None:
             self._arm_timer(pending)
 
@@ -352,8 +367,17 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             super()._arrive(packet, synced, batch_ctx, counter)
             return
         src, dst = packet.src, packet.dst
-        seen = self._recv_seen.setdefault((src, dst), set())
-        if counter in seen:
+        seen = self._recv_seen.get((src, dst))
+        if seen is None:
+            seen = self._recv_seen[src, dst] = CounterLedger()
+        # Spliced and forged copies are checked, never marked: their
+        # counters are alien to this pair (a forgery's is negative, and
+        # reads as unseen), so they cannot poison later legitimate traffic.
+        if attack in ALIEN_KINDS:
+            replayed = counter in seen
+        else:
+            replayed = seen.mark(counter)
+        if replayed:
             if attack is not None:
                 # The plaintext counter check rejects the attacked copy
                 # before it touches the crypto pipeline or burns a pad:
@@ -368,8 +392,6 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
                 self.fault_stats.duplicates_discarded += 1
                 self._note_fault(packet, "dup-discard")
             return
-        if attack not in ALIEN_KINDS:
-            seen.add(counter)
         # Tampered/alien copies burn this pair's receive pad at the
         # counter they *claim* and then die at the MsgMAC — wasted-pad
         # cost, not a security double-use, so they stay out of the
@@ -379,33 +401,30 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             self.monitor.on_recv_pad(src, dst, counter)
         # A hostile link forfeits lazy verification: batched blocks verify
         # eagerly so corruption is caught before the block leaves the NoC.
-        deliver_at = self._decrypt(packet, synced, lazy=False)
+        deliver_at = self._decrypt(packet, synced, False)
         if corrupted or attack in TAMPER_KINDS:
             self.sim.post_at(
                 deliver_at,
-                lambda p=packet, c=counter, a=attack, o=origin or (src, dst): (
-                    self._mac_rejected(p, c, a, o)
-                ),
+                partial(self._mac_rejected, packet, counter, attack, origin or (src, dst)),
             )
             return
-        self.sim.post_at(
-            deliver_at,
-            lambda p=packet, b=batch_ctx, c=counter, a=attack: self._delivered(p, b, c, a),
-        )
+        self.sim.post_at(deliver_at, partial(self._delivered, packet, batch_ctx, counter, attack))
 
     def _delivered(
         self, packet: Packet, batch_ctx, counter: int, attack: AttackKind | None = None
     ) -> None:
         if packet.kind.carries_data:
             src, dst = packet.src, packet.dst
-            delivered = self._delivered_pids.setdefault((src, dst), set())
+            delivered = self._delivered_pids.get((src, dst))
+            if delivered is None:
+                delivered = self._delivered_pids[src, dst] = set()
             if packet.pid in delivered:
                 # A late original raced its own retransmit: identical
                 # content, different counter.  Deliver exactly once.
                 if attack is not None:
                     # The attacked copy lost the race — absorbed, no damage.
                     self.attack_report.note_harmless(attack)
-                    self._note_adv(f"{attack.value}_absorbed")
+                    self._note_adv(_ABSORBED_EVENT[attack])
                 if self.fault_stats is not None:
                     self.fault_stats.spurious_retransmits += 1
                     self.fault_stats.wasted_otps += 1  # the extra receive pad
@@ -423,7 +442,7 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
                 # arriving once: late (reorder) or standing in for a copy
                 # a link fault destroyed (replay).
                 self.attack_report.note_harmless(attack)
-                self._note_adv(f"{attack.value}_absorbed")
+                self._note_adv(_ABSORBED_EVENT[attack])
             if self.monitor is not None:
                 self.monitor.on_delivered(src, dst, counter, packet.pid)
         super()._delivered(packet, batch_ctx, counter)
@@ -437,18 +456,19 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
         pair = self._pending.get((sender, receiver))
         if not pair:
             return
-        if batch_id is not None:
-            # Batches can complete out of order under faults (a dropped
-            # block stalls its batch while later ones finish), so batch
-            # ACKs settle by batch id, never by queue position.
-            pids = [
-                pid
-                for pid, p in pair.items()
-                if p.batch_ctx is not None and p.batch_ctx.batch_id == batch_id
-            ]
-        else:
+        if batch_id is None:
             pid = self._counter_owner.get((sender, receiver, counter))
-            pids = [pid] if pid is not None and pid in pair else []
+            if pid is not None and pid in pair:
+                self._resolve_pending(sender, receiver, pid)
+            return
+        # Batches can complete out of order under faults (a dropped block
+        # stalls its batch while later ones finish), so batch ACKs settle
+        # by batch id, never by queue position.
+        pids = [
+            pid
+            for pid, p in pair.items()
+            if p.batch_ctx is not None and p.batch_ctx.batch_id == batch_id
+        ]
         for pid in pids:
             self._resolve_pending(sender, receiver, pid)
 
@@ -463,20 +483,9 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             PacketKind.SEC_NACK,
             from_node,
             to_node,
-            self.accountant.ack_packet_size(),
-            lambda s=to_node, r=from_node, c=counter: self._recover(s, r, c),
+            self._ack_bytes,
+            partial(self._recover, to_node, from_node, counter),
         )
-
-    def _recovery_event(self, packet: Packet, event: str, **counts: int) -> None:
-        """Record one recovery action: in :class:`FaultStats` (``counts``)
-        and ``fault.*`` when the fault section is enabled, else in ``adv.*``."""
-        stats = self.fault_stats
-        if stats is None:
-            self._note_adv(event)
-            return
-        for name, n in counts.items():
-            setattr(stats, name, getattr(stats, name) + n)
-        self._note_fault(packet, event)
 
     def _resolve_pending(self, sender: int, receiver: int, pid: int) -> None:
         pair = self._pending.get((sender, receiver))
@@ -492,10 +501,9 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
     def _arm_timer(self, pending: _PendingMessage) -> None:
         if pending.timer is not None:
             pending.timer.cancel()
-        src, dst = pending.packet.src, pending.packet.dst
+        packet = pending.packet
         pending.timer = self.sim.schedule(
-            pending.rto,
-            lambda s=src, d=dst, pid=pending.packet.pid: self._ack_timeout(s, d, pid),
+            pending.rto, partial(self._ack_timeout, packet.src, packet.dst, packet.pid)
         )
 
     def _ack_timeout(self, src: int, dst: int, pid: int) -> None:
@@ -503,9 +511,15 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
         pending = pair.get(pid) if pair else None
         if pending is None:
             return  # ACK won the race; this timer was lazily cancelled
-        self._recovery_event(
-            pending.packet, "timeout", timeouts_fired=1, backoff_cycles=pending.rto
-        )
+        # A recovery action lands in FaultStats and ``fault.*`` when the
+        # fault section is enabled, else in ``adv.*``.
+        stats = self.fault_stats
+        if stats is None:
+            self._note_adv("timeout")
+        else:
+            stats.timeouts_fired += 1
+            stats.backoff_cycles += pending.rto
+            self._note_fault(pending.packet, "timeout")
         fault = self.cfg.fault
         pending.rto = min(int(pending.rto * fault.backoff_factor), fault.backoff_max)
         pending.timer = None
@@ -580,10 +594,14 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
     def _retransmit(self, pending: _PendingMessage) -> None:
         packet = pending.packet
         src, dst = packet.src, packet.dst
+        stats = self.fault_stats
         if pending.attempts > self.cfg.fault.max_retries:
-            self._recovery_event(packet, "give-up", link_failures=1)
+            if stats is None:
+                self._note_adv("give-up")
+            else:
+                stats.link_failures += 1
+                self._note_fault(packet, "give-up")
             self._resolve_pending(src, dst, packet.pid)
-            stats = self.fault_stats
             raise LinkFailureError(
                 src=src,
                 dst=dst,
@@ -595,8 +613,12 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
                 fault_stats=stats.as_dict() if stats is not None else {},
             )
         pending.attempts += 1
-        # wasted: the superseded copy's send pad
-        self._recovery_event(packet, "retransmit", retransmits=1, wasted_otps=1)
+        if stats is None:
+            self._note_adv("retransmit")
+        else:
+            stats.retransmits += 1
+            stats.wasted_otps += 1  # the superseded copy's send pad
+            self._note_fault(packet, "retransmit")
         if pending.timer is not None:
             pending.timer.cancel()
             pending.timer = None

@@ -18,13 +18,16 @@ Monitored invariants:
    receive pad more than once; OTP security collapses on reuse.  Pads a
    MAC-rejected alien copy (splice/forge) wasted at the counter it merely
    *claimed* are excluded: the transport bills their cost, but they never
-   decrypt an accepted block.
+   decrypt an accepted block.  A negative counter at a pad hook is a
+   violation too: no sender issues one.
 3. **Tamper rejection** — a wire copy the adversary mutated (flip,
    truncate, splice, forge) is never handed to a device; each must end in
    a MAC rejection.
 4. **Replay-window semantics** — every out-of-order ACK a
    :class:`~repro.secure.replay.ReplayGuard` accepted sat strictly inside
-   the configured window (depth < window), and guard ledgers reconcile.
+   the configured window (depth < window), and each guard's ledger
+   reconciles: every entry it was handed is ACKed, dropped as lost, or
+   still outstanding.
 5. **Attack resolution** — at end of run every injected attack is
    settled: detected, harmless, or (contract-breaking, but *recorded*)
    accepted; none simply vanish.
@@ -32,6 +35,8 @@ Monitored invariants:
 The monitor is pure bookkeeping — it never touches simulated time — and
 it is attached automatically only when an adversary is configured, so
 clean and fault-only runs keep their hot paths (and their bytes) intact.
+Its pad ledgers keep one :class:`CounterLedger` per directed pair, at
+about one byte per counter, so a whole run's transcript stays cheap to keep.
 """
 
 from __future__ import annotations
@@ -49,14 +54,48 @@ class InvariantViolationError(AssertionError):
         super().__init__(f"{len(self.violations)} security invariant violation(s):\n  - {lines}")
 
 
+class CounterLedger:
+    """The counters of one directed pair that have been used, one byte each.
+
+    A pair's counters are issued from 0 up, so a ``bytearray`` indexed by
+    counter holds the pair's whole history in about one byte per counter.
+    It grows by doubling, so a mark costs amortized O(1).  Counters are
+    never negative here: callers screen out the fabricated counters of
+    forged copies before :meth:`mark`.
+    """
+
+    __slots__ = ("_marks",)
+
+    def __init__(self) -> None:
+        self._marks = bytearray(64)
+
+    def mark(self, counter: int) -> bool:
+        """Mark ``counter`` (>= 0) used; return whether it already was."""
+        marks = self._marks
+        try:
+            used = marks[counter]
+        except IndexError:
+            size = len(marks)
+            while size <= counter:
+                size *= 2
+            marks.extend(bytes(size - len(marks)))
+            used = 0
+        marks[counter] = 1
+        return used != 0
+
+    def __contains__(self, counter: int) -> bool:
+        """Whether ``counter`` was marked; never true for a negative one."""
+        return 0 <= counter < len(self._marks) and self._marks[counter] != 0
+
+
 class InvariantMonitor:
     """Transcript-level sanitizer for one transport's security protocol."""
 
     def __init__(self) -> None:
         self.violations: list[str] = []
         self._last_counter: dict[tuple[int, int], int] = {}
-        self._send_pads: set[tuple[int, int, int]] = set()
-        self._recv_pads: set[tuple[int, int, int]] = set()
+        self._send_pads: dict[tuple[int, int], CounterLedger] = {}
+        self._recv_pads: dict[tuple[int, int], CounterLedger] = {}
         self._tampered: set[tuple[int, int, int]] = set()
         self._rejected: set[tuple[int, int, int]] = set()
         self.counters_issued = 0
@@ -81,17 +120,24 @@ class InvariantMonitor:
 
     def on_send_pad(self, src: int, dst: int, counter: int) -> None:
         """A send pad encrypted the wire copy keyed by ``counter``."""
-        key = (src, dst, counter)
-        if key in self._send_pads:
-            self._flag(f"send pad consumed twice for {src}->{dst} ctr={counter}")
-        self._send_pads.add(key)
+        self._use_pad("send", self._send_pads, src, dst, counter)
 
     def on_recv_pad(self, src: int, dst: int, counter: int) -> None:
         """A receive pad decrypted the wire copy keyed by ``counter``."""
-        key = (src, dst, counter)
-        if key in self._recv_pads:
-            self._flag(f"receive pad consumed twice for {src}->{dst} ctr={counter}")
-        self._recv_pads.add(key)
+        self._use_pad("receive", self._recv_pads, src, dst, counter)
+
+    def _use_pad(self, side: str, ledgers: dict, src: int, dst: int, counter: int) -> None:
+        """Mark one pad of the (src -> dst) ledgers used; flag a reuse."""
+        if counter < 0:
+            # No sender issues one; only forged copies carry them, and
+            # those are tampered copies, which never reach a pad hook.
+            self._flag(f"{side} pad keyed by negative counter on {src}->{dst} ctr={counter}")
+            return
+        ledger = ledgers.get((src, dst))
+        if ledger is None:
+            ledger = ledgers[src, dst] = CounterLedger()
+        if ledger.mark(counter):
+            self._flag(f"{side} pad consumed twice for {src}->{dst} ctr={counter}")
 
     def on_tampered_copy(self, src: int, dst: int, counter: int, pid: int) -> None:
         """The adversary mutated/fabricated one wire copy.
@@ -130,10 +176,12 @@ class InvariantMonitor:
                 f"replay guard node {guard.node} accepted an ACK at reorder "
                 f"depth {guard.max_reorder_depth} outside window {window}"
             )
-        settled = guard.acked + guard.dropped
-        sent = settled + guard.outstanding()
-        if guard.acked < 0 or guard.dropped < 0 or sent < settled:
-            self._flag(f"replay guard node {guard.node} ledger inconsistent")
+        settled = guard.acked + guard.dropped + guard.outstanding()
+        if guard.sent != settled:
+            self._flag(
+                f"replay guard node {guard.node} ledger inconsistent: {guard.sent} "
+                f"entries handed, {settled} ACKed, dropped or outstanding"
+            )
 
     def check_attack_report(self, report: AttackReport) -> None:
         """Every injected attack must have resolved into an outcome."""
@@ -149,4 +197,4 @@ class InvariantMonitor:
             raise InvariantViolationError(self.violations)
 
 
-__all__ = ["InvariantMonitor", "InvariantViolationError"]
+__all__ = ["CounterLedger", "InvariantMonitor", "InvariantViolationError"]

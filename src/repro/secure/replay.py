@@ -54,6 +54,9 @@ class ReplayGuard:
         self._batch_members: dict[tuple[int, int], list[int]] = {}
         #: peer -> counters currently tagged as batch-pending
         self._tagged: dict[int, set[int]] = {}
+        #: entries handed to :meth:`on_send`; each leaves the queue once,
+        #: ACKed or dropped, so ``sent == acked + dropped + outstanding()``
+        self.sent = 0
         self.acked = 0
         self.violations = 0
         self.dropped = 0  # entries retired as lost-in-flight, never ACKed
@@ -74,6 +77,7 @@ class ReplayGuard:
         batch-ACK retirement channel.
         """
         self._pair(peer).append(counter)
+        self.sent += 1
         if batch_id is not None:
             self._batch_members.setdefault((peer, batch_id), []).append(counter)
             self._tagged.setdefault(peer, set()).add(counter)

@@ -10,7 +10,11 @@ configs must be byte-invisible: identical reports, metrics, and cache keys.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import MultiGpuSystem
 from repro.configs import AdversaryConfig, FaultConfig, SystemConfig, scheme_config
@@ -24,7 +28,8 @@ from repro.secure.adversary import (
     AttackReport,
     LinkPerturbation,
 )
-from repro.secure.invariants import InvariantMonitor, InvariantViolationError
+from repro.secure.invariants import CounterLedger, InvariantMonitor, InvariantViolationError
+from repro.secure.replay import ReplayGuard
 from repro.workloads import get_workload
 
 SCALE = 0.1
@@ -370,6 +375,131 @@ class TestInvariantMonitor:
         m.check_attack_report(report)
         with pytest.raises(InvariantViolationError, match="never resolved"):
             m.check()
+
+    def test_receive_pad_double_consumption_flagged(self):
+        m = InvariantMonitor()
+        m.on_recv_pad(1, 2, 3)
+        m.on_recv_pad(1, 2, 3)
+        with pytest.raises(InvariantViolationError, match="receive pad consumed twice"):
+            m.check()
+
+    def test_same_counter_on_two_pairs_is_not_a_double_use(self):
+        m = InvariantMonitor()
+        for src, dst in ((1, 2), (2, 1), (1, 3)):
+            m.on_send_pad(src, dst, 0)
+            m.on_recv_pad(src, dst, 0)
+        m.check()
+
+    def test_out_of_order_and_far_counters_are_exact(self):
+        m = InvariantMonitor()
+        # out of order, across the first ledger's end (64) and far past it
+        for ctr in (5, 0, 3, 64, 63, 100_000, 1, 99_999, 100_001):
+            m.on_send_pad(1, 2, ctr)
+        m.check()
+        m.on_send_pad(1, 2, 100_000)
+        m.on_send_pad(1, 2, 63)
+        m.on_send_pad(1, 2, 2)
+        assert m.violations == [
+            "send pad consumed twice for 1->2 ctr=100000",
+            "send pad consumed twice for 1->2 ctr=63",
+        ]
+
+    @pytest.mark.parametrize("hook", ["on_send_pad", "on_recv_pad"])
+    def test_negative_counter_at_a_pad_hook_flagged(self, hook):
+        m = InvariantMonitor()
+        # mark the last slot, where a wrapped index -1 would land
+        getattr(m, hook)(1, 2, 63)
+        getattr(m, hook)(1, 2, -1)
+        with pytest.raises(InvariantViolationError, match="negative counter"):
+            m.check()
+
+    def test_replay_check_reads_a_forged_negative_counter_as_unseen(self):
+        seen = CounterLedger()
+        for ctr in range(64):  # every slot marked: a wrapped index would hit one
+            seen.mark(ctr)
+        assert 63 in seen and 64 not in seen
+        assert all(ctr not in seen for ctr in (-1, -2, -64, -65, -100_000))
+
+    @given(
+        st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=3000)), max_size=200)
+    )
+    def test_ledger_answers_like_a_set(self, ops):
+        ledger, reference = CounterLedger(), set()
+        for is_mark, ctr in ops:
+            if is_mark:
+                assert ledger.mark(ctr) == (ctr in reference)
+                reference.add(ctr)
+            else:
+                assert (ctr in ledger) == (ctr in reference)
+
+    def test_guard_ledger_reconciles_on_every_removal_path(self):
+        guard = ReplayGuard(1, window=2)
+        for ctr in range(4):
+            guard.on_send(2, ctr)
+        guard.on_send(2, 4, batch_id=7)
+        guard.on_send(2, 5, batch_id=7)
+        for ctr in range(6, 10):
+            guard.on_send(2, ctr)
+        assert guard.on_ack(2, 0)  # head of the queue
+        assert guard.on_ack(2, 2)  # in-window reordering
+        assert guard.on_ack(2, 7, batch_id=None) is False  # out of window: 1, 3, 6 dropped
+        assert guard.retire_lost(2, 8)
+        assert guard.on_ack(2, batch_id=7)
+        assert (guard.sent, guard.acked, guard.dropped, guard.outstanding()) == (10, 5, 4, 1)
+        m = InvariantMonitor()
+        m.check_guard(guard, window=2)
+        m.check()
+
+    def test_guard_losing_an_entry_uncounted_is_flagged(self):
+        guard = ReplayGuard(1)
+        for ctr in range(3):
+            guard.on_send(2, ctr)
+        guard.on_ack(2, 0)
+        guard._outstanding[2].pop()  # gone, yet neither ACKed nor dropped
+        m = InvariantMonitor()
+        m.check_guard(guard, window=0)
+        with pytest.raises(InvariantViolationError, match="ledger inconsistent"):
+            m.check()
+
+
+def _deep_size(obj, seen: set[int]) -> int:
+    """``sys.getsizeof`` of ``obj`` and of everything it holds, each once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        size += sum(_deep_size(k, seen) + _deep_size(v, seen) for k, v in obj.items())
+    elif isinstance(obj, (set, frozenset, tuple, list)):
+        size += sum(_deep_size(item, seen) for item in obj)
+    elif hasattr(obj, "__slots__"):
+        size += sum(_deep_size(getattr(obj, name), seen) for name in obj.__slots__)
+    return size
+
+
+class TestLedgerMemory:
+    def test_ledgers_keep_a_few_bytes_per_counter(self):
+        # relu/private as the benchmark's under-attack grid builds it
+        from repro.experiments.fig_adversary import adversary_overrides
+
+        adversary = adversary_overrides("all", 0.04, seed=1, quarantine_threshold=6)
+        config = (
+            scheme_config("private", n_gpus=4)
+            .with_fault(drop_rate=0.01, corrupt_rate=0.01, seed=1, max_retries=16)
+            .with_adversary(**adversary)
+        )
+        trace = get_workload("relu").generate(n_gpus=4, seed=1, scale=0.1)
+        system = MultiGpuSystem(config)
+        system.run(trace)
+        transport = system.transport
+        monitor = transport.monitor
+        seen: set[int] = set()
+        size = sum(
+            _deep_size(ledgers, seen)
+            for ledgers in (monitor._send_pads, monitor._recv_pads, transport._recv_seen)
+        )
+        assert monitor.counters_issued > 1000
+        assert size <= 16 * monitor.counters_issued
 
 
 class TestExperimentHarness:
