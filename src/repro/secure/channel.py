@@ -446,9 +446,11 @@ class SecureTransport(_TransportBase):
         self.acks_sent += 1
         self._send_control(PacketKind.SEC_ACK, from_node, to_node, self._ack_bytes, acked)
 
-    def _acked(self, sender: int, receiver: int, counter: int | None, batch_id: int | None) -> None:
+    def _acked(
+        self, sender: int, receiver: int, counter: int | None, batch_id: int | None
+    ) -> bool | list[int]:
         """The ACK reached ``sender``: its replay table retires the entries."""
-        self.guards[sender].on_ack(receiver, counter, batch_id)
+        return self.guards[sender].on_ack(receiver, counter, batch_id)
 
 
 def build_transport(

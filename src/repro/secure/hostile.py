@@ -72,21 +72,13 @@ _COPYING = frozenset({AttackKind.REPLAY, AttackKind.SPLICE, AttackKind.FORGE})
 class _PendingMessage:
     """Sender-side retransmission state for one in-flight data block."""
 
-    __slots__ = (
-        "packet",
-        "counter",
-        "counters",
-        "batch_ctx",
-        "attempts",
-        "rto",
-        "timer",
-        "first_sent",
-    )
+    __slots__ = ("packet", "counters", "batch_ctx", "attempts", "rto", "timer", "first_sent")
 
     def __init__(self, packet: Packet, counter: int, batch_ctx, rto: int, now: int) -> None:
         self.packet = packet
-        self.counter = counter  # the counter of the *current* wire copy
-        self.counters = [counter]  # every counter any copy ever used
+        #: every counter any copy used, the current copy's last; each keys
+        #: this record in the sender's recovery table until the block settles
+        self.counters = [counter]
         self.batch_ctx = batch_ctx
         self.attempts = 1  # transmissions so far (first copy included)
         self.rto = rto
@@ -259,14 +251,14 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             for guard in self.guards.values():
                 guard.window = cfg.adversary.replay_window
             self.monitor = InvariantMonitor()
-        # Recovery state: in-flight blocks awaiting their ACK
-        # (insertion-ordered per pair), an alias from any live wire counter
-        # to the logical block it carries, the receiver's already-seen
+        # Recovery state: the sender's recovery table, which maps every
+        # counter a copy of an un-ACKed block used to that block's record
+        # (an ACK or NACK names a counter, and the ACK of a late original
+        # must still settle its block), the receiver's already-seen
         # counters (wire-replay rejection; one byte per counter), and the
         # set of block pids already handed to a device (late original vs.
         # retransmit races deliver exactly once).
-        self._pending: dict[tuple[int, int], dict[int, _PendingMessage]] = {}
-        self._counter_owner: dict[tuple[int, int, int], int] = {}
+        self._pending: dict[tuple[int, int, int], _PendingMessage] = {}
         self._recv_seen: dict[tuple[int, int], CounterLedger] = {}
         self._delivered_pids: dict[tuple[int, int], set[int]] = {}
         # Adversary state: per-pair detection counts feeding quarantine,
@@ -279,31 +271,24 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
     # Send path
     # ------------------------------------------------------------------
     def _post_launch(self, packet: Packet, synced: bool, batch_ctx, counter: int, ready: int) -> int:
-        """Also show the monitor the counter and send pad, and track a data
-        block's wire copies until its ACK: the first copy opens the
-        block's pending entry, a retransmission adds its counter."""
+        """Also show the monitor the counter and send pad, and open a data
+        block's recovery record with its first copy (a retransmission has
+        filed its counter under the block's record already)."""
         launch_at = super()._post_launch(packet, synced, batch_ctx, counter, ready)
         src, dst = packet.src, packet.dst
         if self.monitor is not None:
             self.monitor.on_counter(src, dst, counter)
             self.monitor.on_send_pad(src, dst, counter)
         if packet.kind.carries_data:
-            pair = self._pending.get((src, dst))
-            if pair is None:
-                pair = self._pending[src, dst] = {}
-            pending = pair.get(packet.pid)
-            if pending is None:
+            key = (src, dst, counter)
+            if key not in self._pending:
                 # Batched blocks are ACKed at batch close, which may lag by
                 # the batch timeout; the sender's RTO accounts for that known
                 # delay so a slow batch is not mistaken for a lost block.
                 rto = self.cfg.fault.ack_timeout
                 if batch_ctx is not None:
                     rto += self.cfg.security.batch_timeout
-                pair[packet.pid] = _PendingMessage(packet, counter, batch_ctx, rto, launch_at)
-            else:
-                pending.counter = counter
-                pending.counters.append(counter)
-            self._counter_owner[(src, dst, counter)] = packet.pid
+                self._pending[key] = _PendingMessage(packet, counter, batch_ctx, rto, launch_at)
         return launch_at
 
     def _launch(self, packet: Packet, synced: bool, batch_ctx, counter: int) -> None:
@@ -345,10 +330,11 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
                 at,
                 partial(self._arrive, copy, synced, ctx, ctr, False, kind, (src, dst)),
             )
-        # _post_launch opened the pair's entry before scheduling this launch
-        pending = self._pending[src, dst].get(packet.pid)
-        if pending is not None:
-            self._arm_timer(pending)
+        # The block may have settled since this copy took its pad: an ACK
+        # for one of its older copies settles it.
+        record = self._pending.get((src, dst, counter))
+        if record is not None:
+            record.timer = self.sim.schedule(record.rto, partial(self._ack_timeout, record))
 
     # ------------------------------------------------------------------
     # Receive path
@@ -450,27 +436,20 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
     # ------------------------------------------------------------------
     # Fault recovery: detection, NACK/timeout, retransmission
     # ------------------------------------------------------------------
-    def _acked(self, sender: int, receiver: int, counter: int | None, batch_id: int | None) -> None:
-        """Also settle retransmission state for the blocks just ACKed."""
-        super()._acked(sender, receiver, counter, batch_id)
-        pair = self._pending.get((sender, receiver))
-        if not pair:
-            return
-        if batch_id is None:
-            pid = self._counter_owner.get((sender, receiver, counter))
-            if pid is not None and pid in pair:
-                self._resolve_pending(sender, receiver, pid)
-            return
-        # Batches can complete out of order under faults (a dropped block
-        # stalls its batch while later ones finish), so batch ACKs settle
-        # by batch id, never by queue position.
-        pids = [
-            pid
-            for pid, p in pair.items()
-            if p.batch_ctx is not None and p.batch_ctx.batch_id == batch_id
-        ]
-        for pid in pids:
-            self._resolve_pending(sender, receiver, pid)
+    def _acked(
+        self, sender: int, receiver: int, counter: int | None, batch_id: int | None
+    ) -> bool | list[int]:
+        """Also settle the recovery records of the blocks just ACKed: the
+        block a conventional ACK's counter names, or exactly the blocks
+        whose counters the guard settled for a batch (batches complete out
+        of order under faults, so never by position)."""
+        settled = super()._acked(sender, receiver, counter, batch_id)
+        pending = self._pending
+        for ctr in (counter,) if batch_id is None else settled:
+            record = pending.get((sender, receiver, ctr))
+            if record is not None:
+                self._resolve_pending(record)
+        return settled
 
     def _send_nack(self, from_node: int, to_node: int, counter: int) -> None:
         if self.fault_stats is not None:
@@ -487,30 +466,18 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             partial(self._recover, to_node, from_node, counter),
         )
 
-    def _resolve_pending(self, sender: int, receiver: int, pid: int) -> None:
-        pair = self._pending.get((sender, receiver))
-        pending = pair.pop(pid, None) if pair else None
-        if pending is None:
-            return
-        if pending.timer is not None:
-            pending.timer.cancel()
-            pending.timer = None
-        for ctr in pending.counters:
-            self._counter_owner.pop((sender, receiver, ctr), None)
+    def _resolve_pending(self, record: _PendingMessage) -> None:
+        """Settle one block: cancel its timer and drop every counter its
+        copies used from the recovery table."""
+        if record.timer is not None:
+            record.timer.cancel()
+            record.timer = None
+        src, dst = record.packet.src, record.packet.dst
+        for ctr in record.counters:
+            del self._pending[src, dst, ctr]
 
-    def _arm_timer(self, pending: _PendingMessage) -> None:
-        if pending.timer is not None:
-            pending.timer.cancel()
-        packet = pending.packet
-        pending.timer = self.sim.schedule(
-            pending.rto, partial(self._ack_timeout, packet.src, packet.dst, packet.pid)
-        )
-
-    def _ack_timeout(self, src: int, dst: int, pid: int) -> None:
-        pair = self._pending.get((src, dst))
-        pending = pair.get(pid) if pair else None
-        if pending is None:
-            return  # ACK won the race; this timer was lazily cancelled
+    def _ack_timeout(self, record: _PendingMessage) -> None:
+        # Settling a block cancels its timer, so the block is still pending.
         # A recovery action lands in FaultStats and ``fault.*`` when the
         # fault section is enabled, else in ``adv.*``.
         stats = self.fault_stats
@@ -518,12 +485,12 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             self._note_adv("timeout")
         else:
             stats.timeouts_fired += 1
-            stats.backoff_cycles += pending.rto
-            self._note_fault(pending.packet, "timeout")
+            stats.backoff_cycles += record.rto
+            self._note_fault(record.packet, "timeout")
         fault = self.cfg.fault
-        pending.rto = min(int(pending.rto * fault.backoff_factor), fault.backoff_max)
-        pending.timer = None
-        self._retransmit(pending)
+        record.rto = min(int(record.rto * fault.backoff_factor), fault.backoff_max)
+        record.timer = None
+        self._retransmit(record)
 
     def _mac_rejected(
         self,
@@ -584,52 +551,55 @@ class HostileSecureTransport(_HostileLink, SecureTransport):
             self._note_adv("quarantine")
 
     def _recover(self, sender: int, receiver: int, counter: int) -> None:
-        pid = self._counter_owner.get((sender, receiver, counter))
-        pair = self._pending.get((sender, receiver))
-        pending = pair.get(pid) if (pair and pid is not None) else None
-        if pending is None or pending.counter != counter:
+        record = self._pending.get((sender, receiver, counter))
+        if record is None or record.counters[-1] != counter:
             return  # stale NACK: a retransmit already superseded this copy
-        self._retransmit(pending)
+        self._retransmit(record)
 
-    def _retransmit(self, pending: _PendingMessage) -> None:
-        packet = pending.packet
+    def _retransmit(self, record: _PendingMessage) -> None:
+        packet = record.packet
         src, dst = packet.src, packet.dst
         stats = self.fault_stats
-        if pending.attempts > self.cfg.fault.max_retries:
+        if record.attempts > self.cfg.fault.max_retries:
             if stats is None:
                 self._note_adv("give-up")
             else:
                 stats.link_failures += 1
                 self._note_fault(packet, "give-up")
-            self._resolve_pending(src, dst, packet.pid)
+            self._resolve_pending(record)
             raise LinkFailureError(
                 src=src,
                 dst=dst,
                 pid=packet.pid,
-                counter=pending.counter,
-                attempts=pending.attempts,
-                first_sent=pending.first_sent,
+                counter=record.counters[-1],
+                attempts=record.attempts,
+                first_sent=record.first_sent,
                 gave_up_at=self.sim.now,
                 fault_stats=stats.as_dict() if stats is not None else {},
             )
-        pending.attempts += 1
+        record.attempts += 1
         if stats is None:
             self._note_adv("retransmit")
         else:
             stats.retransmits += 1
             stats.wasted_otps += 1  # the superseded copy's send pad
             self._note_fault(packet, "retransmit")
-        if pending.timer is not None:
-            pending.timer.cancel()
-            pending.timer = None
-        # The old copy's ACK can never arrive; void its replay-guard entry
-        # so the FIFO freshness check stays aligned.
-        self.guards[src].retire_lost(dst, pending.counter)
+        if record.timer is not None:
+            record.timer.cancel()
+            record.timer = None
+        # The old copy is presumed lost: void its replay-guard entry, so the
+        # guard awaits only the new copy's ACK.
+        batch_ctx = record.batch_ctx
+        batch_id = batch_ctx.batch_id if batch_ctx is not None else None
+        self.guards[src].retire_lost(dst, record.counters[-1], batch_id)
         # Re-run the send tail: a retransmission is a brand-new secured
         # message — fresh pad, fresh counter, fresh MAC (a pad must never
-        # encrypt two wire copies).  _post_launch records the new counter.
+        # encrypt two wire copies).  Its counter joins the block's record
+        # before _post_launch, which then opens no new one.
         counter, synced, ready = self._acquire_pads(packet, self.sim.now)
-        self._post_launch(packet, synced, pending.batch_ctx, counter, ready)
+        record.counters.append(counter)
+        self._pending[src, dst, counter] = record
+        self._post_launch(packet, synced, batch_ctx, counter, ready)
 
     # ------------------------------------------------------------------
     # Aggregated reporting

@@ -455,7 +455,7 @@ class TestInvariantMonitor:
         for ctr in range(3):
             guard.on_send(2, ctr)
         guard.on_ack(2, 0)
-        guard._outstanding[2].pop()  # gone, yet neither ACKed nor dropped
+        guard._fifo[2].pop()  # gone, yet neither ACKed nor dropped
         m = InvariantMonitor()
         m.check_guard(guard, window=0)
         with pytest.raises(InvariantViolationError, match="ledger inconsistent"):

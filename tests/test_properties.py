@@ -2,10 +2,13 @@
 
 These pin the invariants the simulator's correctness rests on: pad-stream
 wait bounds, allocator pool conservation, cache/TLB capacity limits, link
-FIFO monotonicity, batching byte accounting, EWMA convexity, and the
-functional crypto round-trip.
+FIFO monotonicity, batching byte accounting, EWMA convexity, the replay
+guard's agreement with a reference model, and the functional crypto
+round-trip.
 """
 
+from collections import deque
+from itertools import islice
 from math import ceil
 
 from hypothesis import given, settings
@@ -214,6 +217,132 @@ def test_replay_guard_conservation(n, retire_chunks):
         retired += chunk
     assert guard.outstanding(2) == n - retired
     assert guard.acked == retired
+
+
+class _MixedQueueGuard:
+    """Reference model: the replay guard for one peer as a single mixed
+    queue, its earlier design.  Batch-tagged and conventional counters
+    share the queue; a conventional ACK's depth counts only the untagged
+    entries ahead of it, and a batch ACK filters its members out of the
+    queue."""
+
+    def __init__(self, window: int) -> None:
+        self.window = window
+        self.queue: deque[int] = deque()
+        self.members: dict[int, list[int]] = {}  # batch id -> counters
+        self.tagged: set[int] = set()
+        self.sent = self.acked = self.violations = self.dropped = 0
+        self.max_reorder_depth = 0
+
+    def on_send(self, counter, batch_id):
+        self.queue.append(counter)
+        self.sent += 1
+        if batch_id is not None:
+            self.members.setdefault(batch_id, []).append(counter)
+            self.tagged.add(counter)
+
+    def ack_batch(self, batch_id):
+        members = set(self.members.pop(batch_id, ()))
+        retained = [c for c in self.queue if c not in members]
+        removed = len(self.queue) - len(retained)
+        self.tagged -= members
+        if removed == 0:  # unknown, repeated, or every member voided
+            self.violations += 1
+            return False
+        self.queue = deque(retained)
+        self.acked += removed
+        return True
+
+    def ack(self, counter):
+        if counter not in self.queue:
+            self.violations += 1
+            return False
+        pos = self.queue.index(counter)
+        depth = sum(1 for c in islice(self.queue, pos) if c not in self.tagged)
+        self.acked += 1
+        if depth < max(self.window, 1):
+            del self.queue[pos]
+            self.max_reorder_depth = max(self.max_reorder_depth, depth)
+            return True
+        # resync: the untagged entries ahead are lost, tagged ones stay
+        self.violations += 1
+        self.dropped += depth
+        ahead = [c for c in islice(self.queue, pos) if c in self.tagged]
+        self.queue = deque(ahead + list(islice(self.queue, pos + 1, None)))
+        return False
+
+    def retire_lost(self, counter):
+        if counter not in self.queue:
+            return False
+        self.queue.remove(counter)
+        self.tagged.discard(counter)
+        self.dropped += 1
+        return True
+
+
+GUARD_OPS = ("send", "send_batched", "ack", "ack_batch", "retire_lost")
+
+
+@given(
+    window=st.integers(0, 4),
+    ops=st.lists(
+        st.tuples(st.sampled_from(GUARD_OPS), st.integers(0, 9), st.integers(0, 4)),
+        min_size=20,
+        max_size=80,
+    ),
+)
+@settings(max_examples=200)
+def test_replay_guard_matches_the_mixed_queue_reference(window, ops):
+    """The guard's two records (a conventional FIFO and one list per batch)
+    answer every call exactly as the earlier mixed queue did, as long as a
+    conventional ACK never names a batched counter — which the channel
+    guarantees, since sender and receiver make the same batched-or-not
+    decision.  Batch ids 0-3 are used by sends; 4 never is."""
+    guard, reference = ReplayGuard(1, window=window), _MixedQueueGuard(window)
+    batch_of: dict[int, int | None] = {}  # every counter sent -> its batch id
+    for op, pick, batch in ops:
+        fresh = len(batch_of)
+        if op in ("send", "send_batched"):
+            batch_id = batch % 4 if op == "send_batched" else None
+            got = guard.on_send(2, fresh, batch_id)
+            want = reference.on_send(fresh, batch_id)
+            batch_of[fresh] = batch_id
+        elif op == "ack":
+            # an outstanding conventional counter at depth `pick`, any sent
+            # conventional counter (outstanding, ACKed or voided), or an unsent one
+            live = [c for c in reference.queue if c not in reference.tagged]
+            conventional = [c for c, b in batch_of.items() if b is None]
+            if live and pick < 5:
+                counter = live[pick % len(live)]
+            elif conventional and pick < 8:
+                counter = conventional[pick % len(conventional)]
+            else:
+                counter = fresh + pick
+            got, want = guard.on_ack(2, counter=counter), reference.ack(counter)
+        elif op == "ack_batch":
+            # live, repeated or unknown batch id
+            got, want = guard.on_ack(2, batch_id=batch), reference.ack_batch(batch)
+        else:
+            counter = pick % fresh if fresh and pick < 8 else fresh + pick
+            got = guard.retire_lost(2, counter, batch_of.get(counter))
+            want = reference.retire_lost(counter)
+        assert bool(got) == bool(want)
+        assert (
+            guard.sent,
+            guard.acked,
+            guard.violations,
+            guard.dropped,
+            guard.max_reorder_depth,
+            guard.outstanding(),
+        ) == (
+            reference.sent,
+            reference.acked,
+            reference.violations,
+            reference.dropped,
+            reference.max_reorder_depth,
+            len(reference.queue),
+        )
+    assert guard.outstanding(2) == guard.outstanding()
 
 
 # ---------------------------------------------------------------------------

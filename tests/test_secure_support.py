@@ -177,20 +177,20 @@ class TestReplayGuardWindow:
         g = self._sent(0, n=3)
         assert not g.on_ack(2, counter=1)  # depth 1: violation under w=0
         assert g.violations == 1
-        assert g.reorder_accepts == 0
+        assert g.max_reorder_depth == 0
 
     def test_window_one_equals_strict_fifo(self):
         # depth must satisfy 0 < d < 1: impossible, so w=1 accepts only heads
         g = self._sent(1, n=3)
         assert not g.on_ack(2, counter=1)
         assert g.violations == 1
-        assert g.reorder_accepts == 0
+        assert g.max_reorder_depth == 0
 
     def test_depth_zero_is_a_plain_head_match(self):
         g = self._sent(4)
         assert g.on_ack(2, counter=0)
-        assert g.reorder_accepts == 0
-        assert g.violations == 0
+        assert g.max_reorder_depth == 0
+        assert g.violations == 0 and g.acked == 1
 
     def test_last_in_window_depth_accepted(self):
         w = 4
@@ -198,7 +198,7 @@ class TestReplayGuardWindow:
         assert g.on_ack(2, counter=w - 1)  # depth W-1: last legal position
         assert g.violations == 0
         assert g.dropped == 0
-        assert g.reorder_accepts == 1
+        assert g.acked == 1
         assert g.max_reorder_depth == w - 1
         # overtaken entries are still queued and still ACK cleanly
         assert g.outstanding(2) == 5
@@ -214,7 +214,7 @@ class TestReplayGuardWindow:
         assert g.dropped == w
         assert g.acked == 1
         assert g.outstanding(2) == 1
-        assert g.reorder_accepts == 0
+        assert g.max_reorder_depth == 0
 
     def test_beyond_window_depth_resyncs(self):
         w = 4
@@ -242,31 +242,32 @@ class TestReplayGuardWindow:
 
 
 class TestReplayGuardMixedChannels:
-    """Batch-tagged and conventional entries share a queue but not a FIFO.
+    """Batched and conventional entries interleave on one pair, but each
+    channel keeps its own record.
 
     The windowed-ACK edge cases: conventional-ACK freshness depth is
-    measured over untagged entries only — batch entries parked at the head
+    measured over the conventional FIFO only — batch entries sent ahead
     are on the slower channel, not "overtaken".
     """
 
     def test_batch_entries_at_head_do_not_count_toward_depth(self):
-        # Queue: [b0 b1 | 10 11 12]; the batch is still open, so counter 10
-        # sits at untagged depth 0 and must ACK cleanly even under w=0.
+        # Sent: b0 b1, then 10 11 12; the batch is still open, so counter 10
+        # sits at FIFO depth 0 and must ACK cleanly even under w=0.
         g = ReplayGuard(1, window=0)
         g.on_send(2, 0, batch_id=7)
         g.on_send(2, 1, batch_id=7)
         for c in (10, 11, 12):
             g.on_send(2, c)
         assert g.on_ack(2, counter=10)
-        assert g.violations == 0 and g.reorder_accepts == 0
+        assert g.violations == 0 and g.max_reorder_depth == 0
         # the batch ACK then retires exactly its own members
         assert g.on_ack(2, batch_id=7)
         assert g.outstanding(2) == 2
         assert g.acked == 3
 
     def _mixed(self, window: int) -> ReplayGuard:
-        # Queue: [b0 10 11 b1 12 13] — untagged subsequence [10 11 12 13]
-        # interleaved with batch-5 tags at both ends.
+        # Sent: b0 10 11 b1 12 13 — FIFO [10 11 12 13], with batch 5's
+        # members sent around it.
         g = ReplayGuard(1, window=window)
         g.on_send(2, 0, batch_id=5)
         for c in (10, 11):
@@ -279,16 +280,16 @@ class TestReplayGuardMixedChannels:
     def test_untagged_depth_window_minus_one_accepted(self):
         w = 3
         g = self._mixed(w)
-        assert g.on_ack(2, counter=12)  # untagged depth 2 == W-1
+        assert g.on_ack(2, counter=12)  # FIFO depth 2 == W-1
         assert g.violations == 0
         assert g.max_reorder_depth == w - 1
-        assert g.outstanding(2) == 5  # nothing dropped, tags intact
+        assert g.outstanding(2) == 5  # nothing dropped, batch intact
 
     def test_untagged_depth_window_resyncs_but_spares_tagged(self):
         g = self._mixed(3)
-        assert not g.on_ack(2, counter=13)  # untagged depth 3 == W: resync
+        assert not g.on_ack(2, counter=13)  # FIFO depth 3 == W: resync
         assert g.violations == 1
-        assert g.dropped == 3  # 10, 11, 12; the tagged 0 and 1 survive
+        assert g.dropped == 3  # 10, 11, 12; the batched 0 and 1 survive
         # both batch members are still retirable by their batch ACK
         assert g.on_ack(2, batch_id=5)
         assert g.outstanding(2) == 0
@@ -299,9 +300,9 @@ class TestReplayGuardMixedChannels:
         g.on_send(2, 0, batch_id=3)
         g.on_send(2, 10)
         g.on_send(2, 11)
-        assert not g.on_ack(2, counter=11)  # untagged depth 1: violation
+        assert not g.on_ack(2, counter=11)  # FIFO depth 1: violation
         assert g.violations == 1
-        assert g.dropped == 1  # 10 resynced away; the tagged 0 survives
+        assert g.dropped == 1  # 10 resynced away; the batched 0 survives
         assert g.on_ack(2, batch_id=3)
         assert g.outstanding(2) == 0
 
@@ -321,7 +322,7 @@ class TestReplayGuardMixedChannels:
         g = ReplayGuard(1)
         g.on_send(2, 0, batch_id=4)
         g.on_send(2, 1, batch_id=4)
-        assert g.retire_lost(2, 0)
-        assert g.on_ack(2, batch_id=4)
+        assert g.retire_lost(2, 0, batch_id=4)
+        assert g.on_ack(2, batch_id=4) == [1]
         assert g.acked == 1 and g.dropped == 1
         assert g.outstanding(2) == 0

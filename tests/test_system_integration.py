@@ -11,6 +11,7 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.tlb import TlbHierarchy
 from repro.interconnect.topology import Topology
 from repro.memory.address_space import Placement
+from repro.secure.hostile import HostileSecureTransport
 from repro.system import MultiGpuSystem, run_workload
 from repro.workloads import get_workload
 from repro.workloads.builder import TraceBuilder
@@ -154,11 +155,25 @@ def fir_trace():
     return get_workload("fir").generate(n_gpus=4, seed=1, scale=0.05)
 
 
+def hostile_config(scheme):
+    return (
+        scheme_config(scheme, n_gpus=4)
+        .with_fault(drop_rate=0.01, corrupt_rate=0.01, seed=1)
+        .with_adversary(**adversary_overrides("all", 0.04, seed=1))
+    )
+
+
 LIFETIME_CELLS = {
     **{s: scheme_config(s, n_gpus=4) for s in ("unsecure", "private", "dynamic", "batching")},
-    "batching-hostile": scheme_config("batching", n_gpus=4)
-    .with_fault(drop_rate=0.01, corrupt_rate=0.01, seed=1)
-    .with_adversary(**adversary_overrides("all", 0.04, seed=1)),
+    "batching-hostile": hostile_config("batching"),
+}
+
+#: the in-flight drain test's cells: a clean link, and a hostile one on
+#: each ACK channel (per-message and per-batch)
+DRAIN_CELLS = {
+    "private": scheme_config("private", n_gpus=4),
+    "private-hostile": hostile_config("private"),
+    "batching-hostile": hostile_config("batching"),
 }
 
 
@@ -173,20 +188,37 @@ class TestMachineLifetime:
         MultiGpuSystem(LIFETIME_CELLS[cell]).run(fir_trace)
         assert gc.collect() == 0
 
-    def test_finished_run_leaves_no_request_in_flight(self):
+    def test_finished_run_leaves_no_request_in_flight(self, monkeypatch):
+        # Settling a block must cancel its retransmission timer, so every
+        # timer that fires finds its block still in the recovery table.
+        fired = Counter()
+        ack_timeout = HostileSecureTransport._ack_timeout
+
+        def checked(transport, record):
+            packet = record.packet
+            key = (packet.src, packet.dst, record.counters[-1])
+            fired["live" if transport._pending.get(key) is record else "settled"] += 1
+            ack_timeout(transport, record)
+
+        monkeypatch.setattr(HostileSecureTransport, "_ack_timeout", checked)
         # fft at this size makes remote reads, remote writes and migrations
         trace = get_workload("fft").generate(n_gpus=4, seed=1, scale=0.1)
-        system = MultiGpuSystem(scheme_config("private", n_gpus=4))
-        report = system.run(trace)
-        gpus = system.gpus.values()
-        reads = sum(g.directory.issued for g in gpus)
-        writes = sum(g.remote_requests for g in gpus) - reads
-        assert reads > 0 and writes > 0 and report.migrations > 0
-        for node, gpu in system.gpus.items():
-            assert gpu.directory.pending_count() == 0, f"gpu{node} has reads in flight"
-            assert gpu._pending == {}, f"gpu{node} has writes in flight"
-            assert gpu._migrating == {}, f"gpu{node} has migrations in flight"
-            assert gpu.outstanding == 0
+        for cell, config in DRAIN_CELLS.items():
+            fired.clear()
+            system = MultiGpuSystem(config)
+            report = system.run(trace)
+            gpus = system.gpus.values()
+            reads = sum(g.directory.issued for g in gpus)
+            writes = sum(g.remote_requests for g in gpus) - reads
+            assert reads > 0 and writes > 0 and report.migrations > 0, cell
+            for node, gpu in system.gpus.items():
+                assert gpu.directory.pending_count() == 0, f"{cell}: gpu{node} has reads in flight"
+                assert gpu._pending == {}, f"{cell}: gpu{node} has writes in flight"
+                assert gpu._migrating == {}, f"{cell}: gpu{node} has migrations in flight"
+                assert gpu.outstanding == 0
+            if cell.endswith("-hostile"):
+                assert fired["live"] > 0 and fired["settled"] == 0, (cell, fired)
+                assert system.transport._pending == {}, f"{cell}: blocks left unsettled"
 
 
 class TestTracedEntryPoints:

@@ -214,6 +214,43 @@ class TestBatchedTransport:
         sim.run()
         assert transport.acks_sent == 1  # per-message ACK, no batching
 
+    def test_hostile_batch_ack_settles_only_its_own_batch(self):
+        # A hostile link (a fault rate too small to ever fire) keeps a
+        # recovery record and a retransmission timer per block.  Batch A
+        # fills up and is ACKed while batch B still waits for its timeout.
+        cfg = default_config(
+            n_gpus=2, scheme="dynamic", batching=True, batch_size=4, batch_timeout=1000
+        ).with_fault(delay_rate=1e-12)
+        sim, topo = Simulator(), Topology(n_gpus=2)
+        transport = build_transport(sim, topo, cfg)
+        for node in topo.nodes():
+            transport.register(node, lambda p, t: None)
+        acks = []
+        acked = transport._acked
+
+        def spy(sender, receiver, counter, batch_id):
+            before = {key: (record, record.timer) for key, record in transport._pending.items()}
+            settled = acked(sender, receiver, counter, batch_id)
+            after = {key: record.timer for key, record in transport._pending.items()}
+            cancelled = {key: timer.cancelled for key, (_, timer) in before.items()}
+            acks.append((batch_id, settled, before, after, cancelled))
+            return settled
+
+        transport._acked = spy
+        for i in range(6):
+            transport.send(data_packet(txn=i), now=0)
+        sim.run()
+        assert transport.fault_stats.delays_injected == 0
+        assert len(acks) == 2  # one per batch; the first one is batch A's
+        batch_id, settled, before, after, cancelled = acks[0]
+        own = {key for key, (record, _) in before.items() if record.batch_ctx.batch_id == batch_id}
+        assert len(own) == 4 == len(before) - 2
+        assert sorted(settled) == sorted(ctr for _, _, ctr in own)
+        # batch B keeps its two records, each with its live timer
+        assert after == {key: timer for key, (_, timer) in before.items() if key not in own}
+        assert all(cancelled[key] == (key in own) for key in before)
+        assert transport._pending == {}
+
 
 class TestInstrumentation:
     def test_timelines_record_send_and_recv(self):
