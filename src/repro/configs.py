@@ -16,14 +16,14 @@ from dataclasses import dataclass, field, replace
 class GpuConfig:
     """Per-GPU microarchitecture (Table III, abstracted).
 
-    ``n_lanes`` compute-unit lanes replay the workload per GPU; each lane
-    stands for a group of CUs sharing an L1 (the full 64-CU machine is
-    folded into fewer lanes to keep the Python model tractable — burstiness
-    and overlap, the properties the paper's mechanisms react to, come from
-    lane multiplicity, not the absolute CU count).
+    The trace sets the lane count (``SweepJob.n_lanes``, 8 by default):
+    each compute-unit lane stands for a group of CUs sharing an L1 (the
+    full 64-CU machine is folded into fewer lanes to keep the Python model
+    tractable — burstiness and overlap, the properties the paper's
+    mechanisms react to, come from lane multiplicity, not the absolute CU
+    count).
     """
 
-    n_lanes: int = 8
     lane_outstanding: int = 8  # wavefront-dependency cap per lane
     max_outstanding: int = 64  # GPU-wide remote-request window (MSHR-like)
     l1_size: int = 16 * 1024

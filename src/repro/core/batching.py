@@ -106,12 +106,5 @@ class BatchingController:
         self.batches_closed_timeout += 1
         return batch.count
 
-    def open_batch(self, peer: int) -> tuple[int, int] | None:
-        """(batch_id, count) of the currently open batch toward ``peer``."""
-        batch = self._open.get(peer)
-        if batch is None:
-            return None
-        return batch.batch_id, batch.count
-
 
 __all__ = ["BatchingController", "BlockGrant"]

@@ -1,8 +1,7 @@
 """AES-128 block cipher, implemented from the FIPS-197 specification.
 
-Only encryption is required by this project: counter-mode (and GCM, which is
-built on counter mode) never runs the inverse cipher.  The inverse cipher is
-implemented anyway so the block cipher is complete and testable on its own.
+Only the forward cipher is implemented: counter mode (and GCM, which is
+built on counter mode) never runs the inverse cipher.
 
 The implementation favours clarity over speed: the state is a 16-byte
 ``bytearray`` in column-major order as in the standard, and each round
@@ -32,7 +31,7 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> tuple[bytes, bytes]:
+def _build_sbox() -> bytes:
     # Multiplicative inverses via exponentiation: a^254 == a^-1 in GF(2^8).
     inv = [0] * 256
     for a in range(1, 256):
@@ -51,23 +50,16 @@ def _build_sbox() -> tuple[bytes, bytes]:
         for shift in range(5):
             res ^= ((b << shift) | (b >> (8 - shift))) & 0xFF
         sbox[a] = res
-    inv_sbox = bytearray(256)
-    for a, s in enumerate(sbox):
-        inv_sbox[s] = a
-    return bytes(sbox), bytes(inv_sbox)
+    return bytes(sbox)
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 # Precomputed GF multiplication tables for MixColumns speed.
 _MUL2 = bytes(_gf_mul(x, 2) for x in range(256))
 _MUL3 = bytes(_gf_mul(x, 3) for x in range(256))
-_MUL9 = bytes(_gf_mul(x, 9) for x in range(256))
-_MUL11 = bytes(_gf_mul(x, 11) for x in range(256))
-_MUL13 = bytes(_gf_mul(x, 13) for x in range(256))
-_MUL14 = bytes(_gf_mul(x, 14) for x in range(256))
 
 
 #: rounds per key length (FIPS-197 §5)
@@ -121,23 +113,10 @@ class AES:
             state[i] = SBOX[state[i]]
 
     @staticmethod
-    def _inv_sub_bytes(state: bytearray) -> None:
-        for i in range(16):
-            state[i] = INV_SBOX[state[i]]
-
-    @staticmethod
     def _shift_rows(state: bytearray) -> None:
         for r in range(1, 4):
             row = [state[r + 4 * c] for c in range(4)]
             row = row[r:] + row[:r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _inv_shift_rows(state: bytearray) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
             for c in range(4):
                 state[r + 4 * c] = row[c]
 
@@ -150,16 +129,6 @@ class AES:
             state[i + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
             state[i + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
             state[i + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-
-    @staticmethod
-    def _inv_mix_columns(state: bytearray) -> None:
-        for c in range(4):
-            i = 4 * c
-            a0, a1, a2, a3 = state[i], state[i + 1], state[i + 2], state[i + 3]
-            state[i] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            state[i + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            state[i + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            state[i + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
 
     # ------------------------------------------------------------------
     # Public API
@@ -179,21 +148,6 @@ class AES:
         self._add_round_key(state, self.round_keys[self.rounds])
         return bytes(state)
 
-    def decrypt_block(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) != 16:
-            raise ValueError("AES operates on 16-byte blocks")
-        state = bytearray(ciphertext)
-        self._add_round_key(state, self.round_keys[self.rounds])
-        for rnd in range(self.rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, self.round_keys[rnd])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, self.round_keys[0])
-        return bytes(state)
-
 
 class AES128(AES):
     """AES restricted to 128-bit keys (the configuration the paper models)."""
@@ -206,4 +160,4 @@ class AES128(AES):
         super().__init__(key)
 
 
-__all__ = ["AES", "AES128", "SBOX", "INV_SBOX"]
+__all__ = ["AES", "AES128", "SBOX"]

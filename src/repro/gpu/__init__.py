@@ -10,7 +10,7 @@ filtering, page migration — and abstracts instruction execution into
 inter-access gap cycles.
 """
 
-from repro.gpu.cache import CacheStats, SetAssociativeCache
+from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.tlb import Tlb, TlbHierarchy
 from repro.gpu.hbm import HbmModel
 from repro.gpu.compute_unit import ComputeUnitLane
@@ -18,7 +18,6 @@ from repro.gpu.gpu import GpuDevice
 from repro.gpu.cpu import MemoryNode
 
 __all__ = [
-    "CacheStats",
     "SetAssociativeCache",
     "Tlb",
     "TlbHierarchy",

@@ -32,8 +32,6 @@ class HbmModel:
         self.access_latency = access_latency
         self.bytes_per_cycle = bytes_per_cycle
         self._busy_until = 0
-        self.accesses = 0
-        self.total_bytes = 0
 
     def access(self, now: int, size_bytes: int) -> int:
         """Serve ``size_bytes`` starting at ``now``; returns completion cycle."""
@@ -42,8 +40,6 @@ class HbmModel:
         start = max(now, self._busy_until)
         occupancy = max(1, ceil(size_bytes / self.bytes_per_cycle))
         self._busy_until = start + occupancy
-        self.accesses += 1
-        self.total_bytes += size_bytes
         return start + occupancy + self.access_latency
 
 

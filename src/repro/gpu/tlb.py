@@ -25,16 +25,12 @@ class Tlb:
         self.n_entries = n_entries
         self._entries: dict[int, int] = {}
         self._stamp = 0
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, page: int) -> bool:
         self._stamp += 1
         if page in self._entries:
             self._entries[page] = self._stamp
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def fill(self, page: int) -> None:
@@ -46,12 +42,6 @@ class Tlb:
 
     def invalidate(self, page: int) -> bool:
         return self._entries.pop(page, None) is not None
-
-    def flush(self) -> None:
-        self._entries.clear()
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._entries
 
 
 class TlbHierarchy:
@@ -74,7 +64,6 @@ class TlbHierarchy:
         self.l2 = Tlb(f"{name}.l2tlb", l2_entries)
         self.l1_latency = l1_latency
         self.l2_latency = l2_latency
-        self.iommu_walks = 0
 
     def translate(self, address: int) -> tuple[int, bool]:
         """Return ``(delay_cycles, needs_iommu_walk)`` for ``address``."""
@@ -85,13 +74,10 @@ class TlbHierarchy:
         entries = l1._entries
         if page in entries:
             entries[page] = l1._stamp
-            l1.hits += 1
             return self.l1_latency, False
-        l1.misses += 1
         if self.l2.lookup(page):
             self.l1.fill(page)
             return self.l1_latency + self.l2_latency, False
-        self.iommu_walks += 1
         self.l2.fill(page)
         self.l1.fill(page)
         return self.l1_latency + self.l2_latency, True

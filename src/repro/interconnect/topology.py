@@ -223,28 +223,6 @@ class Topology:
             self._nv_ingress[dst],
         ]
 
-    def hop_count(self, src: NodeId, dst: NodeId) -> int:
-        """Number of serialized stages a message crosses."""
-        return len(self.path(src, dst))
-
-    def channel(self, src: NodeId, dst: NodeId) -> Channel:
-        """The bandwidth-limiting first stage of the (src → dst) path."""
-        return self.path(src, dst)[0]
-
-    def channels(self) -> list[Channel]:
-        extra: list[Channel] = []
-        if self._switch is not None:
-            extra.append(self._switch)
-        extra.extend(self._ring_cw.values())
-        extra.extend(self._ring_ccw.values())
-        return [
-            self._pcie_down,
-            self._pcie_up,
-            *self._nv_egress.values(),
-            *self._nv_ingress.values(),
-            *extra,
-        ]
-
     # ------------------------------------------------------------------
     # Transfer
     # ------------------------------------------------------------------

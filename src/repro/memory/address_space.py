@@ -109,18 +109,6 @@ class AddressSpace:
         per_gpu = max(1, (n_pages + len(self.gpu_nodes) - 1) // len(self.gpu_nodes))
         return self.gpu_nodes[min(index // per_gpu, len(self.gpu_nodes) - 1)]
 
-    def array(self, name: str) -> ArrayHandle:
-        return self._arrays[name]
-
-    def arrays(self) -> dict[str, ArrayHandle]:
-        return dict(self._arrays)
-
-    def initial_owner(self, page: int) -> int:
-        try:
-            return self._page_owner[page]
-        except KeyError:
-            raise KeyError(f"page {page} was never allocated") from None
-
     def initial_owners(self) -> dict[int, int]:
         return dict(self._page_owner)
 

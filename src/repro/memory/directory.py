@@ -23,8 +23,6 @@ class BlockDirectory:
     def __init__(self) -> None:
         # block -> list of completion callbacks
         self._pending: dict[int, list[Callable[[int], None]]] = {}
-        self.merged = 0
-        self.issued = 0
 
     def request(self, block: int, on_complete: Callable[[int], None]) -> bool:
         """Register interest in ``block``.
@@ -36,10 +34,8 @@ class BlockDirectory:
         waiters = self._pending.get(block)
         if waiters is not None:
             waiters.append(on_complete)
-            self.merged += 1
             return False
         self._pending[block] = [on_complete]
-        self.issued += 1
         return True
 
     def complete(self, block: int, finish_cycle: int) -> int:

@@ -20,6 +20,11 @@ from enum import Enum
 from repro.memory.page_table import PageTable
 
 
+#: Anti-thrash hysteresis: after this many migrations a page is pinned where
+#: it is, as real UM drivers do for ping-ponging pages.
+MAX_MIGRATIONS_PER_PAGE = 3
+
+
 class MigrationDecision(Enum):
     DIRECT_ACCESS = "direct_access"  # serve the single block remotely
     MIGRATE = "migrate"  # move the page to the accessor
@@ -28,34 +33,17 @@ class MigrationDecision(Enum):
 class AccessCounterMigrationPolicy:
     """Decide direct access vs migration from per-(page, accessor) counters."""
 
-    def __init__(
-        self,
-        page_table: PageTable,
-        threshold: int = 8,
-        max_migrations_per_page: int = 3,
-    ) -> None:
+    def __init__(self, page_table: PageTable, threshold: int = 8) -> None:
         if threshold < 1:
             raise ValueError("migration threshold must be >= 1")
-        if max_migrations_per_page < 1:
-            raise ValueError("max_migrations_per_page must be >= 1")
         self.page_table = page_table
         self.threshold = threshold
-        # Anti-thrash hysteresis: after this many migrations a page is
-        # pinned where it is, as real UM drivers do for ping-ponging pages.
-        self.max_migrations_per_page = max_migrations_per_page
         self._migration_counts: dict[int, int] = {}
         self._pinned: set[int] = set()
 
     def pin(self, page: int) -> None:
         """Exclude ``page`` from migration (locality-API hint)."""
         self._pinned.add(page)
-
-    def pin_array_pages(self, first_page: int, n_pages: int) -> None:
-        for page in range(first_page, first_page + n_pages):
-            self.pin(page)
-
-    def is_pinned(self, page: int) -> bool:
-        return page in self._pinned
 
     def on_remote_access(self, page: int, accessor: int) -> MigrationDecision:
         """Record one remote access and decide how to serve it.
@@ -75,9 +63,9 @@ class AccessCounterMigrationPolicy:
         """Apply the ownership change; returns the previous owner."""
         count = self._migration_counts.get(page, 0) + 1
         self._migration_counts[page] = count
-        if count >= self.max_migrations_per_page:
+        if count >= MAX_MIGRATIONS_PER_PAGE:
             self.pin(page)  # thrashing page: stop bouncing it around
         return self.page_table.migrate(page, new_owner)
 
 
-__all__ = ["AccessCounterMigrationPolicy", "MigrationDecision"]
+__all__ = ["AccessCounterMigrationPolicy", "MAX_MIGRATIONS_PER_PAGE", "MigrationDecision"]

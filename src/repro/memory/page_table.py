@@ -31,9 +31,6 @@ class PageTable:
         per_page[accessor] = count
         return count
 
-    def access_count(self, page: int, accessor: int) -> int:
-        return self._access_counts.get(page, {}).get(accessor, 0)
-
     def migrate(self, page: int, new_owner: int) -> int:
         """Re-own ``page``; clears its counters.  Returns the old owner."""
         old = self.owner(page)
@@ -43,9 +40,6 @@ class PageTable:
         self.migrations += 1
         self._access_counts.pop(page, None)
         return old
-
-    def pages_owned_by(self, node: int) -> list[int]:
-        return [p for p, o in self._owner.items() if o == node]
 
     def __len__(self) -> int:
         return len(self._owner)

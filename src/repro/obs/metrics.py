@@ -122,7 +122,7 @@ class MetricsRegistry:
         return stat
 
     # ------------------------------------------------------------------
-    # Adoption and introspection
+    # Adoption
     # ------------------------------------------------------------------
     def register(self, name: str, stat: object) -> None:
         """Adopt an existing primitive under ``name``.
@@ -139,18 +139,6 @@ class MetricsRegistry:
         validate_name(name)
         encode_metric(stat)  # raises TypeError on unsupported primitives
         self._metrics[name] = stat
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
-    def get(self, name: str):
-        return self._metrics[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
     # ------------------------------------------------------------------
     # Snapshot

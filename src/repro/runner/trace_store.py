@@ -163,22 +163,16 @@ class TraceStore:
         )
 
 
-def default_trace_store(
-    trace_dir: str | Path | None = None, use_store: bool | None = None
-) -> TraceStore:
+def default_trace_store() -> TraceStore:
     """Build the trace store an entry point should use.
 
-    An explicit ``use_store`` wins; otherwise ``REPRO_NO_TRACE_STORE``
-    drops the disk layer (the in-process memo always stays — it is free
-    and required for cross-scheme sharing); ``trace_dir`` (or
-    ``REPRO_TRACE_DIR``) overrides the default root.
+    ``REPRO_NO_TRACE_STORE`` drops the disk layer (the in-process memo
+    always stays — it is free and required for cross-scheme sharing);
+    ``REPRO_TRACE_DIR`` overrides the default root.
     """
-    if use_store is None:
-        use_store = not os.environ.get("REPRO_NO_TRACE_STORE")
-    if not use_store:
+    if os.environ.get("REPRO_NO_TRACE_STORE"):
         return TraceStore(root=None)
-    root = trace_dir or os.environ.get("REPRO_TRACE_DIR") or DEFAULT_TRACE_DIR
-    return TraceStore(root)
+    return TraceStore(os.environ.get("REPRO_TRACE_DIR") or DEFAULT_TRACE_DIR)
 
 
 __all__ = [

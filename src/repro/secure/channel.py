@@ -123,10 +123,10 @@ class _TransportBase:
             self._fault_counters[event] = counter
         counter.value += 1
 
-    # The two notes below do IntervalSeries.record in place: one bucket per
-    # channel, and a channel's dict made on its first record, so a channel
-    # that never saw a message stays out of the report.  They stay methods:
-    # repro.tracing.MessageTracer wraps them per instance.
+    # The two notes below fill the IntervalSeries buckets in place: one add
+    # per channel, and a channel's dict made on its first message, so a
+    # channel that never saw a message stays out of the report.  They stay
+    # methods: repro.tracing.MessageTracer wraps them per instance.
 
     def _note_send(self, packet: Packet, now: int) -> None:
         self.messages_sent += 1
@@ -271,7 +271,7 @@ class SecureTransport(_TransportBase):
                     partial(self._batch_timeout, src, dst, batch_ctx.batch_id),
                 )
         else:
-            meta = self.accountant.conventional_meta(packet)
+            meta = self.accountant.conventional_meta()
             self.conventional_msgs += 1
         packet.size_bytes += meta
         packet.meta_bytes = meta

@@ -98,8 +98,6 @@ class InvariantMonitor:
         self._recv_pads: dict[tuple[int, int], CounterLedger] = {}
         self._tampered: set[tuple[int, int, int]] = set()
         self._rejected: set[tuple[int, int, int]] = set()
-        self.counters_issued = 0
-        self.deliveries = 0
 
     def _flag(self, message: str) -> None:
         self.violations.append(message)
@@ -109,7 +107,6 @@ class InvariantMonitor:
     # ------------------------------------------------------------------
     def on_counter(self, src: int, dst: int, counter: int) -> None:
         """A sender issued ``counter`` on the (src -> dst) pair."""
-        self.counters_issued += 1
         last = self._last_counter.get((src, dst))
         if last is not None and counter <= last:
             self._flag(
@@ -155,7 +152,6 @@ class InvariantMonitor:
 
     def on_delivered(self, src: int, dst: int, counter: int, pid: int) -> None:
         """A device consumed the block carried by one wire copy."""
-        self.deliveries += 1
         key = (pid, counter)
         if key in self._tampered:
             self._flag(

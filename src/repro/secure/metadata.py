@@ -11,7 +11,7 @@ security latencies apply but metadata occupies no link bandwidth.
 from __future__ import annotations
 
 from repro.configs import MetadataConfig
-from repro.interconnect.packet import Packet, PacketKind
+from repro.interconnect.packet import PacketKind
 
 #: Message kinds that carry a data payload and therefore get ACKed for
 #: replay protection (read requests are implicitly covered by their
@@ -49,9 +49,9 @@ class MetadataAccountant:
     def _sized(self, nbytes: int) -> int:
         return nbytes if self.count_metadata else 0
 
-    def conventional_meta(self, packet: Packet) -> int:
-        """MsgCTR + MsgMAC + senderID on every secured message."""
-        del packet  # same for all kinds in the conventional protocol
+    def conventional_meta(self) -> int:
+        """MsgCTR + MsgMAC + senderID on every secured message, whatever
+        its kind."""
         return self._sized(self.metadata.per_message_meta_bytes)
 
     def batched_block_meta(self, opens_batch: bool, closes_batch: bool) -> int:

@@ -38,8 +38,6 @@ class CachedScheme(OtpScheme):
                 self._streams[(direction, peer)] = PadStream(self._latency, per_stream + extra)
         #: cycle of each stream's latest acquisition, for the LRU victim choice
         self._last_use = dict.fromkeys(self._streams, 0)
-        self.evictions = 0
-        self.table_misses = 0
 
     # ------------------------------------------------------------------
     # LRU stealing
@@ -60,7 +58,6 @@ class CachedScheme(OtpScheme):
             return False
         self._streams[victim_key].shrink(1)
         self._streams[needy].grow(now, 1)
-        self.evictions += 1
         return True
 
     def _acquire(self, key: tuple[int, int], now: int, synced: bool) -> int:
@@ -70,7 +67,6 @@ class CachedScheme(OtpScheme):
         if stream.capacity == 0:
             # Not resident: behave like Shared (full-latency generation)
             # and bring the stream into the table by stealing an entry.
-            self.table_misses += 1
             self._steal_entry(key, now)
             return self._latency
         if not synced:

@@ -27,15 +27,12 @@ class SharedScheme(OtpScheme):
         self._send_stream = PadStream(self._latency, capacity=1)
         self._recv_streams = {p: PadStream(self._latency, capacity=1) for p in peers}
         self._last_dst: int | None = None
-        self.destination_switches = 0
 
     def acquire_send(self, peer: int, now: int) -> tuple[int, bool]:
         wait = self._record(self.send_outcomes, self._send_stream.consume(now))
         # The receiver's pre-generated pad is only for the shared counter's
         # next value if the previous send also went to this peer.
         synced = self._last_dst == peer
-        if not synced:
-            self.destination_switches += 1
         self._last_dst = peer
         return wait, synced
 

@@ -33,9 +33,6 @@ class Counter:
     def add(self, amount: int | float = 1) -> None:
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
 
@@ -87,28 +84,15 @@ class Histogram:
             return [0.0] * len(self.counts)
         return [c / self.total for c in self.counts]
 
-    def bin_labels(self) -> list[str]:
-        """Labels matching :meth:`record`'s binning exactly.
-
-        ``bisect_right`` routes every value below ``edges[0]`` — negative
-        samples included — into the first bin, so its label is
-        ``[-inf, edges[0])``, not ``[0, edges[0])``.
-        """
-        labels = [f"[-inf, {self.edges[0]})"] if self.edges else ["all"]
-        for lo, hi in zip(self.edges, self.edges[1:]):
-            labels.append(f"[{lo}, {hi})")
-        if self.edges:
-            labels.append(f"[{self.edges[-1]}, inf)")
-        return labels
-
 
 class IntervalSeries:
-    """Accumulates values into fixed-width time intervals.
+    """Values accumulated into fixed-width time intervals.
 
-    Used for the communication-pattern timelines (Figs 13/14): each call to
-    :meth:`record` adds ``amount`` into the interval that contains ``time``.
-    Multiple named channels share the interval grid, so per-destination
-    decompositions line up.
+    Used for the communication-pattern timelines (Figs 13/14).  The
+    transport fills ``_channels`` in place, one bucket add per message
+    (``_TransportBase._note_send``/``_note_arrival``); multiple named
+    channels share the interval grid, so per-destination decompositions
+    line up.
     """
 
     def __init__(self, name: str, interval: int) -> None:
@@ -117,11 +101,6 @@ class IntervalSeries:
         self.name = name
         self.interval = interval
         self._channels: dict[str, dict[int, float]] = {}
-
-    def record(self, time: int, channel: str, amount: float = 1.0) -> None:
-        bucket = time // self.interval
-        chan = self._channels.setdefault(channel, {})
-        chan[bucket] = chan.get(bucket, 0.0) + amount
 
     def channels(self) -> list[str]:
         return sorted(self._channels)
@@ -140,38 +119,22 @@ class IntervalSeries:
                 highest = max(highest, max(chan))
         return highest + 1
 
-    def stacked_fractions(self, n_buckets: int | None = None) -> dict[str, list[float]]:
-        """Per-bucket fraction of each channel (stacked-area view)."""
-        if n_buckets is None:
-            n_buckets = self.n_buckets()
-        dense = {c: self.series(c, n_buckets) for c in self.channels()}
-        totals = [sum(dense[c][i] for c in dense) for i in range(n_buckets)]
-        out: dict[str, list[float]] = {}
-        for chan, values in dense.items():
-            out[chan] = [v / t if t else 0.0 for v, t in zip(values, totals)]
-        return out
-
 
 @dataclass
 class RatioStat:
     """Counts of categorical outcomes, reported as fractions.
 
-    The OTP hit/partial/miss decomposition uses exactly this.
+    The OTP hit/partial/miss decomposition uses exactly this: the scheme's
+    ``OtpScheme._record`` adds to ``counts`` in place, one bucket per pad
+    acquisition.
     """
 
     name: str
     counts: dict[str, int] = field(default_factory=dict)
 
-    def record(self, category: str, amount: int = 1) -> None:
-        self.counts[category] = self.counts.get(category, 0) + amount
-
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def fraction(self, category: str) -> float:
-        total = self.total
-        return self.counts.get(category, 0) / total if total else 0.0
 
     def fractions(self) -> dict[str, float]:
         total = self.total

@@ -98,10 +98,6 @@ class CompiledTrace:
     def total_accesses(self) -> int:
         return sum(t.n_accesses for t in self.gpu_traces.values())
 
-    @property
-    def total_instructions(self) -> int:
-        return sum(t.instructions for t in self.gpu_traces.values())
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CompiledTrace)

@@ -54,6 +54,30 @@ def four_cpus(monkeypatch):
 
 
 @pytest.fixture
+def calls(monkeypatch):
+    """``calls(cls, name)`` wraps the method ``cls.name`` for one test and
+    returns the list it appends ``(instance, args, result)`` to per call.
+
+    Device tallies live in no object: a test counts cache hits, HBM
+    accesses or fabric sends at the entry point that makes them.
+    """
+
+    def wrap(cls, name):
+        log = []
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            result = original(self, *args)
+            log.append((self, args, result))
+            return result
+
+        monkeypatch.setattr(cls, name, wrapper)
+        return log
+
+    return wrap
+
+
+@pytest.fixture
 def sim():
     return Simulator()
 

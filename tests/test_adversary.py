@@ -498,8 +498,10 @@ class TestLedgerMemory:
             _deep_size(ledgers, seen)
             for ledgers in (monitor._send_pads, monitor._recv_pads, transport._recv_seen)
         )
-        assert monitor.counters_issued > 1000
-        assert size <= 16 * monitor.counters_issued
+        # every counter a sender issued, as the guard ledgers settle it
+        issued = sum(guard.sent for guard in transport.guards.values())
+        assert issued > 1000
+        assert size <= 16 * issued
 
 
 class TestExperimentHarness:

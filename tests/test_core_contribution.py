@@ -232,7 +232,9 @@ class TestBatchingController:
         c.add_block(2)
         g = c.add_block(3)
         assert g.opens_batch
-        assert c.open_batch(2) is not None and c.open_batch(3) is not None
+        # both batches stayed open: each peer's second block closes its own
+        assert [c.add_block(p).closes_batch for p in (2, 3)] == [True, True]
+        assert c.batches_opened == 2
 
     def test_timeout_close(self):
         c = self._controller(batch_size=16)
@@ -240,7 +242,7 @@ class TestBatchingController:
         closed = c.timeout_close(2, g.batch_id)
         assert closed == 1
         assert c.batches_closed_timeout == 1
-        assert c.open_batch(2) is None
+        assert c.add_block(2).opens_batch  # nothing left open toward 2
 
     def test_stale_timeout_ignored(self):
         c = self._controller(batch_size=2)
@@ -259,7 +261,7 @@ class TestBatchingController:
         assert c.timeout_close(2, g1.batch_id) is None
         assert c.stale_timeouts == 1
         assert (c.batches_closed_full, c.batches_closed_timeout) == (full, timeout)
-        assert c.open_batch(2) is None
+        assert c.add_block(2).opens_batch  # the stale timer opened nothing
 
     def test_stale_timeout_never_touches_the_successor_batch(self):
         # Interleaving: batch A full-closes, batch B opens toward the same
@@ -271,8 +273,8 @@ class TestBatchingController:
         gb = c.add_block(2)  # B opens
         assert c.timeout_close(2, ga.batch_id) is None  # A's timer, stale
         assert c.stale_timeouts == 1
-        assert c.open_batch(2) == (gb.batch_id, 1)
-        assert c.timeout_close(2, gb.batch_id) == 1  # B's timer, live
+        # B's timer, live: it closes B, still open with its one block
+        assert c.timeout_close(2, gb.batch_id) == 1
         assert c.batches_closed_timeout == 1
         # ...and B's id is now stale too: a duplicate timer is a no-op.
         assert c.timeout_close(2, gb.batch_id) is None

@@ -1,8 +1,11 @@
-"""AES-128 validated against FIPS-197 and NIST SP 800-38A vectors."""
+"""AES validated against FIPS-197 and NIST SP 800-38A vectors.
+
+Counter mode and GCM only run the forward cipher, so only encryption is
+implemented and checked here."""
 
 import pytest
 
-from repro.crypto.aes import AES128, INV_SBOX, SBOX
+from repro.crypto.aes import AES128, SBOX
 
 
 def test_sbox_known_entries():
@@ -13,9 +16,8 @@ def test_sbox_known_entries():
     assert SBOX[0xFF] == 0x16
 
 
-def test_inv_sbox_inverts_sbox():
-    for x in range(256):
-        assert INV_SBOX[SBOX[x]] == x
+def test_sbox_is_a_permutation():
+    assert sorted(SBOX) == list(range(256))
 
 
 def test_fips197_appendix_b_vector():
@@ -31,7 +33,6 @@ def test_fips197_appendix_c1_vector():
     expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
     cipher = AES128(key)
     assert cipher.encrypt_block(plaintext) == expected
-    assert cipher.decrypt_block(expected) == plaintext
 
 
 @pytest.mark.parametrize(
@@ -49,13 +50,6 @@ def test_sp800_38a_ecb_vectors(plaintext, expected):
     assert cipher.encrypt_block(bytes.fromhex(plaintext)) == bytes.fromhex(expected)
 
 
-def test_round_trip_random_blocks():
-    cipher = AES128(bytes(range(16)))
-    for i in range(16):
-        block = bytes((i * 17 + j * 31) % 256 for j in range(16))
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
-
 def test_key_length_validated():
     with pytest.raises(ValueError):
         AES128(b"short")
@@ -65,8 +59,6 @@ def test_block_length_validated():
     cipher = AES128(bytes(16))
     with pytest.raises(ValueError):
         cipher.encrypt_block(b"tiny")
-    with pytest.raises(ValueError):
-        cipher.decrypt_block(b"tiny")
 
 
 class TestGenericKeySizes:
@@ -82,7 +74,6 @@ class TestGenericKeySizes:
         expected = bytes.fromhex("dda97ca4864cdfe06eaf70a0ec0d7191")
         assert cipher.rounds == 12
         assert cipher.encrypt_block(self.PLAINTEXT) == expected
-        assert cipher.decrypt_block(expected) == self.PLAINTEXT
 
     def test_aes256_appendix_c3(self):
         from repro.crypto.aes import AES
@@ -94,7 +85,6 @@ class TestGenericKeySizes:
         expected = bytes.fromhex("8ea2b7ca516745bfeafc49904b496089")
         assert cipher.rounds == 14
         assert cipher.encrypt_block(self.PLAINTEXT) == expected
-        assert cipher.decrypt_block(expected) == self.PLAINTEXT
 
     def test_invalid_key_sizes_rejected(self):
         from repro.crypto.aes import AES

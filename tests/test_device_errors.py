@@ -72,7 +72,7 @@ class TestIdealScheme:
     def test_stats_recorded(self):
         s = self._scheme()
         s.acquire_send(2, 0)
-        assert s.send_outcomes.fraction("hit") == 1.0
+        assert s.send_outcomes.fractions() == {"hit": 1.0}
 
     def test_pool_size_reports_unbounded(self):
         assert self._scheme().pool_size() == 0

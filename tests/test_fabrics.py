@@ -15,22 +15,32 @@ def packet(src, dst, size=80):
     return Packet(kind=PacketKind.DATA_RESP, src=src, dst=dst, size_bytes=size)
 
 
+def reached_channels(topo):
+    """Every channel that some (src -> dst) path crosses, each once."""
+    reached = {}
+    for src in topo.nodes():
+        for dst in topo.peers_of(src):
+            for channel in topo.path(src, dst):
+                reached[id(channel)] = channel
+    return list(reached.values())
+
+
 class TestRing:
     def test_adjacent_is_single_hop(self):
         topo = Topology(4, fabric="ring")
-        assert topo.hop_count(1, 2) == 1
-        assert topo.hop_count(2, 1) == 1
+        assert len(topo.path(1, 2)) == 1
+        assert len(topo.path(2, 1)) == 1
 
     def test_opposite_corner_hops_through_ring(self):
         topo = Topology(4, fabric="ring")
-        assert topo.hop_count(1, 3) == 2
+        assert len(topo.path(1, 3)) == 2
         topo8 = Topology(8, fabric="ring")
-        assert topo8.hop_count(1, 5) == 4
+        assert len(topo8.path(1, 5)) == 4
 
     def test_shortest_direction_chosen(self):
         topo = Topology(8, fabric="ring")
-        assert topo.hop_count(1, 8) == 1  # counter-clockwise wrap
-        assert topo.hop_count(8, 2) == 2
+        assert len(topo.path(1, 8)) == 1  # counter-clockwise wrap
+        assert len(topo.path(8, 2)) == 2
 
     def test_ring_arrival_grows_with_distance(self):
         topo = Topology(8, fabric="ring")
@@ -47,8 +57,8 @@ class TestRing:
 
     def test_pcie_unchanged_by_fabric(self):
         topo = Topology(4, fabric="ring")
-        assert topo.hop_count(0, 3) == 1
-        assert topo.hop_count(3, 0) == 1
+        assert len(topo.path(0, 3)) == 1
+        assert len(topo.path(3, 0)) == 1
 
 
 class TestSwitch:
@@ -85,7 +95,7 @@ class TestFabricValidation:
     @pytest.mark.parametrize("fabric", FABRICS)
     def test_channels_listing_covers_fabric(self, fabric):
         topo = Topology(3, fabric=fabric)
-        names = [c.name for c in topo.channels()]
+        names = [c.name for c in reached_channels(topo)]
         assert len(names) == len(set(names))
         if fabric == "switch":
             assert "nvswitch" in names

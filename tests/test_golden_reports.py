@@ -6,12 +6,12 @@ scheme's default configuration.  These cells cover the other leaves a
 hot-path change could move without anyone noticing: secured control
 messages, +SecureCommu (no metadata bytes), the audit log, the ring and
 switch fabrics, batches closed by their timeout, Shared and Cached under
-destination switches, page migrations with their shootdowns, and a
-hostile link.
+destination switches, page migrations with their shootdowns, and hostile
+links: link faults alone, the adversary alone, and both at once.
 
 The trace is built from :class:`~repro.workloads.builder.TraceBuilder`
 primitives with ``lane_jitter=0``, so nothing draws from numpy and the
-hashes hold for any numpy release; the hostile cell's perturbation rolls
+hashes hold for any numpy release; the hostile cells' perturbation rolls
 come from Python's ``random`` seeded by a string.  A change that moves a
 hash changes a report: it is a simulation change, not a speed-up.
 """
@@ -27,6 +27,7 @@ import pytest
 from repro.configs import scheme_config
 from repro.memory.address_space import Placement
 from repro.runner.serialize import report_to_dict
+from repro.secure.schemes.shared import SharedScheme
 from repro.system import MultiGpuSystem
 from repro.workloads.builder import TraceBuilder
 
@@ -80,6 +81,14 @@ CELLS = {
     "batching-hostile": _cell("batching")
     .with_fault(drop_rate=0.02, corrupt_rate=0.02, seed=3)
     .with_adversary(replay_rate=0.02, flip_cipher_rate=0.02, reorder_rate=0.02, seed=3),
+    # one hostile section each: recovery counts under fault.* with no
+    # monitor, or under adv.* with no FaultStats
+    "private-fault": _cell("private").with_fault(
+        drop_rate=0.02, corrupt_rate=0.02, duplicate_rate=0.01, delay_rate=0.01, seed=3
+    ),
+    "private-adversary": _cell("private").with_adversary(
+        replay_rate=0.02, flip_cipher_rate=0.02, reorder_rate=0.02, forge_rate=0.01, seed=3
+    ),
 }
 
 #: SHA-256 of each cell's canonical report JSON (sorted keys, compact).
@@ -93,6 +102,8 @@ GOLDEN = {
     "shared": "f71eb9ae2d1430360309d2cad68da3c1104d7c7d3fce015c6445e372888c83db",
     "cached": "f79f30c61d435f84641265a58d383c1e7b8707a728c1923c052a397ef41691dd",
     "batching-hostile": "a74f24d1cbb90e635870cf6bc4224195e2a31070c35e68b71f053e6c08dfa1bc",
+    "private-fault": "6828f428a3f99f17cac7109dea04e52666411798be9b60f20bdc1cf4211eec5a",
+    "private-adversary": "3fe57166358ae0f6df75f69fa067d493cb599df7ac5a96b0dbb33a96d31caa1e",
 }
 
 
@@ -113,16 +124,20 @@ def test_report_matches_its_golden_hash(trace, cell):
     assert canonical_sha256(report) == GOLDEN[cell]
 
 
-def test_cells_exercise_what_they_name(trace):
+def test_cells_exercise_what_they_name(trace, calls):
     """Each cell reaches the leaf it is named for, so its hash pins it."""
+
+    def capacities(scheme):
+        return {(d, p): scheme.stream_capacity(d, p) for d in ("send", "recv") for p in scheme.peers}
+
+    shared_sends = calls(SharedScheme, "acquire_send")
     systems = {name: MultiGpuSystem(cfg) for name, cfg in CELLS.items()}
+    cached = systems["cached"].transport.schemes
+    initial_shares = {node: capacities(scheme) for node, scheme in cached.items()}
     reports = {name: system.run(trace) for name, system in systems.items()}
 
     def metric(cell, name):
         return reports[cell].metrics.get(name, {}).get("value", 0)
-
-    def schemes(cell):
-        return systems[cell].transport.schemes.values()
 
     assert all(report.migrations > 0 for report in reports.values())
     assert metric("batching-timeout", "batch.closed_timeout") > 0
@@ -133,8 +148,22 @@ def test_cells_exercise_what_they_name(trace):
     assert systems["private-audit"].transport.audit_log
     assert systems["batching-ring"].topology.fabric == "ring"
     assert systems["private-switch"].topology.fabric == "switch"
-    assert sum(s.destination_switches for s in schemes("shared")) > 0
-    assert sum(s.evictions for s in schemes("cached")) > 0
+    # a destination switch is a Shared send the receiver cannot follow
+    assert any(not synced for _, _, (_, synced) in shared_sends)
+    # Cached stole entries: some stream left its initial share
+    assert any(capacities(s) != initial_shares[node] for node, s in cached.items())
     hostile = reports["batching-hostile"]
     assert hostile.fault_stats.retransmits > 0
     assert hostile.attack_report.as_dict()["detected"]
+    fault_only = reports["private-fault"]
+    assert fault_only.fault_stats is not None and fault_only.attack_report is None
+    assert systems["private-fault"].transport.monitor is None
+    assert (metric("private-fault", "fault.dup_discard"), metric("private-fault", "fault.delay")) == (11, 10)
+    adversary_only = reports["private-adversary"]
+    assert adversary_only.fault_stats is None and adversary_only.attack_report is not None
+    assert systems["private-adversary"].transport.monitor is not None
+    assert (
+        metric("private-adversary", "adv.retransmit"),
+        metric("private-adversary", "adv.forge_injected"),
+    ) == (26, 17)
+    assert fault_only.migrations == adversary_only.migrations == 13

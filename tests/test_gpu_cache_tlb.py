@@ -17,7 +17,6 @@ class TestCache:
         assert not c.lookup(0)
         c.fill(0)
         assert c.lookup(0)
-        assert c.stats.hits == 1 and c.stats.misses == 1
 
     def test_lru_eviction_within_set(self):
         c = self._small()
@@ -25,27 +24,21 @@ class TestCache:
         c.fill(0)
         c.fill(128)
         c.lookup(0)  # 0 is now MRU
-        c.fill(256)  # evicts 128
-        assert c.contains(0)
-        assert not c.contains(128)
-        assert c.contains(256)
-        assert c.stats.evictions == 1
+        assert c.fill(256) == 128  # the LRU line is the victim
+        assert c.lookup(0) and c.lookup(256)
+        assert not c.lookup(128)
 
     def test_fill_returns_victim_address(self):
         c = self._small()
         c.fill(0)
         c.fill(128)
-        victim = c.fill(256)
-        assert victim == 0 or victim == 128
+        assert c.fill(256) == 0  # neither touched since its fill: 0 is LRU
 
     def test_sets_are_independent(self):
         c = self._small()
-        c.fill(0)  # set 0
-        c.fill(64)  # set 1
-        c.fill(128)  # set 0
-        c.fill(192)  # set 1
-        assert c.occupancy == 4
-        assert c.stats.evictions == 0
+        # sets 0, 1, 0, 1: two lines each, so nothing is evicted
+        assert [c.fill(addr) for addr in (0, 64, 128, 192)] == [None] * 4
+        assert all(c.lookup(addr) for addr in (0, 64, 128, 192))
 
     def test_invalidate_and_page_invalidate(self):
         c = SetAssociativeCache("t", size_bytes=64 * 64, assoc=4)
@@ -53,8 +46,8 @@ class TestCache:
             c.fill(addr)
         dropped = c.invalidate_page(0, 4096)
         assert dropped == 64
-        assert c.occupancy == 0
-        assert not c.invalidate(0)  # already gone
+        assert not any(c.lookup(addr) for addr in range(0, 4096, 64))
+        assert c.invalidate_page(0, 4096) == 0  # already gone
 
     def test_table3_geometries_accepted(self):
         SetAssociativeCache("l1", 16 * 1024, 4)
@@ -66,21 +59,6 @@ class TestCache:
         with pytest.raises(ValueError):
             SetAssociativeCache("t", size_bytes=0, assoc=1)
 
-    def test_contains_does_not_touch_lru(self):
-        c = self._small()
-        c.fill(0)
-        c.fill(128)
-        c.contains(0)  # must NOT refresh 0
-        c.fill(256)
-        assert not c.contains(0)  # 0 was LRU and evicted
-
-    def test_hit_rate(self):
-        c = self._small()
-        c.fill(0)
-        c.lookup(0)
-        c.lookup(64)
-        assert c.stats.hit_rate == pytest.approx(0.5)
-
 
 class TestTlb:
     def test_lru_capacity(self):
@@ -89,7 +67,8 @@ class TestTlb:
         t.fill(2)
         t.lookup(1)
         t.fill(3)  # evicts 2
-        assert 1 in t and 3 in t and 2 not in t
+        assert t.lookup(1) and t.lookup(3)
+        assert not t.lookup(2)
 
     def test_hierarchy_promotion(self):
         h = TlbHierarchy("g", l1_entries=1, l2_entries=4)
@@ -97,10 +76,9 @@ class TestTlb:
         assert walk and delay == h.l1_latency + h.l2_latency
         delay, walk = h.translate(0)  # L1 hit now
         assert not walk and delay == h.l1_latency
-        h.translate(4096)  # displaces page 0 from 1-entry L1
+        assert h.translate(4096)[1]  # displaces page 0 from 1-entry L1
         delay, walk = h.translate(0)  # L2 hit
         assert not walk and delay == h.l1_latency + h.l2_latency
-        assert h.iommu_walks == 2
 
     def test_shootdown_forces_rewalk(self):
         h = TlbHierarchy("g")
@@ -108,12 +86,6 @@ class TestTlb:
         h.shootdown(0)
         _, walk = h.translate(0)
         assert walk
-
-    def test_flush(self):
-        t = Tlb("t", 4)
-        t.fill(9)
-        t.flush()
-        assert 9 not in t
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -131,13 +103,6 @@ class TestHbm:
         done2 = hbm.access(0, 4096)
         assert done1 == 8 + 10
         assert done2 == 16 + 10
-
-    def test_counters(self):
-        hbm = HbmModel("h")
-        hbm.access(0, 64)
-        hbm.access(0, 64)
-        assert hbm.accesses == 2
-        assert hbm.total_bytes == 128
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.configs import GpuConfig, MigrationConfig, SystemConfig
+from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.compute_unit import ComputeUnitLane
 from repro.gpu.cpu import DRAM_BYTES_PER_CYCLE, MemoryNode
 from repro.gpu.gpu import GpuDevice
@@ -10,6 +11,7 @@ from repro.gpu.hbm import HbmModel
 from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.topology import CPU_NODE
 from repro.memory.address_space import BLOCK_BYTES, BLOCKS_PER_PAGE, PAGE_BYTES
+from repro.memory.directory import BlockDirectory
 from repro.memory.migration import AccessCounterMigrationPolicy
 from repro.memory.page_table import PageTable
 from repro.workloads.compiled import CompiledGpuTrace, CompiledLane
@@ -44,9 +46,15 @@ def reads(addresses, gap=1):
     return CompiledLane((gap,) * n, tuple(addresses), (0,) * n)
 
 
-def cache_hits(gpu):
-    """Reads served by L1 or, on an L1 miss, by L2."""
-    return sum(l1.stats.hits for l1 in gpu.l1s) + gpu.l2.stats.hits
+def cache_hits(lookups):
+    """Reads served by L1 or, on an L1 miss, by L2, from the log of
+    ``SetAssociativeCache.lookup`` calls."""
+    return sum(1 for _, _, hit in lookups if hit)
+
+
+def accesses_of(memory, log):
+    """The ``(now, size_bytes)`` of each ``HbmModel.access`` on ``memory``."""
+    return [args for model, args, _ in log if model is memory]
 
 
 class TestComputeUnitLane:
@@ -94,8 +102,9 @@ class TestComputeUnitLane:
 
 
 class TestGpuLocalExecution:
-    def test_pure_local_reads_finish(self, sim, fake_transport):
+    def test_pure_local_reads_finish(self, sim, fake_transport, calls):
         # GPU 1 owns page 1; all accesses local.
+        hbm = calls(HbmModel, "access")
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
         addrs = [PAGE_BYTES + i * BLOCK_BYTES for i in range(8)]
         gpu.load_trace(CompiledGpuTrace((reads(addrs),), instructions=1000))
@@ -103,10 +112,12 @@ class TestGpuLocalExecution:
         sim.run()
         assert gpu.finish_cycle is not None
         assert gpu.remote_requests == 0
-        assert gpu.memory.accesses == 8  # every local miss reads HBM
+        assert len(accesses_of(gpu.memory, hbm)) == 8  # every local miss reads HBM
         assert fake_transport.sent == []
 
-    def test_cache_hits_filter_memory_traffic(self, sim, fake_transport):
+    def test_cache_hits_filter_memory_traffic(self, sim, fake_transport, calls):
+        lookups = calls(SetAssociativeCache, "lookup")
+        hbm = calls(HbmModel, "access")
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
         addr = PAGE_BYTES
         # serial accesses (gap larger than walk+HBM) so the first fill lands
@@ -114,8 +125,8 @@ class TestGpuLocalExecution:
         gpu.load_trace(CompiledGpuTrace((reads([addr] * 10, gap=500),), instructions=100))
         gpu.start()
         sim.run()
-        assert cache_hits(gpu) == 9
-        assert gpu.memory.accesses == 1
+        assert cache_hits(lookups) == 9
+        assert len(accesses_of(gpu.memory, hbm)) == 1
 
     def test_pump_grants_ready_lanes_round_robin(self, sim, fake_transport, monkeypatch):
         gpu, _ = make_gpu(sim, fake_transport, {1: 1})
@@ -167,7 +178,8 @@ class TestGpuRemoteExecution:
         assert gpu.remote_requests == 4
         assert rpki_of(gpu.remote_requests, gpu.instructions) == pytest.approx(4.0)
 
-    def test_duplicate_block_requests_merge(self, sim, fake_transport):
+    def test_duplicate_block_requests_merge(self, sim, fake_transport, calls):
+        requests = calls(BlockDirectory, "request")
         gpu, _ = make_gpu(sim, fake_transport, {0: 0}, lane_outstanding=8)
         host_cpu(sim, fake_transport)
         # two lanes read the same block at the same time: one fetch expected
@@ -177,7 +189,8 @@ class TestGpuRemoteExecution:
         sim.run()
         reqs = [p for p in fake_transport.sent if p.kind is PacketKind.READ_REQ]
         assert len(reqs) == 1
-        assert gpu.directory.merged == 1
+        # the first request issues the fetch, the second merges into it
+        assert [must_issue for _, _, must_issue in requests] == [True, False]
         assert gpu.finish_cycle is not None
 
     def test_remote_write_completes_via_ack(self, sim, fake_transport):
@@ -192,15 +205,16 @@ class TestGpuRemoteExecution:
         assert PacketKind.WRITE_ACK in kinds
         assert gpu.finish_cycle is not None
 
-    def test_second_read_of_same_block_hits_l2(self, sim, fake_transport):
+    def test_second_read_of_same_block_hits_l2(self, sim, fake_transport, calls):
+        lookups = calls(SetAssociativeCache, "lookup")
         gpu = self._run_remote(sim, fake_transport, n_blocks=1)
-        assert cache_hits(gpu) == 0
+        assert cache_hits(lookups) == 0
         # re-run same address: already filled into L2+L1 by the response
-        assert gpu.l2.contains(0)
+        assert gpu.l2.lookup(0)
 
     def test_global_window_throttles_issue(self, sim, fake_transport):
         gpu, _ = make_gpu(
-            sim, fake_transport, {0: 0}, max_outstanding=2, n_lanes=1, lane_outstanding=64
+            sim, fake_transport, {0: 0}, max_outstanding=2, lane_outstanding=64
         )
         host_cpu(sim, fake_transport)
         addrs = [i * BLOCK_BYTES for i in range(8)]
@@ -338,9 +352,10 @@ class TestMigration:
         gpu.load_trace(CompiledGpuTrace((reads([PAGE_BYTES]),), instructions=10))
         gpu.start()
         sim.run()
-        assert gpu.l2.contains(PAGE_BYTES)
+        assert gpu.l2.lookup(PAGE_BYTES) and gpu.l1s[0].lookup(PAGE_BYTES)
         gpu.invalidate_page(1)
-        assert not gpu.l2.contains(PAGE_BYTES)
+        assert not gpu.l2.lookup(PAGE_BYTES)
+        assert not gpu.l1s[0].lookup(PAGE_BYTES)
 
 
 class TestMemoryNode:
@@ -360,7 +375,7 @@ class TestMemoryNode:
         ],
     )
     def test_request_answered_when_memory_is_done(
-        self, sim, fake_transport, server, kind, served_bytes, replies
+        self, sim, fake_transport, calls, server, kind, served_bytes, replies
     ):
         if server == "cpu":
             node = host_cpu(sim, fake_transport)
@@ -371,6 +386,7 @@ class TestMemoryNode:
         memory = node.memory
         twin = HbmModel("twin", memory.access_latency, memory.bytes_per_cycle)
         done = twin.access(5, served_bytes)
+        hbm = calls(HbmModel, "access")
         address = PAGE_BYTES + 3 * BLOCK_BYTES
         request = Packet(
             kind=kind, src=1, dst=node.node_id, size_bytes=16, txn_id=7, address=address
@@ -385,4 +401,4 @@ class TestMemoryNode:
             ]
         else:
             assert (sent[0][0].txn_id, sent[0][0].address) == (7, address)
-        assert (memory.accesses, memory.total_bytes) == (1, served_bytes)
+        assert accesses_of(memory, hbm) == [(5, served_bytes)]

@@ -78,27 +78,33 @@ class TestTopology:
     def test_channel_count_ports_plus_bus(self):
         topo = Topology(n_gpus=4)
         # 2 PCIe bus directions + 4 GPU egress + 4 GPU ingress ports
-        assert len(topo.channels()) == 10
+        reached = {
+            id(channel)
+            for src in topo.nodes()
+            for dst in topo.peers_of(src)
+            for channel in topo.path(src, dst)
+        }
+        assert len(reached) == 10
 
     def test_link_rates_match_table3(self):
         topo = Topology(n_gpus=2)
-        pcie = topo.channel(CPU_NODE, 1)
-        nvlink = topo.channel(1, 2)
+        pcie = topo.path(CPU_NODE, 1)[0]
+        nvlink = topo.path(1, 2)[0]
         assert pcie.bytes_per_cycle == 32.0
         assert nvlink.bytes_per_cycle == 50.0
 
     def test_pcie_is_a_shared_bus(self):
         topo = Topology(n_gpus=3)
         # all CPU->GPU flows serialize on the same downstream bus channel
-        assert topo.channel(CPU_NODE, 1) is topo.channel(CPU_NODE, 2)
+        assert topo.path(CPU_NODE, 1)[0] is topo.path(CPU_NODE, 2)[0]
         # directions are independent
-        assert topo.channel(CPU_NODE, 1) is not topo.channel(1, CPU_NODE)
+        assert topo.path(CPU_NODE, 1)[0] is not topo.path(1, CPU_NODE)[0]
 
     def test_gpu_path_crosses_egress_then_ingress(self):
         topo = Topology(n_gpus=3)
         path = topo.path(1, 3)
         assert len(path) == 2
-        assert path[0] is topo.channel(1, 2)  # source egress port is shared
+        assert path[0] is topo.path(1, 2)[0]  # source egress port is shared
         assert path[1] is topo.path(2, 3)[1]  # destination ingress shared
 
     def test_route_missing_pair_raises(self):

@@ -29,20 +29,21 @@ class TestAddressSpace:
         space = AddressSpace(gpu_nodes=[1, 2])
         arr = space.alloc("input", 3 * PAGE_BYTES, Placement.OWNER, owner=0)
         first = page_of(arr.base)
-        assert all(space.initial_owner(first + i) == 0 for i in range(3))
+        owners = space.initial_owners()
+        assert all(owners[first + i] == 0 for i in range(3))
 
     def test_alloc_interleaved_placement(self):
         space = AddressSpace(gpu_nodes=[1, 2, 3])
         arr = space.alloc("a", 6 * PAGE_BYTES, Placement.INTERLEAVED)
         first = page_of(arr.base)
-        owners = [space.initial_owner(first + i) for i in range(6)]
+        owners = [space.initial_owners()[first + i] for i in range(6)]
         assert owners == [1, 2, 3, 1, 2, 3]
 
     def test_alloc_blocked_placement(self):
         space = AddressSpace(gpu_nodes=[1, 2])
         arr = space.alloc("a", 4 * PAGE_BYTES, Placement.BLOCKED)
         first = page_of(arr.base)
-        owners = [space.initial_owner(first + i) for i in range(4)]
+        owners = [space.initial_owners()[first + i] for i in range(4)]
         assert owners == [1, 1, 2, 2]
 
     def test_allocations_do_not_overlap(self):
@@ -71,8 +72,11 @@ class TestAddressSpace:
 
     def test_unallocated_page_raises(self):
         space = AddressSpace(gpu_nodes=[1])
+        space.alloc("a", PAGE_BYTES, Placement.INTERLEAVED)
+        assert 999999 not in space.initial_owners()
+        # the machine's page table starts from these owners
         with pytest.raises(KeyError):
-            space.initial_owner(999999)
+            PageTable(space.initial_owners()).owner(999999)
 
 
 class TestPageTable:
@@ -95,7 +99,7 @@ class TestPageTable:
         assert pt.record_access(5, 2) == 2
         assert pt.record_access(5, 3) == 1
         pt.migrate(5, 2)
-        assert pt.access_count(5, 2) == 0
+        assert pt.record_access(5, 2) == 1  # the count restarted
 
     def test_unmapped_page_raises(self):
         pt = PageTable({})
@@ -104,7 +108,9 @@ class TestPageTable:
 
     def test_pages_owned_by(self):
         pt = PageTable({1: 1, 2: 2, 3: 1})
-        assert sorted(pt.pages_owned_by(1)) == [1, 3]
+        assert [p for p in (1, 2, 3) if pt.owner(p) == 1] == [1, 3]
+        pt.migrate(2, 1)
+        assert [p for p in (1, 2, 3) if pt.owner(p) == 1] == [1, 2, 3]
         assert len(pt) == 3
 
 
@@ -132,10 +138,14 @@ class TestMigrationPolicy:
             assert policy.on_remote_access(7, 2) is MigrationDecision.DIRECT_ACCESS
 
     def test_pin_array_pages(self):
-        policy, _ = self._policy()
-        policy.pin_array_pages(100, 3)
-        assert policy.is_pinned(101)
-        assert not policy.is_pinned(103)
+        # the machine pins each page of a pinned array, one pin() per page
+        policy, _ = self._policy(threshold=3)
+        for page in range(100, 103):
+            policy.pin(page)
+        for _ in range(5):
+            assert policy.on_remote_access(101, 2) is MigrationDecision.DIRECT_ACCESS
+        decisions = [policy.on_remote_access(103, 2) for _ in range(3)]
+        assert decisions[-1] is MigrationDecision.MIGRATE
 
     def test_commit_updates_page_table(self):
         policy, pt = self._policy(threshold=1)
@@ -160,9 +170,10 @@ class TestBlockDirectory:
         assert seen == [("a", 55), ("b", 55)]
         assert not d.in_flight(100)
 
-    def test_distinct_nodes_do_not_merge(self, sim, fake_transport):
+    def test_distinct_nodes_do_not_merge(self, sim, fake_transport, calls):
         # Each GPU owns its directory: two GPUs missing on the same remote
         # block at the same cycle each issue their own fetch.
+        directory_requests = calls(BlockDirectory, "request")
         gpus = [make_gpu(sim, fake_transport, {0: 0}, node=n)[0] for n in (1, 2)]
         host_cpu(sim, fake_transport)
         for gpu in gpus:
@@ -171,7 +182,12 @@ class TestBlockDirectory:
         sim.run()
         requests = [p.src for p in fake_transport.sent if p.kind is PacketKind.READ_REQ]
         assert sorted(requests) == [1, 2]
-        assert [(g.directory.issued, g.directory.merged) for g in gpus] == [(1, 0), (1, 0)]
+        # one request per directory, and it issued its fetch
+        issued = [
+            [must_issue for d, _, must_issue in directory_requests if d is g.directory]
+            for g in gpus
+        ]
+        assert issued == [[True], [True]]
         assert all(g.directory.pending_count() == 0 for g in gpus)
 
     def test_complete_without_request_raises(self):
@@ -180,9 +196,8 @@ class TestBlockDirectory:
             d.complete(5, 0)
 
     def test_counters(self):
+        # two requests issue a fetch, one merges into block 1's
         d = BlockDirectory()
-        d.request(1, lambda t: None)
-        d.request(1, lambda t: None)
-        d.request(2, lambda t: None)
-        assert d.issued == 2
-        assert d.merged == 1
+        must_issue = [d.request(block, lambda t: None) for block in (1, 1, 2)]
+        assert must_issue == [True, False, True]
+        assert d.pending_count() == 2

@@ -163,11 +163,16 @@ def test_batch_close_counting(batch_size, n_blocks):
 )
 def test_cache_occupancy_never_exceeds_geometry(addresses):
     cache = SetAssociativeCache("t", size_bytes=1024, assoc=2)  # 16 lines
+    resident = set()  # line addresses, kept from fill's own returns
     for addr in addresses:
         if not cache.lookup(addr):
-            cache.fill(addr)
-    assert cache.occupancy <= 16
-    assert cache.stats.accesses == len(addresses)
+            victim = cache.fill(addr)
+            if victim is not None:
+                assert victim in resident
+                resident.remove(victim)
+            resident.add(addr - addr % 64)
+    assert len(resident) <= 16
+    assert all(cache.lookup(line) for line in resident)
 
 
 @given(addresses=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=100))

@@ -91,7 +91,6 @@ class TestShared:
         assert again  # back-to-back same destination
         _, switched = s.acquire_send(3, 200)
         assert not switched
-        assert s.destination_switches == 2
 
     def test_single_send_entry_thrashes_on_bursts(self):
         s = make("shared")
@@ -121,17 +120,21 @@ class TestCached:
         for t in range(0, 400, 5):
             s.acquire_send(2, t)
         assert s.stream_capacity("send", 2) > 2
-        assert s.evictions > 0
+        # ...taken from other streams, which now hold less than their share
+        others = [("send", p) for p in PEERS if p != 2] + [("recv", p) for p in PEERS]
+        assert any(s.stream_capacity(d, p) < 2 for d, p in others)
+        assert s.pool_size() == make("cached", multiplier=2).pool_size()
 
     def test_evicted_stream_misses_like_shared(self):
         s = make("cached", multiplier=1)
         # the hot stream (send, 2) steals the least recently used entry
-        for t in range(0, 2000, 5):
-            s.acquire_send(2, t)
+        # the hot stream itself never misses the table: every send is synced
+        assert all(s.acquire_send(2, t)[1] for t in range(0, 2000, 5))
         evicted = [p for p in PEERS if s.stream_capacity("send", p) == 0]
-        assert evicted and s.table_misses == 0
+        assert evicted
         assert s.acquire_send(evicted[0], 3000) == (L, False)
-        assert s.table_misses == 1
+        # the table miss brings the stream back by stealing one entry
+        assert s.stream_capacity("send", evicted[0]) == 1
 
     def test_spaced_single_stream_hits(self):
         s = make("cached")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.configs import MetadataConfig, SecurityConfig
-from repro.interconnect.packet import Packet, PacketKind
+from repro.interconnect.packet import PacketKind
 from repro.secure.metadata import ACKED_KINDS, BATCHABLE_KINDS, MetadataAccountant
 from repro.secure.replay import ReplayGuard
 
@@ -40,12 +40,9 @@ class TestEngineModel:
 
 
 class TestMetadataAccountant:
-    def _packet(self, kind=PacketKind.DATA_RESP):
-        return Packet(kind=kind, src=1, dst=2, size_bytes=80)
-
     def test_conventional_meta_is_ctr_mac_id(self):
         acc = MetadataAccountant(MetadataConfig())
-        assert acc.conventional_meta(self._packet()) == 8 + 8 + 1
+        assert acc.conventional_meta() == 8 + 8 + 1
 
     def test_batched_meta_variants(self):
         acc = MetadataAccountant(MetadataConfig())
@@ -58,7 +55,7 @@ class TestMetadataAccountant:
 
     def test_secure_commu_mode_zeroes_bandwidth(self):
         acc = MetadataAccountant(MetadataConfig(), count_metadata=False)
-        assert acc.conventional_meta(self._packet()) == 0
+        assert acc.conventional_meta() == 0
         assert acc.batched_block_meta(True, True) == 0
         assert acc.ack_packet_size() == 1  # still serializable
 

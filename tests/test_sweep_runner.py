@@ -31,6 +31,7 @@ from repro.runner import (
     report_from_dict,
     report_to_dict,
 )
+from repro.runner.serialize import series_to_dict
 from repro.workloads import get_workload
 from repro.workloads.synthetic import synthetic_spec
 
@@ -94,10 +95,8 @@ class TestCache:
         # integer keys survive the JSON round trip
         assert loaded.per_gpu_finish == report.per_gpu_finish
         assert set(loaded.timelines) == set(report.timelines)
-        node = next(iter(report.timelines))
-        assert loaded.timelines[node].stacked_fractions() == report.timelines[
-            node
-        ].stacked_fractions()
+        for node, series in report.timelines.items():
+            assert series_to_dict(loaded.timelines[node]) == series_to_dict(series)
 
     def test_changed_config_field_misses(self, tmp_path):
         spec = get_workload("fir")

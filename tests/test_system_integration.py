@@ -11,6 +11,7 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.tlb import TlbHierarchy
 from repro.interconnect.topology import Topology
 from repro.memory.address_space import Placement
+from repro.memory.directory import BlockDirectory
 from repro.secure.hostile import HostileSecureTransport
 from repro.system import MultiGpuSystem, run_workload
 from repro.workloads import get_workload
@@ -188,7 +189,7 @@ class TestMachineLifetime:
         MultiGpuSystem(LIFETIME_CELLS[cell]).run(fir_trace)
         assert gc.collect() == 0
 
-    def test_finished_run_leaves_no_request_in_flight(self, monkeypatch):
+    def test_finished_run_leaves_no_request_in_flight(self, monkeypatch, calls):
         # Settling a block must cancel its retransmission timer, so every
         # timer that fires finds its block still in the recovery table.
         fired = Counter()
@@ -201,15 +202,16 @@ class TestMachineLifetime:
             ack_timeout(transport, record)
 
         monkeypatch.setattr(HostileSecureTransport, "_ack_timeout", checked)
+        directory_requests = calls(BlockDirectory, "request")
         # fft at this size makes remote reads, remote writes and migrations
         trace = get_workload("fft").generate(n_gpus=4, seed=1, scale=0.1)
         for cell, config in DRAIN_CELLS.items():
             fired.clear()
+            directory_requests.clear()
             system = MultiGpuSystem(config)
             report = system.run(trace)
-            gpus = system.gpus.values()
-            reads = sum(g.directory.issued for g in gpus)
-            writes = sum(g.remote_requests for g in gpus) - reads
+            reads = sum(1 for _, _, must_issue in directory_requests if must_issue)
+            writes = sum(g.remote_requests for g in system.gpus.values()) - reads
             assert reads > 0 and writes > 0 and report.migrations > 0, cell
             for node, gpu in system.gpus.items():
                 assert gpu.directory.pending_count() == 0, f"{cell}: gpu{node} has reads in flight"
@@ -227,28 +229,19 @@ class TestTracedEntryPoints:
     of them would silently stop its counts."""
 
     @pytest.mark.parametrize("scheme", ["unsecure", "private", "batching"])
-    def test_every_call_goes_through_the_class(self, monkeypatch, fir_trace, scheme):
-        calls = Counter()
-
-        def count_calls(cls, name):
-            original = getattr(cls, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(cls, name, counted)
-
-        count_calls(SetAssociativeCache, "lookup")
-        count_calls(TlbHierarchy, "translate")
-        count_calls(Topology, "send")
+    def test_every_call_goes_through_the_class(self, calls, fir_trace, scheme):
+        lookups = calls(SetAssociativeCache, "lookup")
+        translations = calls(TlbHierarchy, "translate")
+        sends = calls(Topology, "send")
         system = MultiGpuSystem(scheme_config(scheme, n_gpus=4))
         report = system.run(fir_trace)
 
-        caches = [c for gpu in system.gpus.values() for c in (*gpu.l1s, gpu.l2)]
-        accesses = sum(
-            len(lane.gaps) for gpu in fir_trace.gpu_traces.values() for lane in gpu.lanes
-        )
-        assert calls["lookup"] == sum(c.stats.hits + c.stats.misses for c in caches) > 0
-        assert calls["translate"] == accesses > 0
-        assert calls["send"] == report.metrics["msg.sent"]["value"] > 0
+        lanes = [lane for gpu in fir_trace.gpu_traces.values() for lane in gpu.lanes]
+        reads = sum(1 for lane in lanes for write in lane.writes if not write)
+        l1s = {id(l1) for gpu in system.gpus.values() for l1 in gpu.l1s}
+        l1_hits = [hit for cache, _, hit in lookups if id(cache) in l1s]
+        # every read looks up its L1, and every L1 miss looks up the L2
+        assert len(l1_hits) == reads > 0
+        assert len(lookups) - len(l1_hits) == l1_hits.count(False)
+        assert len(translations) == sum(len(lane) for lane in lanes) > 0
+        assert len(sends) == report.metrics["msg.sent"]["value"] > 0

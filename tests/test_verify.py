@@ -148,7 +148,7 @@ class TestSeededBugs:
         monkeypatch.setattr(
             MetadataAccountant,
             "conventional_meta",
-            lambda self, packet: original(self, packet) + 1,
+            lambda self: original(self) + 1,
         )
         cell = _cell("dynamic")
         report = execute_job(cell.job(), trace=_trace())
@@ -229,7 +229,7 @@ class TestShrinker:
         monkeypatch.setattr(
             MetadataAccountant,
             "conventional_meta",
-            lambda self, packet: original(self, packet) + 1,
+            lambda self: original(self) + 1,
         )
         cell = _cell("dynamic")
         report = execute_job(cell.job(), trace=_trace())
