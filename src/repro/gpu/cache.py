@@ -6,9 +6,10 @@ accesses reach memory or the interconnect; data contents are not stored
 (the simulator is timing-directed), only tags.  It keeps no hit or miss
 tallies: ``lookup``'s return value is the one record of a hit.
 
-LRU is implemented per set with an access stamp: a touch is one dict
-store, and only a fill into a full set scans the set (O(associativity),
-small for 4/16-way sets) for its least-recently-used victim.
+LRU is kept per set as a list of tags, least recently used first: a hit
+or a refill moves its tag to the end, and a fill into a full set evicts
+the head.  A set's list is made on its first fill, so a cache holds no
+per-set object for a set it never used, and no per-line state but its tag.
 """
 
 from __future__ import annotations
@@ -33,19 +34,20 @@ class SetAssociativeCache:
         self.name = name
         self.assoc = assoc
         self.n_sets = n_lines // assoc
-        # each set: dict tag -> last-use stamp
-        self._sets: list[dict[int, int]] = [dict() for _ in range(self.n_sets)]
-        self._stamp = 0
+        # each set: its tags, least recently used first; None until filled
+        self._sets: list[list[int] | None] = [None] * self.n_sets
 
     def lookup(self, address: int) -> bool:
         """Touch ``address``; True on hit.  Misses do NOT allocate."""
         block = address // LINE_BYTES
         n_sets = self.n_sets
         cache_set = self._sets[block % n_sets]
+        if cache_set is None:
+            return False
         tag = block // n_sets
-        self._stamp += 1
         if tag in cache_set:
-            cache_set[tag] = self._stamp
+            cache_set.remove(tag)
+            cache_set.append(tag)
             return True
         return False
 
@@ -56,31 +58,37 @@ class SetAssociativeCache:
         set_idx = block % n_sets
         cache_set = self._sets[set_idx]
         tag = block // n_sets
-        self._stamp += 1
+        if cache_set is None:
+            self._sets[set_idx] = [tag]
+            return None
         if tag in cache_set:
-            cache_set[tag] = self._stamp
+            cache_set.remove(tag)
+            cache_set.append(tag)
             return None
         victim_addr = None
         if len(cache_set) >= self.assoc:
-            victim_tag = min(cache_set, key=cache_set.get)
-            del cache_set[victim_tag]
-            victim_addr = (victim_tag * n_sets + set_idx) * LINE_BYTES
-        cache_set[tag] = self._stamp
+            victim_addr = (cache_set.pop(0) * n_sets + set_idx) * LINE_BYTES
+        cache_set.append(tag)
         return victim_addr
 
     def invalidate_page(self, page_base: int, page_bytes: int) -> int:
         """Invalidate every line of a page (used on migration).
 
-        The page's blocks are consecutive, so one pass walks them with one
-        ``dict.pop`` each; returns the number of lines dropped.
+        The page's blocks are consecutive, so one pass walks them and
+        searches only the sets that exist; returns the number of lines
+        dropped.
         """
         n_sets = self.n_sets
         sets = self._sets
         first = page_base // LINE_BYTES
         dropped = 0
         for block in range(first, first - (-page_bytes // LINE_BYTES)):
-            if sets[block % n_sets].pop(block // n_sets, None) is not None:
-                dropped += 1
+            cache_set = sets[block % n_sets]
+            if cache_set is not None:
+                tag = block // n_sets
+                if tag in cache_set:
+                    cache_set.remove(tag)
+                    dropped += 1
         return dropped
 
 

@@ -7,7 +7,7 @@ lane *not* blocking on individual loads — instead a per-lane cap on
 outstanding remote requests (wavefront-dependency pressure) plus the GPU's
 global window bound how far it can run ahead.
 
-The replay state is flat: three parallel integer tuples (``gaps``,
+The replay state is flat: three parallel typed arrays (``gaps``,
 ``addrs``, ``writes`` — the :class:`~repro.workloads.compiled.CompiledLane`
 layout) and an index.  The device pump reads the arrays directly; no
 per-access object ever exists on the replay path.  A lane is *ready* when

@@ -49,7 +49,6 @@ pool (``ipc_s``).  The sweep wall times of record come from
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Sequence
@@ -259,7 +258,13 @@ class SweepRunner:
         results: dict[SweepJob, SimulationReport | None],
         n_workers: int,
     ) -> None:
-        """Best-effort chunked pool execution; failures stay None for serial."""
+        """Best-effort chunked pool execution; failures stay None for serial.
+
+        The pool stack (``concurrent.futures.process``, ``multiprocessing``)
+        is imported here, so a serial sweep never loads it.
+        """
+        from concurrent.futures import ProcessPoolExecutor
+
         dispatchable = [job for job in pending if is_registry_spec(job.spec)]
         if len(dispatchable) < 2:
             return

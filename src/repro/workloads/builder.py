@@ -10,12 +10,12 @@ allocations in the unified address space so page ownership and cache
 behaviour emerge from the same structure.
 
 Every (gpu, lane) pair accumulates three parallel integer lists —
-``gaps``, ``addrs``, ``writes`` — and ``build()`` freezes them into the
-:class:`~repro.workloads.compiled.CompiledTrace` the simulator replays, so
-no per-access object is ever made.  ``gap`` cycles of compute separate
-consecutive accesses of a lane.  Instruction counts — needed for RPKI —
-are estimated as one wavefront instruction per gap cycle plus one per
-memory access.
+``gaps``, ``addrs``, ``writes`` — and ``build()`` hands them to the typed
+arrays of the :class:`~repro.workloads.compiled.CompiledTrace` the
+simulator replays, so no per-access object is ever made.  ``gap`` cycles
+of compute separate consecutive accesses of a lane.  Instruction counts —
+needed for RPKI — are estimated as one wavefront instruction per gap cycle
+plus one per memory access.
 """
 
 from __future__ import annotations
@@ -179,12 +179,12 @@ class TraceBuilder:
             compiled = []
             instructions = 0
             for gaps, addrs, writes in lanes:
-                gaps = tuple(gaps)
+                # the lane copies the lists, so the jitter leaves them as built
+                lane = CompiledLane(gaps, addrs, writes)
                 if gaps and lane_jitter > 0:
-                    offset = int(self.rng.integers(0, lane_jitter))
-                    gaps = (gaps[0] + offset,) + gaps[1:]
-                instructions += sum(gaps) + len(gaps)
-                compiled.append(CompiledLane(gaps, tuple(addrs), tuple(writes)))
+                    lane.gaps[0] += int(self.rng.integers(0, lane_jitter))
+                instructions += sum(lane.gaps) + len(lane)
+                compiled.append(lane)
             gpu_traces[gpu] = CompiledGpuTrace(tuple(compiled), instructions)
         trace = CompiledTrace(
             name=self.name,

@@ -2,14 +2,17 @@
 
 :class:`CompiledTrace` is the one trace format.  Generators emit it through
 :class:`~repro.workloads.builder.TraceBuilder` and the device pump replays
-it: per-(GPU, lane) parallel tuples of plain integers — ``gaps``,
-``addrs``, ``writes`` — indexed directly, so no per-access object exists
-anywhere between generation and replay.
+it: per-(GPU, lane) parallel typed arrays — ``gaps`` and ``addrs`` as
+``array('q')``, ``writes`` as ``array('b')`` — indexed directly, so no
+per-access object exists anywhere between generation and replay, and an
+access costs 17 bytes.
 
 Traces also serialize compactly to ``.npz`` (one numpy array per per-GPU
 stream plus a JSON header), which is what the content-addressed trace
 store persists so a sweep generates each trace once and every scheme —
-and every pool worker — replays the same bytes.
+and every pool worker — replays the same bytes.  Loading copies each
+lane's slice of a stored stream into its array once; a stream of the wrong
+dtype, length or value range is rejected, so the store regenerates it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+from array import array
+from typing import Iterable
 
 import numpy as np
 
@@ -25,14 +30,26 @@ import numpy as np
 TRACE_SCHEMA = 1
 
 
+def _typed(typecode: str, values: Iterable[int]) -> array:
+    """``values`` as an ``array(typecode)``; an array of that type is kept."""
+    if type(values) is array and values.typecode == typecode:
+        return values
+    return array(typecode, values)
+
+
 class CompiledLane:
-    """One lane's access stream as three parallel integer tuples."""
+    """One lane's access stream as three parallel typed arrays: ``gaps``
+    and ``addrs`` as ``array('q')``, ``writes`` as ``array('b')``.  Any
+    integer sequence converts."""
 
     __slots__ = ("gaps", "addrs", "writes")
 
     def __init__(
-        self, gaps: tuple[int, ...], addrs: tuple[int, ...], writes: tuple[int, ...]
+        self, gaps: Iterable[int], addrs: Iterable[int], writes: Iterable[int]
     ) -> None:
+        gaps = _typed("q", gaps)
+        addrs = _typed("q", addrs)
+        writes = _typed("b", writes)
         if not (len(gaps) == len(addrs) == len(writes)):
             raise ValueError("lane streams must have equal length")
         self.gaps = gaps
@@ -165,9 +182,51 @@ def dump_bytes(compiled: CompiledTrace) -> bytes:
     return buffer.getvalue()
 
 
+#: The dtype :func:`dump_bytes` stores for each per-GPU stream.
+#: :func:`load_bytes` copies raw bytes into typed arrays, so a stream of any
+#: other dtype (or byte order) is a mismatch, not something to convert.
+_STREAM_DTYPES = {
+    "gaps": np.dtype(np.int64),
+    "addrs": np.dtype(np.int64),
+    "writes": np.dtype(np.int8),
+    "bounds": np.dtype(np.int64),
+}
+
+
+def _checked_streams(data, node: int) -> list[np.ndarray]:
+    """GPU ``node``'s ``gaps``, ``addrs``, ``writes`` and ``bounds`` streams,
+    checked against what :func:`dump_bytes` writes; ``ValueError`` on any
+    mismatch."""
+    streams = []
+    for name, dtype in _STREAM_DTYPES.items():
+        stream = data[f"g{node}_{name}"]
+        if stream.dtype != dtype or stream.ndim != 1:
+            raise ValueError(f"GPU {node} {name}: {stream.dtype} stream of shape {stream.shape}")
+        streams.append(stream)
+    gaps, addrs, writes, bounds = streams
+    n = len(gaps)
+    if len(addrs) != n or len(writes) != n:
+        raise ValueError(f"GPU {node}: streams of unequal length")
+    if not len(bounds) or bounds[0] != 0 or bounds[-1] != n or (np.diff(bounds) < 0).any():
+        raise ValueError(f"GPU {node}: lane bounds do not split its {n} accesses")
+    if (gaps < 0).any():
+        raise ValueError(f"GPU {node}: negative gap")
+    if ((writes < 0) | (writes > 1)).any():
+        raise ValueError(f"GPU {node}: a write flag other than 0 or 1")
+    return streams
+
+
+def _copied(typecode: str, stream: np.ndarray) -> array:
+    """A contiguous stream slice copied byte for byte into a new typed array."""
+    out = array(typecode)
+    out.frombytes(memoryview(stream).cast("B"))
+    return out
+
+
 def load_bytes(blob: bytes) -> CompiledTrace:
     """Inverse of :func:`dump_bytes`.  Raises ``ValueError`` on any mismatch
-    (wrong schema, truncated file) so callers can treat it as a store miss."""
+    (wrong schema, truncated file, a malformed stream) so callers can treat
+    it as a store miss."""
     try:
         with np.load(io.BytesIO(blob), allow_pickle=False) as data:
             header = json.loads(bytes(data["header"]).decode("utf-8"))
@@ -176,13 +235,13 @@ def load_bytes(blob: bytes) -> CompiledTrace:
             gpu_traces: dict[int, CompiledGpuTrace] = {}
             for node_str, meta in header["gpus"].items():
                 node = int(node_str)
-                gaps = data[f"g{node}_gaps"].tolist()
-                addrs = data[f"g{node}_addrs"].tolist()
-                writes = data[f"g{node}_writes"].tolist()
-                bounds = data[f"g{node}_bounds"].tolist()
+                gaps, addrs, writes, bounds = _checked_streams(data, node)
+                bounds = bounds.tolist()
                 lanes = tuple(
                     CompiledLane(
-                        tuple(gaps[lo:hi]), tuple(addrs[lo:hi]), tuple(writes[lo:hi])
+                        _copied("q", gaps[lo:hi]),
+                        _copied("q", addrs[lo:hi]),
+                        _copied("b", writes[lo:hi]),
                     )
                     for lo, hi in zip(bounds, bounds[1:])
                 )

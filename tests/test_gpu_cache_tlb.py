@@ -1,10 +1,13 @@
 """Cache, TLB, and HBM model tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.cache import LINE_BYTES, SetAssociativeCache
 from repro.gpu.hbm import HbmModel
 from repro.gpu.tlb import Tlb, TlbHierarchy
+from repro.memory.address_space import BLOCKS_PER_PAGE, PAGE_BYTES
 
 
 class TestCache:
@@ -58,6 +61,92 @@ class TestCache:
             SetAssociativeCache("t", size_bytes=100, assoc=3)
         with pytest.raises(ValueError):
             SetAssociativeCache("t", size_bytes=0, assoc=1)
+
+
+class _StampCache:
+    """The reference: the stamp-dict LRU cache the tag lists replaced.  Each
+    set maps tag -> last-use stamp, and a fill into a full set evicts the
+    tag with the smallest stamp."""
+
+    def __init__(self, size_bytes: int, assoc: int) -> None:
+        self.assoc = assoc
+        self.n_sets = size_bytes // LINE_BYTES // assoc
+        self._sets = [dict() for _ in range(self.n_sets)]
+        self._stamp = 0
+
+    def lookup(self, address):
+        block = address // LINE_BYTES
+        cache_set = self._sets[block % self.n_sets]
+        tag = block // self.n_sets
+        self._stamp += 1
+        if tag in cache_set:
+            cache_set[tag] = self._stamp
+            return True
+        return False
+
+    def fill(self, address):
+        block = address // LINE_BYTES
+        set_idx = block % self.n_sets
+        cache_set = self._sets[set_idx]
+        tag = block // self.n_sets
+        self._stamp += 1
+        if tag in cache_set:
+            cache_set[tag] = self._stamp
+            return None
+        victim_addr = None
+        if len(cache_set) >= self.assoc:
+            victim_tag = min(cache_set, key=cache_set.get)
+            del cache_set[victim_tag]
+            victim_addr = (victim_tag * self.n_sets + set_idx) * LINE_BYTES
+        cache_set[tag] = self._stamp
+        return victim_addr
+
+    def invalidate_page(self, page_base, page_bytes):
+        first = page_base // LINE_BYTES
+        dropped = 0
+        for block in range(first, first + page_bytes // LINE_BYTES):
+            if self._sets[block % self.n_sets].pop(block // self.n_sets, None) is not None:
+                dropped += 1
+        return dropped
+
+
+#: (size_bytes, assoc): 4 sets x 2 ways, and the Table III L1, whose
+#: 64 sets are as many as a page has blocks
+GEOMETRIES = [(4 * 2 * LINE_BYTES, 2), (BLOCKS_PER_PAGE * 4 * LINE_BYTES, 4)]
+
+
+def _operations(size_bytes: int, assoc: int):
+    """Random calls over two sets (the first and the last), each with one
+    tag more than it has ways, so lines hit, refill and get evicted.  Each
+    tag sits on a page of its own, so a shootdown drops one tag from both
+    sets; one more page holds none.  Fills come twice as often as lookups
+    or shootdowns, and the lists are long, so sets fill and evict between
+    shootdowns."""
+    n_sets = size_bytes // LINE_BYTES // assoc
+    tag_stride = max(1, BLOCKS_PER_PAGE // n_sets)
+    address = st.builds(
+        lambda set_idx, k, offset: (k * tag_stride * n_sets + set_idx) * LINE_BYTES + offset,
+        st.sampled_from((0, n_sets - 1)),
+        st.integers(0, assoc),
+        st.integers(0, LINE_BYTES - 1),
+    )
+    page_base = st.integers(0, assoc + 1).map(lambda page: page * PAGE_BYTES)
+    lookup = st.tuples(st.just("lookup"), address)
+    fill = st.tuples(st.just("fill"), address)
+    shootdown = st.tuples(st.just("invalidate_page"), page_base)
+    return st.lists(st.one_of(lookup, fill, fill, shootdown), min_size=50, max_size=100)
+
+
+class TestCacheAgainstStampReference:
+    @pytest.mark.parametrize(("size_bytes", "assoc"), GEOMETRIES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_call_answers_like_the_reference(self, size_bytes, assoc, data):
+        cache = SetAssociativeCache("t", size_bytes, assoc)
+        reference = _StampCache(size_bytes, assoc)
+        for op, arg in data.draw(_operations(size_bytes, assoc)):
+            args = (arg, PAGE_BYTES) if op == "invalidate_page" else (arg,)
+            assert getattr(cache, op)(*args) == getattr(reference, op)(*args), (op, arg)
 
 
 class TestTlb:

@@ -207,6 +207,34 @@ class TestSourceSalt:
         assert job != base[0] and trace != base[1]
 
 
+_SERIAL_SWEEP = (
+    "import sys\n"
+    "from repro.configs import scheme_config\n"
+    "from repro.runner import SweepJob, SweepRunner\n"
+    "from repro.runner.trace_store import TraceStore\n"
+    "from repro.workloads import get_workload\n"
+    "jobs = [SweepJob(get_workload('fir'), scheme_config(s), seed=1, scale=0.1)\n"
+    "        for s in ('unsecure', 'private')]\n"
+    "runner = SweepRunner(jobs=1, trace_store=TraceStore(None))\n"
+    "runner.run_jobs(jobs)\n"
+    "print(runner.stats.serial_runs,\n"
+    "      [m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
+)
+
+
+class TestSerialImports:
+    def test_serial_sweep_loads_no_process_pool(self):
+        """A ``jobs=1`` sweep, the ``REPRO_JOBS`` default, never imports the
+        pool stack; the pool tests above cover ``jobs>1``.  A fresh
+        interpreter, because any earlier test may have loaded it here."""
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", _SERIAL_SWEEP],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.split() == ["2", "[]"]
+
+
 class TestSweepMechanics:
     def test_duplicate_jobs_deduplicate_but_keep_order(self):
         spec = get_workload("fir")

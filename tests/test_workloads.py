@@ -91,7 +91,7 @@ class TestTraceBuilder:
         arr = b.alloc("a", 256)
         b.burst(1, 0, arr, start_block=0, n_blocks=3, stride=2)
         addrs = b.build(lane_jitter=0).gpu_traces[1].lanes[0].addrs
-        assert addrs == (arr.block_addr(0), arr.block_addr(2), arr.block_addr(4))
+        assert list(addrs) == [arr.block_addr(0), arr.block_addr(2), arr.block_addr(4)]
 
     def test_blocked_range_partitions_fully(self):
         b = TraceBuilder("t", n_gpus=3, n_lanes=1)
@@ -172,4 +172,4 @@ class TestRpki:
         with pytest.raises(ValueError, match="address must be non-negative"):
             b.access(1, 0, -5)
         b.access(1, 0, arr.block_addr(0), write=True)
-        assert b.build(lane_jitter=0).gpu_traces[1].lanes[0].writes == (1,)
+        assert list(b.build(lane_jitter=0).gpu_traces[1].lanes[0].writes) == [1]
