@@ -11,8 +11,8 @@ def test_ablation_batch_size(benchmark, archive, runner_factory):
     )
     archive("ablation_batch_size", ablations.format_sweep(result))
     # the best batching size must beat not batching at all
-    dynamic_only = ablations._average_slowdown(
-        runner, default_config(4, scheme="dynamic")
+    dynamic_only = runner.sweep({"dynamic": default_config(4, scheme="dynamic")}).average(
+        "dynamic"
     )
     assert min(result.averages.values()) <= dynamic_only + 0.01
 
@@ -47,9 +47,9 @@ def test_ablation_extensions(benchmark, archive, runner_factory):
         ablations.extensions_study, args=(runner,), rounds=1, iterations=1
     )
     archive("ablation_extensions", ablations.format_extensions(result))
-    _, ours_traffic = result.averages["ours"]
-    _, comp_traffic = result.averages["ours+compressed_ctr"]
-    _, prot_traffic = result.averages["ours+protect_requests"]
+    ours_traffic = result.average_traffic("ours")
+    comp_traffic = result.average_traffic("ours+compressed_ctr")
+    prot_traffic = result.average_traffic("ours+protect_requests")
     assert comp_traffic < ours_traffic < prot_traffic
 
 

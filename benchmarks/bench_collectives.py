@@ -13,9 +13,9 @@ def test_collectives(benchmark, archive, runner_factory):
     archive("fig_collectives", fig_collectives.format_result(result))
     # The collectives contract: the full proposal never prices a collective
     # above the conventional per-message protocol at equal storage.
-    assert fig_collectives.assert_batching_wins(result) == len(result.collectives)
+    assert fig_collectives.assert_batching_wins(result) == len(result.rows)
     # Batching's reason to exist on this traffic: chunked bursts batch into
     # one MsgMAC + one ACK, reclaiming a large share of the metadata bytes.
-    private_traffic = result.geomean_traffic("private")
-    batching_traffic = result.geomean_traffic("batching")
+    private_traffic = result.average_traffic("private")
+    batching_traffic = result.average_traffic("batching")
     assert batching_traffic < private_traffic - 0.10

@@ -9,7 +9,7 @@ def test_fig08_otp_sensitivity(benchmark, archive, runner_factory):
     archive("fig08_otp_sensitivity", fig08.format_result(result))
     # shape: more OTP entries monotonically (allowing small noise) reduce
     # the average overhead, with a steep drop from 1x
-    averages = [result.average(m) for m in result.multipliers]
+    averages = [result.average(m) for m in result.keys]
     assert averages[0] == max(averages)
     assert averages[-1] <= averages[0] - 0.02
     assert all(avg >= 0.99 for avg in averages)

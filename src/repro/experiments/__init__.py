@@ -1,8 +1,13 @@
 """Experiment harnesses: one module per paper table/figure.
 
-Every module exposes ``run(...)`` returning a typed result object and
-``format_table(result)`` rendering the same rows/series the paper plots.
-The benchmarks in ``benchmarks/`` are thin wrappers over these.
+Every module exposes ``run(...)`` and ``format_result(result)``, which
+renders the same rows/series the paper plots.  A (workload ×
+configuration) figure's ``run`` is its configuration dict handed to
+:meth:`~repro.experiments.common.ExperimentRunner.sweep`, and its result
+is the :class:`~repro.experiments.common.Grid` that call returns; the
+ablations reduce theirs to a ``SweepResult`` of averages, and Figs 10,
+13/14 and 15/16 keep a result of their own shape.  The benchmarks in
+``benchmarks/`` are thin wrappers over these.
 
 Experiment index (see DESIGN.md §4 for the full mapping):
 
@@ -29,6 +34,6 @@ sweep prices detect-and-recover on an unreliable fabric
 production collective-communication traffic (``docs/WORKLOADS.md``).
 """
 
-from repro.experiments.common import ExperimentRunner, WorkloadResult, geometric_mean
+from repro.experiments.common import ExperimentRunner, Grid, WorkloadResult, geometric_mean
 
-__all__ = ["ExperimentRunner", "WorkloadResult", "geometric_mean"]
+__all__ = ["ExperimentRunner", "Grid", "WorkloadResult", "geometric_mean"]

@@ -4,9 +4,7 @@ Beyond the paper's own sweeps (Figs 8/26), these isolate each knob the
 design fixes by fiat so its contribution is measurable:
 
 * ``batch_size_sweep``   — n ∈ {4..64}; the paper picks 16 from Fig. 15.
-* ``batch_timeout_sweep``— how long a partial batch may wait for company.
 * ``interval_sweep``     — the monitoring period T (Table III: 1000).
-* ``ewma_sweep``         — α/β update rates (Table III: 0.9 / 0.5).
 * ``ideal_bound``        — the Ideal (unbounded-pads) scheme, splitting
   residual overhead into "pad misses" vs "metadata bandwidth": the gap
   Ideal→unsecure is what only batching can recover, the gap scheme→Ideal
@@ -20,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.configs import LinkConfig, MetadataConfig, MigrationConfig, default_config
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
+from repro.experiments.common import ExperimentRunner, Grid, fmt, format_table
 
 
 @dataclass
@@ -35,12 +33,10 @@ class SweepResult:
         return min(self.averages, key=self.averages.get)
 
 
-def _average_slowdown(runner: ExperimentRunner, config) -> float:
-    values = []
-    for spec in runner.workloads:
-        baseline = runner.baseline(spec)
-        values.append(runner.run(spec, config).slowdown_vs(baseline))
-    return geometric_mean(values)
+def _sweep(runner: ExperimentRunner, parameter: str, configs: dict) -> SweepResult:
+    """One grid over every swept value, reduced to its averages."""
+    grid = runner.sweep(configs)
+    return SweepResult(parameter, runner.n_gpus, {v: grid.average(v) for v in configs})
 
 
 # ---------------------------------------------------------------------------
@@ -51,27 +47,14 @@ def batch_size_sweep(
     sizes: tuple[int, ...] = (4, 8, 16, 32, 64),
 ) -> SweepResult:
     runner = runner or ExperimentRunner()
-    result = SweepResult("batch_size", runner.n_gpus)
-    for n in sizes:
-        config = default_config(
-            runner.n_gpus, scheme="dynamic", batching=True, batch_size=n
-        )
-        result.averages[n] = _average_slowdown(runner, config)
-    return result
-
-
-def batch_timeout_sweep(
-    runner: ExperimentRunner | None = None,
-    timeouts: tuple[int, ...] = (40, 160, 640, 2560),
-) -> SweepResult:
-    runner = runner or ExperimentRunner()
-    result = SweepResult("batch_timeout", runner.n_gpus)
-    for t in timeouts:
-        config = default_config(
-            runner.n_gpus, scheme="dynamic", batching=True, batch_timeout=t
-        )
-        result.averages[t] = _average_slowdown(runner, config)
-    return result
+    return _sweep(
+        runner,
+        "batch_size",
+        {
+            n: default_config(runner.n_gpus, scheme="dynamic", batching=True, batch_size=n)
+            for n in sizes
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -82,53 +65,25 @@ def interval_sweep(
     intervals: tuple[int, ...] = (250, 500, 1000, 2000, 4000),
 ) -> SweepResult:
     runner = runner or ExperimentRunner()
-    result = SweepResult("interval_T", runner.n_gpus)
-    for t in intervals:
-        config = default_config(runner.n_gpus, scheme="dynamic", interval=t)
-        result.averages[t] = _average_slowdown(runner, config)
-    return result
-
-
-def ewma_sweep(
-    runner: ExperimentRunner | None = None,
-    alphas: tuple[float, ...] = (0.5, 0.9),
-    betas: tuple[float, ...] = (0.25, 0.5, 0.9),
-) -> SweepResult:
-    runner = runner or ExperimentRunner()
-    result = SweepResult("alpha/beta", runner.n_gpus)
-    for alpha in alphas:
-        for beta in betas:
-            config = default_config(
-                runner.n_gpus, scheme="dynamic", alpha=alpha, beta=beta
-            )
-            result.averages[(alpha, beta)] = _average_slowdown(runner, config)
-    return result
+    return _sweep(
+        runner,
+        "interval_T",
+        {t: default_config(runner.n_gpus, scheme="dynamic", interval=t) for t in intervals},
+    )
 
 
 # ---------------------------------------------------------------------------
 # Bounds decomposition
 # ---------------------------------------------------------------------------
-@dataclass
-class IdealBoundResult:
-    n_gpus: int
-    # workload -> {"dynamic", "ideal", "ideal_batched"} -> slowdown
-    slowdowns: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def average(self, key: str) -> float:
-        return geometric_mean([v[key] for v in self.slowdowns.values()])
-
-
-def ideal_bound(runner: ExperimentRunner | None = None) -> IdealBoundResult:
+def ideal_bound(runner: ExperimentRunner | None = None) -> Grid:
     runner = runner or ExperimentRunner()
-    configs = {
-        "dynamic": default_config(runner.n_gpus, scheme="dynamic"),
-        "ideal": default_config(runner.n_gpus, scheme="ideal"),
-        "ideal_batched": default_config(runner.n_gpus, scheme="ideal", batching=True),
-    }
-    result = IdealBoundResult(n_gpus=runner.n_gpus)
-    for wl in runner.sweep(configs):
-        result.slowdowns[wl.spec.abbr] = {k: wl.slowdown(k) for k in configs}
-    return result
+    return runner.sweep(
+        {
+            "dynamic": default_config(runner.n_gpus, scheme="dynamic"),
+            "ideal": default_config(runner.n_gpus, scheme="ideal"),
+            "ideal_batched": default_config(runner.n_gpus, scheme="ideal", batching=True),
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +94,12 @@ def migration_threshold_sweep(
     thresholds: tuple[int, ...] = (4, 8, 16, 32),
 ) -> SweepResult:
     runner = runner or ExperimentRunner()
-    result = SweepResult("migration_threshold", runner.n_gpus)
-    for threshold in thresholds:
-        config = replace(
-            default_config(runner.n_gpus, scheme="dynamic", batching=True),
-            migration=MigrationConfig(threshold=threshold),
-        )
-        result.averages[threshold] = _average_slowdown(runner, config)
-    return result
+    ours = default_config(runner.n_gpus, scheme="dynamic", batching=True)
+    return _sweep(
+        runner,
+        "migration_threshold",
+        {t: replace(ours, migration=MigrationConfig(threshold=t)) for t in thresholds},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,32 +116,23 @@ def fabric_sweep(
     costs (metadata bytes hurt most where links are shared).
     """
     runner = runner or ExperimentRunner()
-    result = SweepResult("fabric", runner.n_gpus)
+    configs = {}
     for fabric in fabrics:
         link = LinkConfig(fabric=fabric)
-        secured = replace(
+        configs[fabric] = replace(
             default_config(runner.n_gpus, scheme="dynamic", batching=True), link=link
         )
-        unsecured = replace(default_config(runner.n_gpus), link=link)
-        ratios = []
-        for spec in runner.workloads:
-            base = runner.run(spec, unsecured)
-            ratios.append(runner.run(spec, secured).slowdown_vs(base))
-        result.averages[fabric] = geometric_mean(ratios)
-    return result
+        configs[fabric, "unsecure"] = replace(default_config(runner.n_gpus), link=link)
+    grid = runner.sweep(configs)
+    return SweepResult(
+        "fabric", runner.n_gpus, {f: grid.average(f, over=(f, "unsecure")) for f in fabrics}
+    )
 
 
 # ---------------------------------------------------------------------------
 # Protocol extensions beyond the paper
 # ---------------------------------------------------------------------------
-@dataclass
-class ExtensionsResult:
-    n_gpus: int
-    # key -> (avg slowdown, avg traffic ratio)
-    averages: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-
-def extensions_study(runner: ExperimentRunner | None = None) -> ExtensionsResult:
+def extensions_study(runner: ExperimentRunner | None = None) -> Grid:
     """Cost/benefit of two optional protocol extensions.
 
     * ``compressed_ctr``   — 2 B delta counters instead of 8 B MsgCTRs
@@ -206,28 +150,22 @@ def extensions_study(runner: ExperimentRunner | None = None) -> ExtensionsResult
         ),
     )
     protected = replace(base, security=replace(base.security, protect_requests=True))
-    configs = {
-        "ours": base,
-        "ours+compressed_ctr": compressed,
-        "ours+protect_requests": protected,
-    }
-    result = ExtensionsResult(n_gpus=runner.n_gpus)
-    sweep = runner.sweep(configs)
-    for key in configs:
-        result.averages[key] = (
-            geometric_mean([wl.slowdown(key) for wl in sweep]),
-            geometric_mean([wl.traffic_ratio(key) for wl in sweep]),
-        )
-    return result
+    return runner.sweep(
+        {
+            "ours": base,
+            "ours+compressed_ctr": compressed,
+            "ours+protect_requests": protected,
+        }
+    )
 
 
-def format_extensions(result: ExtensionsResult) -> str:
+def format_extensions(grid: Grid) -> str:
     rows = [
-        [key, fmt(slow), fmt(traffic)]
-        for key, (slow, traffic) in result.averages.items()
+        [key, fmt(grid.average(key)), fmt(grid.average_traffic(key))]
+        for key in grid.keys
     ]
     return format_table(
-        f"Extensions: protocol variants beyond the paper ({result.n_gpus} GPUs)",
+        f"Extensions: protocol variants beyond the paper ({grid.n_gpus} GPUs)",
         ["variant", "avg slowdown", "avg traffic"],
         rows,
     )
@@ -245,37 +183,20 @@ def format_sweep(result: SweepResult) -> str:
     )
 
 
-def format_ideal_bound(result: IdealBoundResult) -> str:
-    rows = [
-        [abbr, fmt(v["dynamic"]), fmt(v["ideal"]), fmt(v["ideal_batched"])]
-        for abbr, v in result.slowdowns.items()
-    ]
-    rows.append(
-        [
-            "average",
-            fmt(result.average("dynamic")),
-            fmt(result.average("ideal")),
-            fmt(result.average("ideal_batched")),
-        ]
-    )
-    return format_table(
-        f"Ablation: overhead decomposition ({result.n_gpus} GPUs) — "
+def format_ideal_bound(grid: Grid) -> str:
+    return grid.table(
+        f"Ablation: overhead decomposition ({grid.n_gpus} GPUs) — "
         "Ideal isolates the metadata-bandwidth floor",
         ["workload", "Dynamic", "Ideal pads", "Ideal+batch"],
-        rows,
     )
 
 
 __all__ = [
     "SweepResult",
-    "IdealBoundResult",
-    "ExtensionsResult",
     "extensions_study",
     "format_extensions",
     "batch_size_sweep",
-    "batch_timeout_sweep",
     "interval_sweep",
-    "ewma_sweep",
     "ideal_bound",
     "fabric_sweep",
     "migration_threshold_sweep",

@@ -5,13 +5,16 @@ top of :mod:`repro.runner`: cells are deduplicated, served from the
 persistent result cache when available, and fanned out over worker
 processes when ``jobs > 1``.  An in-memory memo preserves object identity
 within a runner (a sweep that reuses the unsecure baseline gets the *same*
-report object back).  Formatting helpers render the paper-style text
-tables.
+report object back).  :meth:`ExperimentRunner.sweep` is the one path for
+a (workload × configuration) grid: it returns a :class:`Grid`, whose
+averages and table every figure reads.  Formatting helpers render the
+paper-style text tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Hashable
+from dataclasses import dataclass
 from math import exp, fsum, log
 
 from repro.configs import SystemConfig, scheme_config
@@ -41,13 +44,62 @@ class WorkloadResult:
 
     spec: WorkloadSpec
     baseline: SimulationReport
-    by_config: dict[str, SimulationReport] = field(default_factory=dict)
+    by_config: dict[Hashable, SimulationReport]
 
-    def slowdown(self, config_key: str) -> float:
-        return self.by_config[config_key].slowdown_vs(self.baseline)
+    def slowdown(self, key: Hashable, over: Hashable | None = None) -> float:
+        """``key``'s time over the unsecure baseline's, or over ``over``'s."""
+        baseline = self.baseline if over is None else self.by_config[over]
+        return self.by_config[key].slowdown_vs(baseline)
 
-    def traffic_ratio(self, config_key: str) -> float:
-        return self.by_config[config_key].traffic_ratio_vs(self.baseline)
+    def traffic_ratio(self, key: Hashable) -> float:
+        return self.by_config[key].traffic_ratio_vs(self.baseline)
+
+    def meta_share(self, key: Hashable) -> float:
+        """Security metadata's share of ``key``'s wire bytes."""
+        report = self.by_config[key]
+        return report.meta_traffic_bytes / report.traffic_bytes if report.traffic_bytes else 0.0
+
+
+@dataclass
+class Grid:
+    """Every workload under every keyed configuration.
+
+    ``rows`` keep the runner's workload order and ``keys`` the order of the
+    configuration dict.  A key is any hashable: an OTP multiplier, a
+    scheme name, or a ``(scheme, latency)`` pair.  Every average is a
+    geometric mean over the workloads, each normalized to the same
+    workload's unsecure run.
+    """
+
+    n_gpus: int
+    keys: tuple
+    rows: list[WorkloadResult]
+
+    def average(self, key: Hashable, over: Hashable | None = None) -> float:
+        """Geometric-mean slowdown of ``key`` (over ``over``'s reports
+        instead of the unsecure baseline when given)."""
+        return geometric_mean([row.slowdown(key, over) for row in self.rows])
+
+    def average_traffic(self, key: Hashable) -> float:
+        return geometric_mean([row.traffic_ratio(key) for row in self.rows])
+
+    def improvement_over(self, ours: Hashable, prior: Hashable) -> float:
+        """Average speedup of ``ours`` relative to ``prior`` (the paper's
+        'performance improvement' metric)."""
+        return self.average(prior) / self.average(ours) - 1.0
+
+    def axis(self, position: int) -> list:
+        """The distinct values at ``position`` of tuple keys, in key order."""
+        return list(dict.fromkeys(key[position] for key in self.keys))
+
+    def table(self, title: str, columns: list[str], traffic: bool = False) -> str:
+        """One row per workload and an average row, one column per key;
+        slowdowns, or traffic ratios when ``traffic`` is set."""
+        cell = WorkloadResult.traffic_ratio if traffic else WorkloadResult.slowdown
+        average = self.average_traffic if traffic else self.average
+        rows = [[row.spec.abbr, *[fmt(cell(row, k)) for k in self.keys]] for row in self.rows]
+        rows.append(["average", *[fmt(average(k)) for k in self.keys]])
+        return format_table(title, columns, rows)
 
 
 class ExperimentRunner:
@@ -110,30 +162,29 @@ class ExperimentRunner:
                 self._cache.setdefault(self._memo_key(spec, config), report)
         return [self._cache[self._memo_key(spec, config)] for spec, config in cells]
 
-    def baseline(self, spec: WorkloadSpec) -> SimulationReport:
-        return self.run(spec, scheme_config("unsecure", n_gpus=self.n_gpus))
+    def sweep(
+        self,
+        configs: dict[Hashable, SystemConfig],
+        workloads: list[WorkloadSpec] | None = None,
+    ) -> Grid:
+        """Run every workload (default: the runner's) under the unsecure
+        baseline and every keyed configuration.
 
-    def sweep(self, configs: dict[str, SystemConfig]) -> list[WorkloadResult]:
-        """Run every workload under every named configuration.
-
-        The whole grid — baselines included — is submitted as one batch, so
-        with ``jobs > 1`` independent cells run concurrently.
+        The whole grid is submitted as one batch, so with ``jobs > 1``
+        independent cells run concurrently.
         """
+        specs = self.workloads if workloads is None else workloads
         unsecure = scheme_config("unsecure", n_gpus=self.n_gpus)
-        cells: list[tuple[WorkloadSpec, SystemConfig]] = []
-        for spec in self.workloads:
-            cells.append((spec, unsecure))
-            for config in configs.values():
-                cells.append((spec, config))
-        self.run_many(cells)
-
-        results = []
-        for spec in self.workloads:
-            result = WorkloadResult(spec=spec, baseline=self.run(spec, unsecure))
-            for key, config in configs.items():
-                result.by_config[key] = self.run(spec, config)
-            results.append(result)
-        return results
+        reports = iter(
+            self.run_many(
+                [(spec, config) for spec in specs for config in (unsecure, *configs.values())]
+            )
+        )
+        rows = [
+            WorkloadResult(spec, next(reports), {key: next(reports) for key in configs})
+            for spec in specs
+        ]
+        return Grid(self.n_gpus, tuple(configs), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +215,7 @@ def fmt(value: float, digits: int = 3) -> str:
 
 __all__ = [
     "ExperimentRunner",
+    "Grid",
     "WorkloadResult",
     "geometric_mean",
     "format_table",

@@ -7,54 +7,32 @@ slowdowns vs the unsecure baseline.  The paper's anchors: OTP 1x degrades
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import scheme_config
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
+from repro.experiments.common import ExperimentRunner, Grid
 
 MULTIPLIERS = (1, 2, 4, 8, 16)
-
-
-@dataclass
-class OtpSensitivityResult:
-    n_gpus: int
-    multipliers: tuple[int, ...]
-    slowdowns: dict[str, dict[int, float]] = field(default_factory=dict)  # workload -> Nx -> slowdown
-
-    def average(self, multiplier: int) -> float:
-        return geometric_mean([per_wl[multiplier] for per_wl in self.slowdowns.values()])
 
 
 def run(
     runner: ExperimentRunner | None = None,
     multipliers: tuple[int, ...] = MULTIPLIERS,
-) -> OtpSensitivityResult:
+) -> Grid:
+    """Private at each OTP multiplier, keyed by the multiplier."""
     runner = runner or ExperimentRunner()
-    configs = {
-        f"private_{m}x": scheme_config("private", n_gpus=runner.n_gpus, otp_multiplier=m)
-        for m in multipliers
-    }
-    result = OtpSensitivityResult(n_gpus=runner.n_gpus, multipliers=multipliers)
-    for wl in runner.sweep(configs):
-        result.slowdowns[wl.spec.abbr] = {
-            m: wl.slowdown(f"private_{m}x") for m in multipliers
+    return runner.sweep(
+        {
+            m: scheme_config("private", n_gpus=runner.n_gpus, otp_multiplier=m)
+            for m in multipliers
         }
-    return result
-
-
-def format_result(result: OtpSensitivityResult) -> str:
-    columns = ["workload", *[f"OTP {m}x" for m in result.multipliers]]
-    rows = [
-        [abbr, *[fmt(per_wl[m]) for m in result.multipliers]]
-        for abbr, per_wl in result.slowdowns.items()
-    ]
-    rows.append(["average", *[fmt(result.average(m)) for m in result.multipliers]])
-    return format_table(
-        f"Figure 8: Private slowdown vs OTP entries ({result.n_gpus} GPUs, "
-        "normalized to unsecure)",
-        columns,
-        rows,
     )
 
 
-__all__ = ["run", "format_result", "OtpSensitivityResult", "MULTIPLIERS"]
+def format_result(grid: Grid) -> str:
+    return grid.table(
+        f"Figure 8: Private slowdown vs OTP entries ({grid.n_gpus} GPUs, "
+        "normalized to unsecure)",
+        ["workload", *[f"OTP {m}x" for m in grid.keys]],
+    )
+
+
+__all__ = ["run", "format_result", "MULTIPLIERS"]

@@ -7,43 +7,22 @@ degradation, with Private and Cached clearly ahead of Shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import scheme_config
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
+from repro.experiments.common import ExperimentRunner, Grid
 
 SCHEMES = ("private", "shared", "cached")
 
 
-@dataclass
-class PriorSchemesResult:
-    n_gpus: int
-    slowdowns: dict[str, dict[str, float]] = field(default_factory=dict)  # workload -> scheme -> x
-
-    def average(self, scheme: str) -> float:
-        return geometric_mean([per_wl[scheme] for per_wl in self.slowdowns.values()])
-
-
-def run(runner: ExperimentRunner | None = None) -> PriorSchemesResult:
+def run(runner: ExperimentRunner | None = None) -> Grid:
     runner = runner or ExperimentRunner()
-    configs = {s: scheme_config(s, n_gpus=runner.n_gpus) for s in SCHEMES}
-    result = PriorSchemesResult(n_gpus=runner.n_gpus)
-    for wl in runner.sweep(configs):
-        result.slowdowns[wl.spec.abbr] = {s: wl.slowdown(s) for s in SCHEMES}
-    return result
+    return runner.sweep({s: scheme_config(s, n_gpus=runner.n_gpus) for s in SCHEMES})
 
 
-def format_result(result: PriorSchemesResult) -> str:
-    rows = [
-        [abbr, *[fmt(per_wl[s]) for s in SCHEMES]]
-        for abbr, per_wl in result.slowdowns.items()
-    ]
-    rows.append(["average", *[fmt(result.average(s)) for s in SCHEMES]])
-    return format_table(
-        f"Figure 9: prior schemes, OTP 4x ({result.n_gpus} GPUs, normalized to unsecure)",
+def format_result(grid: Grid) -> str:
+    return grid.table(
+        f"Figure 9: prior schemes, OTP 4x ({grid.n_gpus} GPUs, normalized to unsecure)",
         ["workload", *SCHEMES],
-        rows,
     )
 
 
-__all__ = ["run", "format_result", "PriorSchemesResult", "SCHEMES"]
+__all__ = ["run", "format_result", "SCHEMES"]

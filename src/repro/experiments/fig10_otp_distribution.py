@@ -35,15 +35,15 @@ def run(
     sums: dict[str, dict[str, list[float]]] = {
         s: {"send": [0.0, 0.0, 0.0], "recv": [0.0, 0.0, 0.0]} for s in schemes
     }
-    results = runner.sweep(configs)
-    for wl in results:
+    grid = runner.sweep(configs)
+    for wl in grid.rows:
         for s in schemes:
             report = wl.by_config[s]
             for direction, dist in (("send", report.otp_send), ("recv", report.otp_recv)):
                 sums[s][direction][0] += dist.hit
                 sums[s][direction][1] += dist.partial
                 sums[s][direction][2] += dist.miss
-    n = len(results)
+    n = len(grid.rows)
     out = OtpDistributionResult(n_gpus=runner.n_gpus, schemes=schemes)
     for s in schemes:
         out.distributions[s] = {

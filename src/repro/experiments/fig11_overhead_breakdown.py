@@ -12,48 +12,25 @@ Paper anchors: +SecureCommu averages 8.2 % overhead; +Traffic lifts it to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import default_config
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
-
-STAGES = ("secure_commu", "traffic")
+from repro.experiments.common import ExperimentRunner, Grid
 
 
-@dataclass
-class OverheadBreakdownResult:
-    n_gpus: int
-    slowdowns: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def average(self, stage: str) -> float:
-        return geometric_mean([per_wl[stage] for per_wl in self.slowdowns.values()])
-
-
-def run(runner: ExperimentRunner | None = None) -> OverheadBreakdownResult:
+def run(runner: ExperimentRunner | None = None) -> Grid:
     runner = runner or ExperimentRunner()
-    configs = {
-        "secure_commu": default_config(runner.n_gpus, scheme="private", count_metadata=False),
-        "traffic": default_config(runner.n_gpus, scheme="private", count_metadata=True),
-    }
-    result = OverheadBreakdownResult(n_gpus=runner.n_gpus)
-    for wl in runner.sweep(configs):
-        result.slowdowns[wl.spec.abbr] = {s: wl.slowdown(s) for s in STAGES}
-    return result
-
-
-def format_result(result: OverheadBreakdownResult) -> str:
-    rows = [
-        [abbr, fmt(per_wl["secure_commu"]), fmt(per_wl["traffic"])]
-        for abbr, per_wl in result.slowdowns.items()
-    ]
-    rows.append(
-        ["average", fmt(result.average("secure_commu")), fmt(result.average("traffic"))]
+    return runner.sweep(
+        {
+            "secure_commu": default_config(runner.n_gpus, scheme="private", count_metadata=False),
+            "traffic": default_config(runner.n_gpus, scheme="private", count_metadata=True),
+        }
     )
-    return format_table(
-        f"Figure 11: cumulative overheads, Private OTP 4x ({result.n_gpus} GPUs)",
+
+
+def format_result(grid: Grid) -> str:
+    return grid.table(
+        f"Figure 11: cumulative overheads, Private OTP 4x ({grid.n_gpus} GPUs)",
         ["workload", "+SecureCommu", "+Traffic"],
-        rows,
     )
 
 
-__all__ = ["run", "format_result", "OverheadBreakdownResult"]
+__all__ = ["run", "format_result"]

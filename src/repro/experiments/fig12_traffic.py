@@ -8,56 +8,26 @@ traffic (paper: −20.2 % vs Private, −20.0 % vs Cached).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import scheme_config
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
-
-
-@dataclass
-class TrafficResult:
-    n_gpus: int
-    schemes: tuple[str, ...]
-    # workload -> scheme -> traffic ratio vs unsecure
-    ratios: dict[str, dict[str, float]] = field(default_factory=dict)
-    # workload -> scheme -> metadata share of total bytes
-    meta_share: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def average(self, scheme: str) -> float:
-        return geometric_mean([per_wl[scheme] for per_wl in self.ratios.values()])
+from repro.experiments.common import ExperimentRunner, Grid
 
 
 def run(
     runner: ExperimentRunner | None = None,
     schemes: tuple[str, ...] = ("private", "cached", "batching"),
-) -> TrafficResult:
+) -> Grid:
+    """Read the traffic ratios with :meth:`Grid.average_traffic`; the
+    grid's ``average`` is the slowdown."""
     runner = runner or ExperimentRunner()
-    configs = {s: scheme_config(s, n_gpus=runner.n_gpus) for s in schemes}
-    result = TrafficResult(n_gpus=runner.n_gpus, schemes=schemes)
-    for wl in runner.sweep(configs):
-        result.ratios[wl.spec.abbr] = {s: wl.traffic_ratio(s) for s in schemes}
-        result.meta_share[wl.spec.abbr] = {
-            s: (
-                wl.by_config[s].meta_traffic_bytes / wl.by_config[s].traffic_bytes
-                if wl.by_config[s].traffic_bytes
-                else 0.0
-            )
-            for s in schemes
-        }
-    return result
+    return runner.sweep({s: scheme_config(s, n_gpus=runner.n_gpus) for s in schemes})
 
 
-def format_result(result: TrafficResult) -> str:
-    rows = [
-        [abbr, *[fmt(per_wl[s]) for s in result.schemes]]
-        for abbr, per_wl in result.ratios.items()
-    ]
-    rows.append(["average", *[fmt(result.average(s)) for s in result.schemes]])
-    return format_table(
-        f"Figures 12/23: traffic vs unsecure ({result.n_gpus} GPUs, OTP 4x)",
-        ["workload", *result.schemes],
-        rows,
+def format_result(grid: Grid) -> str:
+    return grid.table(
+        f"Figures 12/23: traffic vs unsecure ({grid.n_gpus} GPUs, OTP 4x)",
+        ["workload", *grid.keys],
+        traffic=True,
     )
 
 
-__all__ = ["run", "format_result", "TrafficResult"]
+__all__ = ["run", "format_result"]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.configs import scheme_config
 from repro.experiments.common import ExperimentRunner, format_table
 from repro.secure.channel import BURST_EDGES
 
@@ -37,12 +36,10 @@ class BurstinessResult:
 
 def run(runner: ExperimentRunner | None = None) -> BurstinessResult:
     runner = runner or ExperimentRunner()
-    config = scheme_config("unsecure", n_gpus=runner.n_gpus)
     result = BurstinessResult(n_gpus=runner.n_gpus, edges=list(BURST_EDGES))
-    for spec in runner.workloads:
-        report = runner.run(spec, config)
-        result.burst16[spec.abbr] = report.burst16_fractions
-        result.burst32[spec.abbr] = report.burst32_fractions
+    for row in runner.sweep({}).rows:
+        result.burst16[row.spec.abbr] = row.baseline.burst16_fractions
+        result.burst32[row.spec.abbr] = row.baseline.burst32_fractions
     return result
 
 

@@ -12,26 +12,9 @@ high-RPKI communication-bound ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import default_config, scheme_config
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
-
-CONFIG_KEYS = ("private_4x", "private_16x", "cached_4x", "dynamic_4x", "batching_4x")
-
-
-@dataclass
-class MainResult:
-    n_gpus: int
-    slowdowns: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def average(self, key: str) -> float:
-        return geometric_mean([per_wl[key] for per_wl in self.slowdowns.values()])
-
-    def improvement_over(self, ours: str, prior: str) -> float:
-        """Average speedup of ``ours`` relative to ``prior`` (paper's
-        'performance improvement' metric)."""
-        return self.average(prior) / self.average(ours) - 1.0
+from repro.experiments.ascii_chart import hbar_chart
+from repro.experiments.common import ExperimentRunner, Grid
 
 
 def build_configs(n_gpus: int) -> dict:
@@ -44,38 +27,27 @@ def build_configs(n_gpus: int) -> dict:
     }
 
 
-def run(runner: ExperimentRunner | None = None) -> MainResult:
+def run(runner: ExperimentRunner | None = None) -> Grid:
     runner = runner or ExperimentRunner()
-    result = MainResult(n_gpus=runner.n_gpus)
-    for wl in runner.sweep(build_configs(runner.n_gpus)):
-        result.slowdowns[wl.spec.abbr] = {k: wl.slowdown(k) for k in CONFIG_KEYS}
-    return result
+    return runner.sweep(build_configs(runner.n_gpus))
 
 
-def format_result(result: MainResult) -> str:
-    rows = [
-        [abbr, *[fmt(per_wl[k]) for k in CONFIG_KEYS]]
-        for abbr, per_wl in result.slowdowns.items()
-    ]
-    rows.append(["average", *[fmt(result.average(k)) for k in CONFIG_KEYS]])
+def format_result(grid: Grid) -> str:
     summary = (
-        f"Batching improves {result.improvement_over('batching_4x', 'private_4x'):+.1%} "
-        f"over Private 4x, {result.improvement_over('batching_4x', 'cached_4x'):+.1%} "
+        f"Batching improves {grid.improvement_over('batching_4x', 'private_4x'):+.1%} "
+        f"over Private 4x, {grid.improvement_over('batching_4x', 'cached_4x'):+.1%} "
         "over Cached 4x"
     )
-    table = format_table(
-        f"Figure 21: execution time, {result.n_gpus} GPUs (normalized to unsecure)",
+    table = grid.table(
+        f"Figure 21: execution time, {grid.n_gpus} GPUs (normalized to unsecure)",
         ["workload", "Priv 4x", "Priv 16x", "Cached 4x", "+Dynamic", "+Batching"],
-        rows,
     )
-    from repro.experiments.ascii_chart import hbar_chart
-
     chart = hbar_chart(
         "average normalized execution time",
-        [(k, result.average(k)) for k in CONFIG_KEYS],
+        [(k, grid.average(k)) for k in grid.keys],
         baseline=1.0,
     )
     return f"{table}\n{summary}\n\n{chart}"
 
 
-__all__ = ["run", "format_result", "build_configs", "MainResult", "CONFIG_KEYS"]
+__all__ = ["run", "format_result", "build_configs"]

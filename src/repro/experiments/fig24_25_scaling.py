@@ -13,58 +13,34 @@ note).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import default_config, scheme_config
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
-
-SCHEME_KEYS = ("private", "cached", "ours")
+from repro.experiments.common import ExperimentRunner, Grid
 
 
-@dataclass
-class ScalingResult:
-    n_gpus: int
-    slowdowns: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def average(self, key: str) -> float:
-        return geometric_mean([per_wl[key] for per_wl in self.slowdowns.values()])
-
-    def improvement_over(self, prior: str) -> float:
-        return self.average(prior) / self.average("ours") - 1.0
-
-
-def run(n_gpus: int, runner: ExperimentRunner | None = None) -> ScalingResult:
+def run(n_gpus: int, runner: ExperimentRunner | None = None) -> Grid:
     runner = runner or ExperimentRunner(n_gpus=n_gpus)
     if runner.n_gpus != n_gpus:
         raise ValueError("runner's GPU count must match the experiment's")
-    configs = {
-        "private": scheme_config("private", n_gpus=n_gpus),
-        "cached": scheme_config("cached", n_gpus=n_gpus),
-        "ours": default_config(n_gpus, scheme="dynamic", batching=True),
-    }
-    result = ScalingResult(n_gpus=n_gpus)
-    for wl in runner.sweep(configs):
-        result.slowdowns[wl.spec.abbr] = {k: wl.slowdown(k) for k in SCHEME_KEYS}
-    return result
+    return runner.sweep(
+        {
+            "private": scheme_config("private", n_gpus=n_gpus),
+            "cached": scheme_config("cached", n_gpus=n_gpus),
+            "ours": default_config(n_gpus, scheme="dynamic", batching=True),
+        }
+    )
 
 
-def format_result(result: ScalingResult) -> str:
-    fig = {8: 24, 16: 25}.get(result.n_gpus, "24/25")
-    rows = [
-        [abbr, *[fmt(per_wl[k]) for k in SCHEME_KEYS]]
-        for abbr, per_wl in result.slowdowns.items()
-    ]
-    rows.append(["average", *[fmt(result.average(k)) for k in SCHEME_KEYS]])
-    table = format_table(
-        f"Figure {fig}: execution time, {result.n_gpus} GPUs (normalized to unsecure)",
+def format_result(grid: Grid) -> str:
+    fig = {8: 24, 16: 25}.get(grid.n_gpus, "24/25")
+    table = grid.table(
+        f"Figure {fig}: execution time, {grid.n_gpus} GPUs (normalized to unsecure)",
         ["workload", "Private", "Cached", "Ours"],
-        rows,
     )
     summary = (
-        f"Ours improves {result.improvement_over('private'):+.1%} over Private, "
-        f"{result.improvement_over('cached'):+.1%} over Cached"
+        f"Ours improves {grid.improvement_over('ours', 'private'):+.1%} over Private, "
+        f"{grid.improvement_over('ours', 'cached'):+.1%} over Cached"
     )
     return f"{table}\n{summary}"
 
 
-__all__ = ["run", "format_result", "ScalingResult", "SCHEME_KEYS"]
+__all__ = ["run", "format_result"]

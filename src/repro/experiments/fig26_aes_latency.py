@@ -9,21 +9,11 @@ the motivation for attacking traffic, not just latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import default_config
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
+from repro.experiments.common import ExperimentRunner, Grid, fmt, format_table
 
 LATENCIES = (10, 20, 30, 40)
 SCHEME_KEYS = ("private", "cached", "ours")
-
-
-@dataclass
-class AesLatencyResult:
-    n_gpus: int
-    latencies: tuple[int, ...]
-    # (scheme, latency) -> average slowdown
-    averages: dict[tuple[str, int], float] = field(default_factory=dict)
 
 
 def _config(scheme_key: str, n_gpus: int, latency: int):
@@ -35,34 +25,29 @@ def _config(scheme_key: str, n_gpus: int, latency: int):
 def run(
     runner: ExperimentRunner | None = None,
     latencies: tuple[int, ...] = LATENCIES,
-) -> AesLatencyResult:
+) -> Grid:
+    """Every scheme at every latency, keyed ``(scheme, latency)``."""
     runner = runner or ExperimentRunner()
-    configs = {
-        f"{scheme}_{lat}": _config(scheme, runner.n_gpus, lat)
-        for scheme in SCHEME_KEYS
-        for lat in latencies
-    }
-    result = AesLatencyResult(n_gpus=runner.n_gpus, latencies=latencies)
-    sweep = runner.sweep(configs)
-    for scheme in SCHEME_KEYS:
-        for lat in latencies:
-            key = f"{scheme}_{lat}"
-            result.averages[(scheme, lat)] = geometric_mean(
-                [wl.slowdown(key) for wl in sweep]
-            )
-    return result
+    return runner.sweep(
+        {
+            (scheme, lat): _config(scheme, runner.n_gpus, lat)
+            for scheme in SCHEME_KEYS
+            for lat in latencies
+        }
+    )
 
 
-def format_result(result: AesLatencyResult) -> str:
+def format_result(grid: Grid) -> str:
+    latencies = grid.axis(1)
     rows = [
-        [scheme, *[fmt(result.averages[(scheme, lat)]) for lat in result.latencies]]
-        for scheme in SCHEME_KEYS
+        [scheme, *[fmt(grid.average((scheme, lat))) for lat in latencies]]
+        for scheme in grid.axis(0)
     ]
     return format_table(
-        f"Figure 26: average slowdown vs AES-GCM latency ({result.n_gpus} GPUs, OTP 4x)",
-        ["scheme", *[f"{lat} cyc" for lat in result.latencies]],
+        f"Figure 26: average slowdown vs AES-GCM latency ({grid.n_gpus} GPUs, OTP 4x)",
+        ["scheme", *[f"{lat} cyc" for lat in latencies]],
         rows,
     )
 
 
-__all__ = ["run", "format_result", "AesLatencyResult", "LATENCIES", "SCHEME_KEYS"]
+__all__ = ["run", "format_result", "LATENCIES", "SCHEME_KEYS"]

@@ -24,11 +24,9 @@ link quarantine and reroute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import SystemConfig, scheme_config
 from repro.experiments.ascii_chart import hbar_chart
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
+from repro.experiments.common import ExperimentRunner, Grid, fmt, format_table
 from repro.secure.adversary import AttackReport
 from repro.workloads import get_workload
 
@@ -99,64 +97,35 @@ def adversary_config(
     return config
 
 
-@dataclass
-class AdversaryResult:
-    n_gpus: int
-    rate: float
-    mixes: tuple[str, ...]
-    schemes: tuple[str, ...]
-    #: scheme -> mix -> geomean slowdown vs. the attack-free unsecure run
-    slowdowns: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: scheme -> mix -> attack ledgers merged across workloads
-    attack_totals: dict[str, dict[str, AttackReport]] = field(default_factory=dict)
-
-    def accepted(self, scheme: str, mix: str) -> int:
-        return self.attack_totals[scheme][mix].accepted_undetected
-
-
 def run(
     runner: ExperimentRunner | None = None,
     rate: float = RATE,
     mixes: tuple[str, ...] = tuple(MIXES),
     schemes: tuple[str, ...] = SCHEMES,
-) -> AdversaryResult:
+) -> Grid:
+    """Every scheme under every attack mix, keyed ``(scheme, mix)``, each
+    normalized to the attack-free unsecure run."""
     runner = runner or ExperimentRunner()
-    grid = [
-        (spec, scheme, mix)
-        for spec in runner.workloads
-        for scheme in schemes
-        for mix in mixes
-    ]
-    cells = [
-        (spec, adversary_config(scheme, mix, rate, n_gpus=runner.n_gpus))
-        for spec, scheme, mix in grid
-    ]
-    reports = dict(zip(grid, runner.run_many(cells)))
-    baselines = {
-        spec: runner.run(spec, scheme_config("unsecure", n_gpus=runner.n_gpus))
-        for spec in runner.workloads
-    }
-
-    result = AdversaryResult(
-        n_gpus=runner.n_gpus, rate=rate, mixes=mixes, schemes=schemes
+    return runner.sweep(
+        {
+            (scheme, mix): adversary_config(scheme, mix, rate, n_gpus=runner.n_gpus)
+            for scheme in schemes
+            for mix in mixes
+        }
     )
-    for scheme in schemes:
-        result.slowdowns[scheme] = {}
-        result.attack_totals[scheme] = {}
-        for mix in mixes:
-            ratios = []
-            totals = AttackReport()
-            for spec in runner.workloads:
-                report = reports[(spec, scheme, mix)]
-                ratios.append(report.slowdown_vs(baselines[spec]))
-                if report.attack_report is not None:
-                    totals.merge(report.attack_report)
-            result.slowdowns[scheme][mix] = geometric_mean(ratios)
-            result.attack_totals[scheme][mix] = totals
-    return result
 
 
-def assert_zero_undetected(result: AdversaryResult) -> int:
+def attack_totals(grid: Grid, key: tuple[str, str]) -> AttackReport:
+    """Attack ledgers of ``key``'s cells merged across workloads."""
+    totals = AttackReport()
+    for row in grid.rows:
+        ledger = row.by_config[key].attack_report
+        if ledger is not None:
+            totals.merge(ledger)
+    return totals
+
+
+def assert_zero_undetected(grid: Grid) -> int:
     """Fail loudly unless every secure scheme detected every effective attack.
 
     Returns the number of (scheme, mix) cells checked.  This is the
@@ -165,34 +134,35 @@ def assert_zero_undetected(result: AdversaryResult) -> int:
     ledger, while the unsecure baseline *must* have accepted attacks —
     proving the injector genuinely lands its manipulations.
     """
+    ledgers = {key: attack_totals(grid, key) for key in grid.keys}
     checked = 0
-    for scheme in result.schemes:
-        for mix in result.mixes:
-            ledger = result.attack_totals[scheme][mix]
-            if ledger.total_injected == 0:
-                raise AssertionError(
-                    f"{scheme} @ mix {mix!r}: no attacks injected — sweep too small?"
-                )
-            if ledger.unresolved:
-                raise AssertionError(
-                    f"{scheme} @ mix {mix!r}: {ledger.unresolved} injected "
-                    "attack(s) never resolved"
-                )
-            if scheme == "unsecure":
-                continue
-            if ledger.accepted_undetected:
-                raise AssertionError(
-                    f"{scheme} @ mix {mix!r}: {ledger.accepted_undetected} "
-                    "attack(s) accepted undetected"
-                )
-            checked += 1
-    unsecure = result.attack_totals.get("unsecure")
-    if unsecure is not None:
-        landed = sum(ledger.accepted_undetected for ledger in unsecure.values())
-        if not landed:
+    for (scheme, mix), ledger in ledgers.items():
+        if ledger.total_injected == 0:
             raise AssertionError(
-                "unsecure baseline accepted no attacks — injector ineffective?"
+                f"{scheme} @ mix {mix!r}: no attacks injected — sweep too small?"
             )
+        if ledger.unresolved:
+            raise AssertionError(
+                f"{scheme} @ mix {mix!r}: {ledger.unresolved} injected "
+                "attack(s) never resolved"
+            )
+        if scheme == "unsecure":
+            continue
+        if ledger.accepted_undetected:
+            raise AssertionError(
+                f"{scheme} @ mix {mix!r}: {ledger.accepted_undetected} "
+                "attack(s) accepted undetected"
+            )
+        checked += 1
+    landed = [
+        ledger.accepted_undetected
+        for (scheme, _), ledger in ledgers.items()
+        if scheme == "unsecure"
+    ]
+    if landed and not any(landed):
+        raise AssertionError(
+            "unsecure baseline accepted no attacks — injector ineffective?"
+        )
     return checked
 
 
@@ -233,24 +203,25 @@ def check_quarantine(
     return ledger
 
 
-def format_result(result: AdversaryResult) -> str:
-    mix_cols = list(result.mixes)
+def format_result(grid: Grid, rate: float = RATE) -> str:
+    """``rate`` is the composite attack rate the grid ran at."""
+    schemes, mixes = grid.axis(0), grid.axis(1)
     rows = [
-        [scheme, *[fmt(result.slowdowns[scheme][mix]) for mix in result.mixes]]
-        for scheme in result.schemes
+        [scheme, *[fmt(grid.average((scheme, mix))) for mix in mixes]]
+        for scheme in schemes
     ]
     table = format_table(
         f"Adversary sweep: slowdown vs. attack-free unsecure "
-        f"(r={result.rate:g}, {result.n_gpus} GPUs)",
-        ["scheme", *mix_cols],
+        f"(r={rate:g}, {grid.n_gpus} GPUs)",
+        ["scheme", *mixes],
         rows,
     )
 
     ledger_rows = []
-    for scheme in result.schemes:
+    for scheme in schemes:
         totals = AttackReport()
-        for mix in result.mixes:
-            totals.merge(result.attack_totals[scheme][mix])
+        for mix in mixes:
+            totals.merge(attack_totals(grid, (scheme, mix)))
         ledger_rows.append(
             [
                 scheme,
@@ -268,7 +239,7 @@ def format_result(result: AdversaryResult) -> str:
 
     chart = hbar_chart(
         "Slowdown under the 'all' mix (| marks the attack-free baseline)",
-        [(scheme, result.slowdowns[scheme]["all"]) for scheme in result.schemes],
+        [(scheme, grid.average((scheme, "all"))) for scheme in schemes],
         baseline=1.0,
     )
     return "\n\n".join([table, ledger, chart])
@@ -284,7 +255,7 @@ def smoke(
     mixes: tuple[str, ...] = tuple(MIXES),
     jobs: int | None = None,
     use_cache: bool | None = None,
-) -> AdversaryResult:
+) -> Grid:
     """CI-scale adversary sweep enforcing the zero-undetected contract."""
     runner = ExperimentRunner(
         scale=scale,
@@ -292,21 +263,17 @@ def smoke(
         jobs=jobs,
         use_cache=use_cache,
     )
-    result = run(runner, mixes=mixes)
-    checked = assert_zero_undetected(result)
+    grid = run(runner, mixes=mixes)
+    checked = assert_zero_undetected(grid)
     quarantined = check_quarantine(scale=scale, jobs=jobs, use_cache=use_cache)
-    injected = sum(
-        result.attack_totals[s][m].total_injected
-        for s in result.schemes
-        for m in result.mixes
-    )
-    print(format_result(result))
+    injected = sum(attack_totals(grid, key).total_injected for key in grid.keys)
+    print(format_result(grid, rate=RATE))
     print(
         f"\nsmoke: {checked} secure cells checked, {injected} attacks injected, "
         f"0 accepted undetected; quarantine rerouted "
         f"{len(quarantined.quarantined)} link(s)"
     )
-    return result
+    return grid
 
 
 __all__ = [
@@ -314,10 +281,10 @@ __all__ = [
     "MIXES",
     "SCHEMES",
     "SMOKE_WORKLOADS",
-    "AdversaryResult",
     "adversary_overrides",
     "adversary_config",
     "run",
+    "attack_totals",
     "assert_zero_undetected",
     "check_quarantine",
     "format_result",

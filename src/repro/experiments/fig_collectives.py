@@ -24,88 +24,43 @@ enforces the Dynamic+Batch ≤ Private contract at small scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import scheme_config
 from repro.experiments.ascii_chart import hbar_chart
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
+from repro.experiments.common import ExperimentRunner, Grid, fmt, format_table
 from repro.workloads import all_collectives
 
 #: Schemes compared, conventional → the paper's full proposal.
 SCHEMES = ("private", "cached", "dynamic", "batching")
 
 
-@dataclass
-class CollectiveSweepResult:
-    n_gpus: int
-    schemes: tuple[str, ...]
-    collectives: tuple[str, ...]
-    #: scheme -> collective -> slowdown vs. the unsecure baseline
-    slowdowns: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: scheme -> collective -> traffic ratio vs. the unsecure baseline
-    traffic: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: scheme -> collective -> metadata share of total wire bytes
-    meta_share: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def geomean_slowdown(self, scheme: str) -> float:
-        return geometric_mean(list(self.slowdowns[scheme].values()))
-
-    def geomean_traffic(self, scheme: str) -> float:
-        return geometric_mean(list(self.traffic[scheme].values()))
-
-
 def run(
     runner: ExperimentRunner | None = None,
     schemes: tuple[str, ...] = SCHEMES,
-) -> CollectiveSweepResult:
+) -> Grid:
     """Sweep every collective under every scheme (plus the baseline).
 
     The runner supplies the execution layer (seed, scale, jobs, cache);
     the workload set is always the full ``collective`` registry class.
     """
     runner = runner or ExperimentRunner()
-    specs = all_collectives()
-    configs = {s: scheme_config(s, n_gpus=runner.n_gpus) for s in schemes}
-    unsecure = scheme_config("unsecure", n_gpus=runner.n_gpus)
-
-    cells = [(spec, unsecure) for spec in specs]
-    cells += [(spec, cfg) for spec in specs for cfg in configs.values()]
-    runner.run_many(cells)  # one batch: every cell fans out together
-
-    result = CollectiveSweepResult(
-        n_gpus=runner.n_gpus,
-        schemes=schemes,
-        collectives=tuple(spec.name for spec in specs),
+    return runner.sweep(
+        {s: scheme_config(s, n_gpus=runner.n_gpus) for s in schemes},
+        workloads=all_collectives(),
     )
-    for scheme, cfg in configs.items():
-        result.slowdowns[scheme] = {}
-        result.traffic[scheme] = {}
-        result.meta_share[scheme] = {}
-        for spec in specs:
-            baseline = runner.run(spec, unsecure)
-            report = runner.run(spec, cfg)
-            result.slowdowns[scheme][spec.name] = report.slowdown_vs(baseline)
-            result.traffic[scheme][spec.name] = report.traffic_ratio_vs(baseline)
-            result.meta_share[scheme][spec.name] = (
-                report.meta_traffic_bytes / report.traffic_bytes
-                if report.traffic_bytes
-                else 0.0
-            )
-    return result
 
 
-def format_result(result: CollectiveSweepResult) -> str:
-    columns = ["scheme", *result.collectives, "geomean"]
+def format_result(grid: Grid) -> str:
+    columns = ["scheme", *[row.spec.name for row in grid.rows], "geomean"]
     slowdown_rows = [
         [
             scheme,
-            *[fmt(result.slowdowns[scheme][c]) for c in result.collectives],
-            fmt(result.geomean_slowdown(scheme)),
+            *[fmt(row.slowdown(scheme)) for row in grid.rows],
+            fmt(grid.average(scheme)),
         ]
-        for scheme in result.schemes
+        for scheme in grid.keys
     ]
     slowdown_table = format_table(
-        f"Collectives: slowdown vs. unsecure ({result.n_gpus} GPUs)",
+        f"Collectives: slowdown vs. unsecure ({grid.n_gpus} GPUs)",
         columns,
         slowdown_rows,
     )
@@ -114,12 +69,12 @@ def format_result(result: CollectiveSweepResult) -> str:
         [
             scheme,
             *[
-                f"{fmt(result.traffic[scheme][c], 2)} ({result.meta_share[scheme][c]:.0%})"
-                for c in result.collectives
+                f"{fmt(row.traffic_ratio(scheme), 2)} ({row.meta_share(scheme):.0%})"
+                for row in grid.rows
             ],
-            fmt(result.geomean_traffic(scheme), 2),
+            fmt(grid.average_traffic(scheme), 2),
         ]
-        for scheme in result.schemes
+        for scheme in grid.keys
     ]
     traffic_table = format_table(
         "Traffic amplification vs. unsecure (metadata share of wire bytes)",
@@ -129,13 +84,13 @@ def format_result(result: CollectiveSweepResult) -> str:
 
     chart = hbar_chart(
         "Geomean slowdown across collectives (| marks the unsecure baseline)",
-        [(scheme, result.geomean_slowdown(scheme)) for scheme in result.schemes],
+        [(scheme, grid.average(scheme)) for scheme in grid.keys],
         baseline=1.0,
     )
     return "\n\n".join([slowdown_table, traffic_table, chart])
 
 
-def assert_batching_wins(result: CollectiveSweepResult) -> int:
+def assert_batching_wins(grid: Grid) -> int:
     """Enforce the collectives contract: Dynamic+Batch ≤ Private everywhere.
 
     At equal OTP storage the full proposal must not price any collective
@@ -143,25 +98,23 @@ def assert_batching_wins(result: CollectiveSweepResult) -> int:
     collectives checked; raises AssertionError naming the violator.
     """
     for required in ("private", "batching"):
-        if required not in result.schemes:
+        if required not in grid.keys:
             raise AssertionError(f"contract needs scheme {required!r} in the sweep")
-    checked = 0
-    for name in result.collectives:
-        private = result.slowdowns["private"][name]
-        ours = result.slowdowns["batching"][name]
+    for row in grid.rows:
+        private = row.slowdown("private")
+        ours = row.slowdown("batching")
         if ours > private + 1e-9:
             raise AssertionError(
-                f"{name}: Dynamic+Batch slowdown {ours:.3f} exceeds Private {private:.3f}"
+                f"{row.spec.name}: Dynamic+Batch slowdown {ours:.3f} exceeds Private {private:.3f}"
             )
-        checked += 1
-    return checked
+    return len(grid.rows)
 
 
 def smoke(
     scale: float = 0.25,
     jobs: int | None = None,
     use_cache: bool | None = None,
-) -> CollectiveSweepResult:
+) -> Grid:
     """CI-scale collectives sweep enforcing Dynamic+Batch ≤ Private.
 
     Scale floors at 0.25: below that the traces span too few of the
@@ -169,16 +122,15 @@ def smoke(
     settle (same floor the benchmarks apply, see EXPERIMENTS.md).
     """
     runner = ExperimentRunner(scale=max(scale, 0.25), jobs=jobs, use_cache=use_cache)
-    result = run(runner, schemes=("private", "batching"))
-    checked = assert_batching_wins(result)
-    print(format_result(result))
+    grid = run(runner, schemes=("private", "batching"))
+    checked = assert_batching_wins(grid)
+    print(format_result(grid))
     print(f"\nsmoke: {checked} collectives checked, Dynamic+Batch <= Private on all")
-    return result
+    return grid
 
 
 __all__ = [
     "SCHEMES",
-    "CollectiveSweepResult",
     "run",
     "format_result",
     "assert_batching_wins",

@@ -21,11 +21,9 @@ Not a paper figure: this is the reproduction's robustness harness (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.configs import SystemConfig, scheme_config
 from repro.experiments.ascii_chart import hbar_chart
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
+from repro.experiments.common import ExperimentRunner, Grid, fmt, format_table
 from repro.sim.stats import FaultStats
 from repro.workloads import get_workload
 
@@ -57,57 +55,34 @@ def fault_config(scheme: str, rate: float, n_gpus: int = 4) -> SystemConfig:
     return config
 
 
-@dataclass
-class FaultSweepResult:
-    n_gpus: int
-    rates: tuple[float, ...]
-    schemes: tuple[str, ...]
-    #: scheme -> rate -> geomean slowdown vs. the fault-free unsecure run
-    slowdowns: dict[str, dict[float, float]] = field(default_factory=dict)
-    #: scheme -> rate -> fault/recovery counters merged across workloads
-    fault_totals: dict[str, dict[float, FaultStats]] = field(default_factory=dict)
-
-    def undetected(self, scheme: str, rate: float) -> int:
-        return self.fault_totals[scheme][rate].undetected
-
-
 def run(
     runner: ExperimentRunner | None = None,
     rates: tuple[float, ...] = RATES,
     schemes: tuple[str, ...] = SCHEMES,
-) -> FaultSweepResult:
+) -> Grid:
+    """Every scheme at every fault rate, keyed ``(scheme, rate)``, each
+    normalized to the fault-free unsecure run."""
     runner = runner or ExperimentRunner()
-    grid = [
-        (spec, scheme, rate)
-        for spec in runner.workloads
-        for scheme in schemes
-        for rate in rates
-    ]
-    cells = [
-        (spec, fault_config(scheme, rate, n_gpus=runner.n_gpus))
-        for spec, scheme, rate in grid
-    ]
-    reports = dict(zip(grid, runner.run_many(cells)))
-
-    result = FaultSweepResult(n_gpus=runner.n_gpus, rates=rates, schemes=schemes)
-    for scheme in schemes:
-        result.slowdowns[scheme] = {}
-        result.fault_totals[scheme] = {}
-        for rate in rates:
-            ratios = []
-            totals = FaultStats()
-            for spec in runner.workloads:
-                report = reports[(spec, scheme, rate)]
-                baseline = reports[(spec, "unsecure", 0.0)]
-                ratios.append(report.slowdown_vs(baseline))
-                if report.fault_stats is not None:
-                    totals.merge(report.fault_stats)
-            result.slowdowns[scheme][rate] = geometric_mean(ratios)
-            result.fault_totals[scheme][rate] = totals
-    return result
+    return runner.sweep(
+        {
+            (scheme, rate): fault_config(scheme, rate, n_gpus=runner.n_gpus)
+            for scheme in schemes
+            for rate in rates
+        }
+    )
 
 
-def assert_no_undetected(result: FaultSweepResult) -> int:
+def fault_totals(grid: Grid, key: tuple[str, float]) -> FaultStats:
+    """Fault and recovery counters of ``key``'s cells merged across workloads."""
+    totals = FaultStats()
+    for row in grid.rows:
+        stats = row.by_config[key].fault_stats
+        if stats is not None:
+            totals.merge(stats)
+    return totals
+
+
+def assert_no_undetected(grid: Grid) -> int:
     """Fail loudly if any secure scheme let a fault through undetected.
 
     Returns the number of (scheme, rate) cells checked.  This is the
@@ -116,41 +91,40 @@ def assert_no_undetected(result: FaultSweepResult) -> int:
     injected corruption must show up as a MsgMAC rejection.
     """
     checked = 0
-    for scheme in result.schemes:
+    for scheme, rate in grid.keys:
         if scheme == "unsecure":
             continue
-        for rate in result.rates:
-            stats = result.fault_totals[scheme][rate]
-            if stats.lost_messages or stats.corrupted_deliveries:
-                raise AssertionError(
-                    f"{scheme} @ rate {rate}: {stats.lost_messages} lost, "
-                    f"{stats.corrupted_deliveries} corrupted blocks reached a device"
-                )
-            if stats.corruptions_detected != stats.corruptions_injected:
-                raise AssertionError(
-                    f"{scheme} @ rate {rate}: {stats.corruptions_injected} corruptions "
-                    f"injected but only {stats.corruptions_detected} detected"
-                )
-            checked += 1
+        stats = fault_totals(grid, (scheme, rate))
+        if stats.lost_messages or stats.corrupted_deliveries:
+            raise AssertionError(
+                f"{scheme} @ rate {rate}: {stats.lost_messages} lost, "
+                f"{stats.corrupted_deliveries} corrupted blocks reached a device"
+            )
+        if stats.corruptions_detected != stats.corruptions_injected:
+            raise AssertionError(
+                f"{scheme} @ rate {rate}: {stats.corruptions_injected} corruptions "
+                f"injected but only {stats.corruptions_detected} detected"
+            )
+        checked += 1
     return checked
 
 
-def format_result(result: FaultSweepResult) -> str:
-    rate_cols = [f"r={rate:g}" for rate in result.rates]
+def format_result(grid: Grid) -> str:
+    schemes, rates = grid.axis(0), grid.axis(1)
     rows = [
-        [scheme, *[fmt(result.slowdowns[scheme][rate]) for rate in result.rates]]
-        for scheme in result.schemes
+        [scheme, *[fmt(grid.average((scheme, rate))) for rate in rates]]
+        for scheme in schemes
     ]
     table = format_table(
-        f"Fault sweep: slowdown vs. fault-free unsecure ({result.n_gpus} GPUs)",
-        ["scheme", *rate_cols],
+        f"Fault sweep: slowdown vs. fault-free unsecure ({grid.n_gpus} GPUs)",
+        ["scheme", *[f"r={rate:g}" for rate in rates]],
         rows,
     )
 
-    worst = max(rate for rate in result.rates)
+    worst = max(rates)
     recovery_rows = []
-    for scheme in result.schemes:
-        stats = result.fault_totals[scheme][worst]
+    for scheme in schemes:
+        stats = fault_totals(grid, (scheme, worst))
         recovery_rows.append(
             [
                 scheme,
@@ -169,7 +143,7 @@ def format_result(result: FaultSweepResult) -> str:
 
     chart = hbar_chart(
         f"Slowdown at r={worst:g} (| marks the fault-free baseline)",
-        [(scheme, result.slowdowns[scheme][worst]) for scheme in result.schemes],
+        [(scheme, grid.average((scheme, worst))) for scheme in schemes],
         baseline=1.0,
     )
     return "\n\n".join([table, recovery, chart])
@@ -185,7 +159,7 @@ def smoke(
     rates: tuple[float, ...] = (0.0, 0.05),
     jobs: int | None = None,
     use_cache: bool | None = None,
-) -> FaultSweepResult:
+) -> Grid:
     """CI-scale fault sweep that enforces the zero-undetected contract."""
     runner = ExperimentRunner(
         scale=scale,
@@ -193,29 +167,27 @@ def smoke(
         jobs=jobs,
         use_cache=use_cache,
     )
-    result = run(runner, rates=rates)
-    checked = assert_no_undetected(result)
+    grid = run(runner, rates=rates)
+    checked = assert_no_undetected(grid)
     injected = sum(
-        result.fault_totals[s][r].drops_injected
-        + result.fault_totals[s][r].corruptions_injected
-        for s in result.schemes
-        for r in result.rates
+        stats.drops_injected + stats.corruptions_injected
+        for stats in (fault_totals(grid, key) for key in grid.keys)
     )
     if not injected:
         raise AssertionError("fault smoke injected no faults — sweep too small?")
-    print(format_result(result))
+    print(format_result(grid))
     print(f"\nsmoke: {checked} secure cells checked, {injected} drops/corruptions injected, 0 undetected")
-    return result
+    return grid
 
 
 __all__ = [
     "RATES",
     "SCHEMES",
     "SMOKE_WORKLOADS",
-    "FaultSweepResult",
     "fault_overrides",
     "fault_config",
     "run",
+    "fault_totals",
     "assert_no_undetected",
     "format_result",
     "smoke",

@@ -16,32 +16,35 @@ from repro.memory.address_space import PAGE_BYTES
 
 
 class Tlb:
-    """Fully-associative LRU TLB over page numbers."""
+    """Fully-associative LRU TLB over page numbers.
+
+    ``_entries`` holds the cached pages in insertion order, least recently
+    used first: a hit or a refill moves its page to the end, and a fill
+    into a full TLB evicts the first page.
+    """
 
     def __init__(self, name: str, n_entries: int) -> None:
         if n_entries <= 0:
             raise ValueError("TLB needs at least one entry")
         self.name = name
         self.n_entries = n_entries
-        self._entries: dict[int, int] = {}
-        self._stamp = 0
+        self._entries: dict[int, bool] = {}
 
     def lookup(self, page: int) -> bool:
-        self._stamp += 1
-        if page in self._entries:
-            self._entries[page] = self._stamp
+        entries = self._entries
+        if entries.pop(page, False):
+            entries[page] = True
             return True
         return False
 
     def fill(self, page: int) -> None:
-        self._stamp += 1
-        if page not in self._entries and len(self._entries) >= self.n_entries:
-            victim = min(self._entries, key=self._entries.get)
-            del self._entries[victim]
-        self._entries[page] = self._stamp
+        entries = self._entries
+        if not entries.pop(page, False) and len(entries) >= self.n_entries:
+            del entries[next(iter(entries))]
+        entries[page] = True
 
     def invalidate(self, page: int) -> bool:
-        return self._entries.pop(page, None) is not None
+        return self._entries.pop(page, False)
 
 
 class TlbHierarchy:
@@ -69,11 +72,9 @@ class TlbHierarchy:
         """Return ``(delay_cycles, needs_iommu_walk)`` for ``address``."""
         page = address // PAGE_BYTES
         # the L1 hit, inlined (Tlb.lookup): most translations end here
-        l1 = self.l1
-        l1._stamp += 1
-        entries = l1._entries
-        if page in entries:
-            entries[page] = l1._stamp
+        entries = self.l1._entries
+        if entries.pop(page, False):
+            entries[page] = True
             return self.l1_latency, False
         if self.l2.lookup(page):
             self.l1.fill(page)

@@ -69,19 +69,5 @@ class LinkFailureError(RuntimeError):
             f"cycle {gave_up_at})"
         )
 
-    @property
-    def diagnostic(self) -> dict:
-        """Structured rendering for logs and reports."""
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "pid": self.pid,
-            "counter": self.counter,
-            "attempts": self.attempts,
-            "first_sent": self.first_sent,
-            "gave_up_at": self.gave_up_at,
-            "fault_stats": dict(self.fault_stats),
-        }
-
 
 __all__ = ["FaultVerdict", "LinkFailureError"]

@@ -74,10 +74,6 @@ class Histogram:
         self.total += 1
         self._sum += value
 
-    @property
-    def mean(self) -> float:
-        return self._sum / self.total if self.total else 0.0
-
     def fractions(self) -> list[float]:
         """Per-bin fractions of all recorded samples (sums to 1 when any)."""
         if not self.total:

@@ -49,26 +49,26 @@ def _measurements(runner: ExperimentRunner) -> dict:
         "batching": default_config(n, scheme="dynamic", batching=True),
         "secure_commu": default_config(n, scheme="private", count_metadata=False),
     }
-    sweep = runner.sweep(configs)
-    out: dict = {"n_workloads": len(sweep)}
+    grid = runner.sweep(configs)
+    out: dict = {"n_workloads": len(grid.rows)}
     for key in configs:
-        out[f"slowdown:{key}"] = geometric_mean([wl.slowdown(key) for wl in sweep])
-        out[f"traffic:{key}"] = geometric_mean([wl.traffic_ratio(key) for wl in sweep])
+        out[f"slowdown:{key}"] = grid.average(key)
+        out[f"traffic:{key}"] = grid.average_traffic(key)
     # burstiness from the unsecure baselines
     within160 = []
-    for wl in sweep:
+    for wl in grid.rows:
         fracs = wl.baseline.burst16_fractions
         if fracs and sum(fracs) > 0:
             within160.append(fracs[0] + fracs[1])
     out["burst16_within_160"] = sum(within160) / len(within160) if within160 else 0.0
     # OTP hiding for private
     out["private_send_hidden"] = geometric_mean(
-        [max(wl.by_config["private_4x"].otp_send.hidden, 1e-6) for wl in sweep]
+        [max(wl.by_config["private_4x"].otp_send.hidden, 1e-6) for wl in grid.rows]
     )
     # full-hit fractions (Fig 22's emphasized metric), arithmetic mean since
     # zero hits are legitimate for idle directions
     for key in ("private_4x", "batching"):
-        hits = [wl.by_config[key].otp_send.hit for wl in sweep]
+        hits = [wl.by_config[key].otp_send.hit for wl in grid.rows]
         out[f"send_hit:{key}"] = sum(hits) / len(hits)
     return out
 

@@ -107,10 +107,6 @@ class Violation:
     #: oracle-specific replay context (e.g. the relabeling permutation)
     data: dict = field(default_factory=dict)
 
-    @property
-    def family(self) -> str:
-        return self.oracle.split(".", 1)[0]
-
     def describe(self) -> str:
         lines = [f"[{self.oracle}] {self.law}", f"  {self.message}"]
         if self.observed is not None or self.expected is not None:

@@ -166,12 +166,11 @@ def dump_bytes(compiled: CompiledTrace) -> bytes:
         bounds = [0]
         for lane in gpu_trace.lanes:
             bounds.append(bounds[-1] + len(lane))
-        gaps = [g for lane in gpu_trace.lanes for g in lane.gaps]
-        addrs = [a for lane in gpu_trace.lanes for a in lane.addrs]
-        writes = [w for lane in gpu_trace.lanes for w in lane.writes]
-        arrays[f"g{node}_gaps"] = np.asarray(gaps, dtype=np.int64)
-        arrays[f"g{node}_addrs"] = np.asarray(addrs, dtype=np.int64)
-        arrays[f"g{node}_writes"] = np.asarray(writes, dtype=np.int8)
+        for stream in ("gaps", "addrs", "writes"):
+            dtype = _STREAM_DTYPES[stream]
+            # each lane's typed array is viewed in place, never unboxed
+            views = [np.frombuffer(getattr(lane, stream), dtype=dtype) for lane in gpu_trace.lanes]
+            arrays[f"g{node}_{stream}"] = np.concatenate(views) if views else np.empty(0, dtype)
         arrays[f"g{node}_bounds"] = np.asarray(bounds, dtype=np.int64)
         header["gpus"][str(node)] = {"instructions": gpu_trace.instructions}
     arrays["header"] = np.frombuffer(

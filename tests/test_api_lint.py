@@ -2,11 +2,15 @@
 by production code, not only by tests.
 
 "Production" is ``src/repro``, ``examples/``, ``scripts/``, the
-``benchmarks/`` tree without its test files, and the CI workflows.  A
-definition passes when its name appears in that text anywhere but on its
-own ``def``/``class`` line.  Dunder methods are exempt: the language calls
-them.  Code that only a test reaches is a second copy of an operation or
-a tally nothing reports; such a test checks code that no simulation runs.
+``benchmarks/`` tree without its test files, and the CI workflows.  In a
+production Python file only code counts: a definition passes when its
+name is read as a name, an attribute or an import there.  A name that
+only a docstring, a comment, a string or an ``__all__`` list spells does
+not count.  In the CI workflows every word counts, since a step calls
+Python through shell text.  Dunder methods are exempt: the language
+calls them.  Code that only a test reaches is a second copy of an
+operation or a tally nothing reports; such a test checks code that no
+simulation runs.
 
 What the check cannot see:
 
@@ -15,7 +19,9 @@ What the check cannot see:
   passes unnoticed unless it is a method;
 * a name shared with a used method passes through that use: a
   test-only ``record``, ``get`` or ``channels`` on one class hides behind
-  the ones production calls on another.
+  the ones production calls on another;
+* any use counts, even one inside code that nothing reaches, so a
+  chain of definitions that only call each other passes as a whole.
 
 Wired into CI as part of the tier-1 test run.
 """
@@ -36,6 +42,8 @@ ALLOWED = {
     "by_pair": "MessageTracer's export for users of the tracer",
     "fault_counts": "MessageTracer's export for users of the tracer",
     "dump_jsonl": "MessageTracer's export for users of the tracer",
+    "detach": "MessageTracer's export for users of the tracer",
+    "functional_replay": "the audit's cryptographic oracle: it replays a run's log on real AES-GCM",
 }
 
 
@@ -64,20 +72,37 @@ def _definitions() -> list[tuple[str, Path, int]]:
     return found
 
 
+def _code_names(path: Path) -> set[str]:
+    """Every name a Python file reads as a name, an attribute or an import."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            if node.asname:
+                names.add(node.asname)
+    return names
+
+
+def _words(path: Path) -> set[str]:
+    return set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
+
+
 def unused_outside_tests() -> dict[str, list[str]]:
     """Each definition that no production line names, with its sites."""
     own: dict[str, set[tuple[Path, int]]] = {}
     for name, path, line in _definitions():
         own.setdefault(name, set()).add((path, line))
-    named_at: dict[str, set[tuple[Path, int]]] = {}
+    named: set[str] = set()
     for path in _production_files():
-        for number, line in enumerate(path.read_text().splitlines(), 1):
-            for word in set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", line)):
-                named_at.setdefault(word, set()).add((path, number))
+        named |= _code_names(path) if path.suffix == ".py" else _words(path)
     return {
         name: sorted(f"{path.relative_to(ROOT)}:{line}" for path, line in sites)
         for name, sites in own.items()
-        if not named_at.get(name, set()) - sites
+        if name not in named
     }
 
 

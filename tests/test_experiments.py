@@ -85,10 +85,10 @@ class TestFigureHarnesses:
 
     def test_fig12_metadata_inflates_traffic(self, runner):
         result = fig12_traffic.run(runner, schemes=("private", "batching"))
-        assert result.average("private") > 1.1
-        assert result.average("batching") < result.average("private")
-        for shares in result.meta_share.values():
-            assert 0 <= shares["private"] < 0.5
+        assert result.average_traffic("private") > 1.1
+        assert result.average_traffic("batching") < result.average_traffic("private")
+        for row in result.rows:
+            assert 0 <= row.meta_share("private") < 0.5
 
     def test_fig13_14_timeline_structure(self, runner):
         result = fig1314.run(runner)
@@ -115,7 +115,7 @@ class TestFigureHarnesses:
     def test_fig26_latency_monotonicity(self, runner):
         result = fig26.run(runner, latencies=(10, 40))
         for scheme in fig26.SCHEME_KEYS:
-            assert result.averages[(scheme, 10)] <= result.averages[(scheme, 40)] + 0.02
+            assert result.average((scheme, 10)) <= result.average((scheme, 40)) + 0.02
 
     def test_hw_overhead_anchors(self):
         o = hw_overhead.compute(4, 4)

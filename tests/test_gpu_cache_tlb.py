@@ -181,6 +181,92 @@ class TestTlb:
             Tlb("t", 0)
 
 
+class _StampTlb:
+    """The reference: the stamp-dict LRU TLB the ordered dict replaced.
+    Each page maps to its last-use stamp, and a fill into a full TLB evicts
+    the page with the smallest stamp."""
+
+    def __init__(self, n_entries: int) -> None:
+        self.n_entries = n_entries
+        self._entries: dict[int, int] = {}
+        self._stamp = 0
+
+    def lookup(self, page):
+        self._stamp += 1
+        if page in self._entries:
+            self._entries[page] = self._stamp
+            return True
+        return False
+
+    def fill(self, page):
+        self._stamp += 1
+        if page not in self._entries and len(self._entries) >= self.n_entries:
+            victim = min(self._entries, key=self._entries.get)
+            del self._entries[victim]
+        self._entries[page] = self._stamp
+
+    def invalidate(self, page):
+        return self._entries.pop(page, None) is not None
+
+    def lru_order(self):
+        return sorted(self._entries, key=self._entries.get)
+
+
+class _StampHierarchy:
+    """The reference ``TlbHierarchy.translate`` and ``shootdown`` over two
+    stamp TLBs."""
+
+    def __init__(self, l1_entries: int, l2_entries: int) -> None:
+        self.l1 = _StampTlb(l1_entries)
+        self.l2 = _StampTlb(l2_entries)
+
+    def translate(self, address):
+        page = address // PAGE_BYTES
+        if self.l1.lookup(page):
+            return 1, False
+        if self.l2.lookup(page):
+            self.l1.fill(page)
+            return 11, False
+        self.l2.fill(page)
+        self.l1.fill(page)
+        return 11, True
+
+    def shootdown(self, page):
+        self.l1.invalidate(page)
+        self.l2.invalidate(page)
+
+
+class TestTlbAgainstStampReference:
+    """The ordered-dict TLB evicts the same pages as the stamp version, so
+    no walk moves: every call answers alike and the LRU order matches."""
+
+    @pytest.mark.parametrize("n_entries", [1, 4])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_call_answers_like_the_reference(self, n_entries, data):
+        tlb = Tlb("t", n_entries)
+        reference = _StampTlb(n_entries)
+        page = st.integers(0, n_entries + 2)
+        op = st.tuples(st.sampled_from(("lookup", "fill", "fill", "invalidate")), page)
+        for name, arg in data.draw(st.lists(op, min_size=30, max_size=80)):
+            assert getattr(tlb, name)(arg) == getattr(reference, name)(arg), (name, arg)
+            assert list(tlb._entries) == reference.lru_order()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_translate_walks_like_the_reference(self, data):
+        hierarchy = TlbHierarchy("g", l1_entries=2, l2_entries=4)
+        reference = _StampHierarchy(2, 4)
+        page = st.integers(0, 6)
+        translate = st.tuples(st.just("translate"), page.map(lambda p: p * PAGE_BYTES + 8))
+        shootdown = st.tuples(st.just("shootdown"), page)
+        ops = st.lists(st.one_of(translate, translate, translate, shootdown), min_size=30, max_size=80)
+        for name, arg in data.draw(ops):
+            assert getattr(hierarchy, name)(arg) == getattr(reference, name)(arg), (name, arg)
+            assert list(hierarchy.l1._entries) == reference.l1.lru_order()
+            assert list(hierarchy.l2._entries) == reference.l2.lru_order()
+
+
 class TestHbm:
     def test_latency_bound_single_access(self):
         hbm = HbmModel("h", access_latency=160, bytes_per_cycle=512)

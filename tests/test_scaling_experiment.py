@@ -21,9 +21,9 @@ def test_runner_gpu_count_must_match(small_runner_8):
 def test_8gpu_structure(small_runner_8):
     result = scaling.run(8, runner=small_runner_8)
     assert result.n_gpus == 8
-    assert set(result.slowdowns) == {"relu", "st"}
-    for per_wl in result.slowdowns.values():
-        assert set(per_wl) == set(scaling.SCHEME_KEYS)
+    assert [row.spec.abbr for row in result.rows] == ["relu", "st"]
+    for row in result.rows:
+        assert set(row.by_config) == set(result.keys) == {"private", "cached", "ours"}
     text = scaling.format_result(result)
     assert "Figure 24" in text
     assert "Ours improves" in text
@@ -32,7 +32,7 @@ def test_8gpu_structure(small_runner_8):
 def test_improvement_metric(small_runner_8):
     result = scaling.run(8, runner=small_runner_8)
     expected = result.average("private") / result.average("ours") - 1.0
-    assert result.improvement_over("private") == pytest.approx(expected)
+    assert result.improvement_over("ours", "private") == pytest.approx(expected)
 
 
 def test_16gpu_label():

@@ -79,8 +79,8 @@ class TestDeterminism:
         r_par = ExperimentRunner(
             scale=SCALE, workloads=workloads, jobs=4, use_cache=False
         ).sweep(configs)
-        assert r_serial[0].slowdown("private") == r_par[0].slowdown("private")
-        assert report_to_dict(r_serial[0].baseline) == report_to_dict(r_par[0].baseline)
+        assert r_serial.rows[0].slowdown("private") == r_par.rows[0].slowdown("private")
+        assert report_to_dict(r_serial.rows[0].baseline) == report_to_dict(r_par.rows[0].baseline)
 
 
 class TestCache:
