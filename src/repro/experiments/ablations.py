@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.configs import LinkConfig, MetadataConfig, MigrationConfig, default_config
-from repro.experiments.common import ExperimentRunner, Grid, fmt, format_table
+from repro.experiments.common import ExperimentRunner, Grid, fmt, format_table, geometric_mean
 
 
 @dataclass
@@ -124,9 +124,13 @@ def fabric_sweep(
         )
         configs[fabric, "unsecure"] = replace(default_config(runner.n_gpus), link=link)
     grid = runner.sweep(configs)
-    return SweepResult(
-        "fabric", runner.n_gpus, {f: grid.average(f, over=(f, "unsecure")) for f in fabrics}
-    )
+    averages = {
+        f: geometric_mean(
+            [row.by_config[f].slowdown_vs(row.by_config[f, "unsecure"]) for row in grid.rows]
+        )
+        for f in fabrics
+    }
+    return SweepResult("fabric", runner.n_gpus, averages)
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,8 @@ class WorkloadResult:
     baseline: SimulationReport
     by_config: dict[Hashable, SimulationReport]
 
-    def slowdown(self, key: Hashable, over: Hashable | None = None) -> float:
-        """``key``'s time over the unsecure baseline's, or over ``over``'s."""
-        baseline = self.baseline if over is None else self.by_config[over]
-        return self.by_config[key].slowdown_vs(baseline)
+    def slowdown(self, key: Hashable) -> float:
+        return self.by_config[key].slowdown_vs(self.baseline)
 
     def traffic_ratio(self, key: Hashable) -> float:
         return self.by_config[key].traffic_ratio_vs(self.baseline)
@@ -75,10 +73,9 @@ class Grid:
     keys: tuple
     rows: list[WorkloadResult]
 
-    def average(self, key: Hashable, over: Hashable | None = None) -> float:
-        """Geometric-mean slowdown of ``key`` (over ``over``'s reports
-        instead of the unsecure baseline when given)."""
-        return geometric_mean([row.slowdown(key, over) for row in self.rows])
+    def average(self, key: Hashable) -> float:
+        """Geometric-mean slowdown of ``key``."""
+        return geometric_mean([row.slowdown(key) for row in self.rows])
 
     def average_traffic(self, key: Hashable) -> float:
         return geometric_mean([row.traffic_ratio(key) for row in self.rows])
@@ -92,13 +89,11 @@ class Grid:
         """The distinct values at ``position`` of tuple keys, in key order."""
         return list(dict.fromkeys(key[position] for key in self.keys))
 
-    def table(self, title: str, columns: list[str], traffic: bool = False) -> str:
-        """One row per workload and an average row, one column per key;
-        slowdowns, or traffic ratios when ``traffic`` is set."""
-        cell = WorkloadResult.traffic_ratio if traffic else WorkloadResult.slowdown
-        average = self.average_traffic if traffic else self.average
-        rows = [[row.spec.abbr, *[fmt(cell(row, k)) for k in self.keys]] for row in self.rows]
-        rows.append(["average", *[fmt(average(k)) for k in self.keys]])
+    def table(self, title: str, columns: list[str]) -> str:
+        """Slowdowns: one row per workload and an average row, one column
+        per key."""
+        rows = [[row.spec.abbr, *[fmt(row.slowdown(k)) for k in self.keys]] for row in self.rows]
+        rows.append(["average", *[fmt(self.average(k)) for k in self.keys]])
         return format_table(title, columns, rows)
 
 

@@ -9,7 +9,7 @@ traffic (paper: −20.2 % vs Private, −20.0 % vs Cached).
 from __future__ import annotations
 
 from repro.configs import scheme_config
-from repro.experiments.common import ExperimentRunner, Grid
+from repro.experiments.common import ExperimentRunner, Grid, fmt, format_table
 
 
 def run(
@@ -23,10 +23,14 @@ def run(
 
 
 def format_result(grid: Grid) -> str:
-    return grid.table(
+    rows = [
+        [row.spec.abbr, *[fmt(row.traffic_ratio(k)) for k in grid.keys]] for row in grid.rows
+    ]
+    rows.append(["average", *[fmt(grid.average_traffic(k)) for k in grid.keys]])
+    return format_table(
         f"Figures 12/23: traffic vs unsecure ({grid.n_gpus} GPUs, OTP 4x)",
         ["workload", *grid.keys],
-        traffic=True,
+        rows,
     )
 
 

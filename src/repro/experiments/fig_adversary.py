@@ -99,16 +99,15 @@ def adversary_config(
 
 def run(
     runner: ExperimentRunner | None = None,
-    rate: float = RATE,
     mixes: tuple[str, ...] = tuple(MIXES),
     schemes: tuple[str, ...] = SCHEMES,
 ) -> Grid:
-    """Every scheme under every attack mix, keyed ``(scheme, mix)``, each
-    normalized to the attack-free unsecure run."""
+    """Every scheme under every attack mix at rate :data:`RATE`, keyed
+    ``(scheme, mix)``, each normalized to the attack-free unsecure run."""
     runner = runner or ExperimentRunner()
     return runner.sweep(
         {
-            (scheme, mix): adversary_config(scheme, mix, rate, n_gpus=runner.n_gpus)
+            (scheme, mix): adversary_config(scheme, mix, n_gpus=runner.n_gpus)
             for scheme in schemes
             for mix in mixes
         }
@@ -203,8 +202,7 @@ def check_quarantine(
     return ledger
 
 
-def format_result(grid: Grid, rate: float = RATE) -> str:
-    """``rate`` is the composite attack rate the grid ran at."""
+def format_result(grid: Grid) -> str:
     schemes, mixes = grid.axis(0), grid.axis(1)
     rows = [
         [scheme, *[fmt(grid.average((scheme, mix))) for mix in mixes]]
@@ -212,7 +210,7 @@ def format_result(grid: Grid, rate: float = RATE) -> str:
     ]
     table = format_table(
         f"Adversary sweep: slowdown vs. attack-free unsecure "
-        f"(r={rate:g}, {grid.n_gpus} GPUs)",
+        f"(r={RATE:g}, {grid.n_gpus} GPUs)",
         ["scheme", *mixes],
         rows,
     )
@@ -267,7 +265,7 @@ def smoke(
     checked = assert_zero_undetected(grid)
     quarantined = check_quarantine(scale=scale, jobs=jobs, use_cache=use_cache)
     injected = sum(attack_totals(grid, key).total_injected for key in grid.keys)
-    print(format_result(grid, rate=RATE))
+    print(format_result(grid))
     print(
         f"\nsmoke: {checked} secure cells checked, {injected} attacks injected, "
         f"0 accepted undetected; quarantine rerouted "
